@@ -9,6 +9,7 @@ in CI).  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,6 +32,17 @@ from .sampling import EnsembleParams
 from .svgplot import render_xy
 
 _SEED_ENV = "RMTDIFF_SEED"
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,8 @@ class RunConfig:
 def _ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="kept dimension N")
     p.add_argument("--m", type=int, required=True, help="traced-out dimension M")
-    p.add_argument("--p", type=float, default=1.0, help="weight of the first state")
-    p.add_argument("--q", type=float, default=1.0, help="weight of the second state")
+    p.add_argument("--p", type=_finite_float, default=1.0, help="weight of the first state")
+    p.add_argument("--q", type=_finite_float, default=1.0, help="weight of the second state")
     p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
 
 
@@ -112,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_args(p)
 
     p = sub.add_parser("aed", help="asymptotic density on a grid")
-    p.add_argument("--c", type=float, default=None, help="dimension ratio N/M")
-    p.add_argument("--eta", type=float, default=1.0, help="weight ratio q/p")
+    p.add_argument("--c", type=_finite_float, default=None, help="dimension ratio N/M")
+    p.add_argument("--eta", type=_finite_float, default=1.0, help="weight ratio q/p")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--count", type=int, default=6001)
@@ -121,12 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     p = sub.add_parser("moments", help="absolute moments: closed form vs quadrature")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--z", type=float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
+    p.add_argument("--c", type=_finite_float, required=True)
+    p.add_argument("--z", type=_finite_float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("distance", help="asymptotic distance measures vs c")
-    p.add_argument("--c", type=float, nargs="+", required=True)
+    p.add_argument("--c", type=_finite_float, nargs="+", required=True)
     p.add_argument("--n", type=int, default=1, help="dimension for the operator norm")
     p.add_argument("--out", default=None)
 

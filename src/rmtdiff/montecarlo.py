@@ -5,6 +5,16 @@ results are byte-reproducible for a fixed (seed, workers) pair and worker
 counts only redistribute which stream produced which draw.  Heavy lifting
 (matrix products, eigensolves) happens in numpy batches, which release the
 GIL, so a thread pool gives real speedup without pickling overhead.
+
+``difference_spectra`` is the one sampling kernel.  Each draw is
+Z = X J X^H with X = [sqrt(p) G1/||G1||_F, sqrt(q) G2/||G2||_F] (N x 2M) and
+J = diag(I_M, -I_M), so rank Z <= 2M.  When N > 2M and the textbook LAPACK
+flop count favours it (2Nk^2 + 8k^3/3 < 2N^2 k + 4N^3/3 with k = 2M, a pure
+function of (N, M)), the kernel takes R from a batched QR of X and solves
+only the 2M x 2M Hermitian R J R^H; the other N - 2M eigenvalues are exact
+zeros, which are the atom of weight 1 - 2/c of the asymptotic law.  Otherwise
+it forms the two N x N Gram products and solves the N x N problem.  Both
+paths consume the random stream in the same order.
 """
 
 from __future__ import annotations
@@ -38,6 +48,18 @@ def _batch_size(n: int, m: int) -> int:
     return max(1, _BATCH_ENTRIES // max(n * m, n * n))
 
 
+def _use_reduced(n: int, m: int) -> bool:
+    """Whether the rank-2M path costs fewer flops than the N x N Gram path.
+
+    Textbook LAPACK counts with k = 2M: Householder QR of N x k plus a
+    k x k ``eigvalsh`` against two N x N Gram products plus an N x N
+    ``eigvalsh``.  The crossover sits near k/N = 0.84, so draws just past
+    the rank edge N > 2M keep the Gram path.
+    """
+    k = 2 * m
+    return 2 * n * k * k + 8 * k**3 / 3 < 2 * n * n * k + 4 * n**3 / 3
+
+
 def difference_spectra(
     params: EnsembleParams,
     n_samples: int,
@@ -45,13 +67,18 @@ def difference_spectra(
     *,
     rescaled: bool = True,
 ) -> np.ndarray:
-    """(n_samples, N) ascending eigenvalues of independent difference draws."""
+    """(n_samples, N) ascending eigenvalues of independent difference draws.
+
+    Shapes where ``_use_reduced`` holds take the rank-2M path described in
+    the module docstring; its N - 2M zero eigenvalues are exact.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if rng is None:
         rng = params.rng()
     n, m = params.n_small, params.m_large
     p, q = params.weight_p, params.weight_q
+    reduced = _use_reduced(n, m)
     out = np.empty((n_samples, n))
     done = 0
     batch = _batch_size(n, m)
@@ -59,21 +86,69 @@ def difference_spectra(
         b = min(batch, n_samples - done)
         g1 = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
         g2 = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-        s1 = g1 @ g1.conj().transpose(0, 2, 1)
-        s2 = g2 @ g2.conj().transpose(0, 2, 1)
-        t1 = np.trace(s1, axis1=1, axis2=2).real
-        t2 = np.trace(s2, axis1=1, axis2=2).real
-        z = p * s1 / t1[:, None, None] - q * s2 / t2[:, None, None]
-        out[done : done + b] = np.linalg.eigvalsh(z)
+        if reduced:
+            out[done : done + b] = _reduced_spectra(g1, g2, p, q)
+        else:
+            s1 = g1 @ g1.conj().transpose(0, 2, 1)
+            s2 = g2 @ g2.conj().transpose(0, 2, 1)
+            t1 = np.trace(s1, axis1=1, axis2=2).real
+            t2 = np.trace(s2, axis1=1, axis2=2).real
+            z = p * s1 / t1[:, None, None] - q * s2 / t2[:, None, None]
+            out[done : done + b] = np.linalg.eigvalsh(z)
         done += b
     if rescaled:
         out *= n
     return out
 
 
+def _frobenius_sq(g: np.ndarray) -> np.ndarray:
+    return np.einsum("bij,bij->b", g.real, g.real) + np.einsum("bij,bij->b", g.imag, g.imag)
+
+
+def _reduced_spectra(g1: np.ndarray, g2: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Ascending spectra of p G1 G1^H/||G1||^2 - q G2 G2^H/||G2||^2 for N > 2M."""
+    b, n, m = g1.shape
+    x = np.concatenate((g1, g2), axis=2)
+    x[:, :, :m] *= np.sqrt(p / _frobenius_sq(g1))[:, None, None]
+    x[:, :, m:] *= np.sqrt(q / _frobenius_sq(g2))[:, None, None]
+    r = np.linalg.qr(x, mode="r")
+    # R J R^H = A A^H - C C^H; R is upper triangular, so A = R[:, :, :M]
+    # is zero below row M and A A^H fills only the leading M x M block.
+    a = r[:, :m, :m]
+    c = r[:, :, m:]
+    h = -(c @ c.conj().transpose(0, 2, 1))
+    h[:, :m, :m] += a @ a.conj().transpose(0, 2, 1)
+    vals = np.zeros((b, n))
+    vals[:, : 2 * m] = np.linalg.eigvalsh(h)
+    vals.sort(axis=1)
+    return vals
+
+
 def _worker_counts(n_samples: int, workers: int) -> list[int]:
     base, extra = divmod(n_samples, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
+
+
+def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> list:
+    """``reduce`` of each worker's raw (unrescaled) spectra, in worker order.
+
+    Worker w draws its share of ``n_samples`` from sub-stream (seed, w); a
+    worker with no draws reduces an empty (0, N) array.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    counts = _worker_counts(n_samples, workers)
+
+    def job(w: int):
+        if counts[w] == 0:
+            return reduce(np.empty((0, params.n_small)))
+        rng = make_rng(params.seed, w)
+        return reduce(difference_spectra(params, counts[w], rng, rescaled=False))
+
+    if workers == 1:
+        return [job(0)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, range(workers)))
 
 
 def pooled_spectrum(
@@ -88,22 +163,8 @@ def pooled_spectrum(
     Draws are split across ``workers`` sub-streams and merged in worker
     order, so the output is deterministic for fixed (seed, workers).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    counts = _worker_counts(n_samples, workers)
-
-    def job(w: int) -> np.ndarray:
-        if counts[w] == 0:
-            return np.empty((0,))
-        rng = make_rng(params.seed, w)
-        return difference_spectra(params, counts[w], rng, rescaled=rescaled).ravel()
-
-    if workers == 1:
-        parts = [job(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(workers)))
-    return np.concatenate(parts)
+    scale = params.n_small if rescaled else 1
+    return np.concatenate(_fan_out(params, n_samples, workers, lambda s: (s * scale).ravel()))
 
 
 @dataclass(frozen=True)
@@ -189,39 +250,15 @@ def l1_distance(hist: HistogramResult, theory_density) -> float:
 
 def trace_distance_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of (1/2) sum |lambda_i| over difference draws."""
-    counts = _worker_counts(n_samples, workers)
-
-    def job(w: int) -> float:
-        if counts[w] == 0:
-            return 0.0
-        rng = make_rng(params.seed, w)
-        spec = difference_spectra(params, counts[w], rng, rescaled=False)
-        return float(np.sum(np.abs(spec)) * 0.5)
-
-    if workers == 1:
-        totals = [job(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(job, range(workers)))
+    totals = _fan_out(params, n_samples, workers, lambda s: float(np.sum(np.abs(s)) * 0.5))
     return sum(totals) / n_samples
 
 
 def operator_norm_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of max |lambda_i| (raw, unrescaled)."""
-    counts = _worker_counts(n_samples, workers)
-
-    def job(w: int) -> float:
-        if counts[w] == 0:
-            return 0.0
-        rng = make_rng(params.seed, w)
-        spec = difference_spectra(params, counts[w], rng, rescaled=False)
-        return float(np.sum(np.max(np.abs(spec), axis=1)))
-
-    if workers == 1:
-        totals = [job(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(job, range(workers)))
+    totals = _fan_out(
+        params, n_samples, workers, lambda s: float(np.sum(np.max(np.abs(s), axis=1)))
+    )
     return sum(totals) / n_samples
 
 

@@ -107,6 +107,25 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["aed", "--c", "nan"],
+            ["aed", "--c", "1.0", "--eta", "inf"],
+            ["moments", "--c", "inf"],
+            ["moments", "--c", "1.0", "--z", "1", "--z=-inf"],
+            ["distance", "--c", "0.5", "nan"],
+            ["hist", "--n", "4", "--m", "4", "--q", "nan"],
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_error_is_3(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         code = run_cli(["aed", "--c", "1.0", "--count", "301", "--out", str(target)])

@@ -4,6 +4,7 @@ import pytest
 
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
 from rmtdiff.montecarlo import (
+    _use_reduced,
     build_histogram,
     difference_spectra,
     l1_distance,
@@ -12,7 +13,7 @@ from rmtdiff.montecarlo import (
     pooled_spectrum,
     trace_distance_mc,
 )
-from rmtdiff.sampling import EnsembleParams
+from rmtdiff.sampling import EnsembleParams, hermitian_eigenvalues, make_rng, sample_difference
 
 
 class TestSpectra:
@@ -38,6 +39,35 @@ class TestSpectra:
         params = EnsembleParams(n_small=6, m_large=9, seed=4)
         s = difference_spectra(params, 5, rescaled=False)
         assert np.max(np.abs(s.sum(axis=1))) < 1e-10
+
+
+class TestReducedKernel:
+    # (N, M, takes the rank-2M path): both sides of the flop-count switch
+    SHAPES = [(100, 20, True), (80, 30, True), (61, 30, False), (3, 1, True), (7, 3, False)]
+
+    @pytest.mark.parametrize("n,m,reduced", SHAPES)
+    @pytest.mark.parametrize("q", [0.3, 1.0, 2.0])
+    def test_matches_scalar_path(self, n, m, reduced, q):
+        assert _use_reduced(n, m) is reduced
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=0)
+        for s in range(3):
+            batched = difference_spectra(params, 1, make_rng(s, 0), rescaled=False)[0]
+            scalar = hermitian_eigenvalues(sample_difference(params, make_rng(s, 0))).eigenvalues
+            assert np.max(np.abs(batched - scalar)) < 1e-12
+            assert np.all(np.diff(batched) >= 0)
+            assert abs(batched.sum() - (1.0 - q)) < 1e-12
+            if reduced:
+                assert int(np.count_nonzero(batched == 0.0)) == n - 2 * m
+
+    @pytest.mark.parametrize("n,m,q", [(12, 4, 2.0), (8, 10, 0.5)])
+    def test_second_moment(self, n, m, q):
+        # E Tr Z^2 = (p^2 + q^2) E Tr rho^2 - 2pq Tr(E rho1 E rho2)
+        #          = (p^2 + q^2)(N + M)/(NM + 1) - 2pq/N,  here with p = 1
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=2024)
+        tr_z2 = np.sum(difference_spectra(params, 4000, rescaled=False) ** 2, axis=1)
+        expected = (1.0 + q * q) * (n + m) / (n * m + 1) - 2.0 * q / n
+        stderr = tr_z2.std(ddof=1) / np.sqrt(tr_z2.size)
+        assert abs(tr_z2.mean() - expected) < 5.0 * stderr
 
 
 class TestPooling:
