@@ -1,23 +1,24 @@
 """Weighted differences Z = p rho1 - q rho2.
 
-No trustworthy closed expression exists for the weighted limiting density,
-so it is obtained by numeric root inversion of its cubic Cauchy-transform
-equation.  The spectrum is no longer symmetric; its mean is p - q in
-original units (1 - eta for the normalized matrix).
+The weighted limiting density is obtained by inverting its cubic
+Cauchy-transform equation at all grid points in one batched solve; the
+support edges are the real roots of that cubic's discriminant.  The
+spectrum is no longer symmetric; its mean is p - q in original units
+(1 - eta for the normalized matrix).
 """
 
 import numpy as np
 
-from rmtdiff import EnsembleParams, aed_numeric, pooled_spectrum
+from rmtdiff import EnsembleParams, aed_curve, pooled_spectrum
 from rmtdiff.asym_law import find_support_numeric
 from rmtdiff.harness import run_hist
 from rmtdiff.montecarlo import l1_distance
 
 for c, eta, n, m in ((1.0, 0.2, 50, 50), (0.5, 2.0, 50, 100)):
     intervals = find_support_numeric(c, eta)
-    print(f"c={c}, eta={eta}: numeric support {[(round(a,3), round(b,3)) for a, b in intervals]}")
+    print(f"c={c}, eta={eta}: discriminant support {[(round(a,3), round(b,3)) for a, b in intervals]}")
     xs = np.linspace(intervals[0][0], intervals[-1][1], 1001)
-    dens = np.array([aed_numeric(float(x), c, eta) for x in xs])
+    dens = aed_curve(xs, c, eta)
     mean = float(np.trapezoid(dens * xs, xs))
     print(f"  mass={np.trapezoid(dens, xs):.5f}  mean={mean:.5f}  (expect {1 - eta})")
 

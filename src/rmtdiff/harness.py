@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .asym_law import aed_numeric, aed_symmetric, atom_weight, find_support_numeric, support_points
-from .finite_law import n2_exact_density, single_eigenvalue_marginal
+from .asym_law import aed_curve, aed_symmetric, atom_weight, find_support_numeric, support_points
+from .finite_law import single_eigenvalue_marginal
 from .montecarlo import HistogramResult, bin_theory_mass, build_histogram, pooled_spectrum
 from .sampling import EnsembleParams
 
@@ -31,29 +31,34 @@ __all__ = [
 class TheoryOverlay:
     """Density curve (rescaled units), atom weight and atom threshold."""
 
-    density: object  # callable x -> float
+    density: object  # callable: array -> array of the same shape, float -> float
     atom_weight: float
     atom_threshold: float | None
     label: str
 
 
-def _exact_marginal_callable(n: int, m: int, p: float):
+def _on_arrays(fn):
+    """Lift fn(1-D float array) -> array to any shape, returning a float for a scalar."""
+
+    def density(x):
+        xs = np.asarray(x, dtype=float)
+        out = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
+        return float(out) if out.ndim == 0 else out
+
+    return density
+
+
+def _exact_marginal(n: int, m: int, p: float):
     scale = n * p
 
-    if n == 2:
-        def f(x: float) -> float:
-            u = x / scale
-            return n2_exact_density(u, m) / scale if abs(u) < 1.0 else 0.0
+    def f(xs: np.ndarray) -> np.ndarray:
+        u = xs / scale
+        out = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        out[inside] = single_eigenvalue_marginal(n, m, u[inside])
+        return out / scale
 
-        return f
-
-    def f3(x: float) -> float:
-        u = x / scale
-        if abs(u) >= 1.0:
-            return 0.0
-        return float(single_eigenvalue_marginal(3, m, [u])[0]) / scale
-
-    return f3
+    return _on_arrays(f)
 
 
 def theory_overlay(params: EnsembleParams, *, prefer_exact: bool = True) -> TheoryOverlay:
@@ -70,7 +75,7 @@ def theory_overlay(params: EnsembleParams, *, prefer_exact: bool = True) -> Theo
     if eta == 1.0:
         if prefer_exact and n in (2, 3) and n <= params.m_large:
             return TheoryOverlay(
-                density=_exact_marginal_callable(n, params.m_large, p),
+                density=_exact_marginal(n, params.m_large, p),
                 atom_weight=0.0,
                 atom_threshold=None,
                 label=f"exact n={n}",
@@ -79,26 +84,23 @@ def theory_overlay(params: EnsembleParams, *, prefer_exact: bool = True) -> Theo
         x_minus, _ = support_points(c)
         threshold = 0.5 * p * x_minus if (atom > 0.0 and x_minus) else None
 
-        def f(x: float) -> float:
-            return aed_symmetric(x / p, c) / p
+        def f(xs: np.ndarray) -> np.ndarray:
+            return np.array([aed_symmetric(x, c) for x in xs / p]) / p
 
         return TheoryOverlay(
-            density=f, atom_weight=atom, atom_threshold=threshold, label="aed"
+            density=_on_arrays(f), atom_weight=atom, atom_threshold=threshold, label="aed"
         )
     atom = atom_weight(c, eta)
     threshold = None
     if atom > 0.0:
-        intervals = find_support_numeric(c, eta)
-        gap = min(
-            (abs(v) for ab in intervals for v in ab if abs(v) > 1e-9), default=None
-        )
-        threshold = 0.5 * p * gap if gap else None
+        gap = min(abs(v) for ab in find_support_numeric(c, eta) for v in ab)
+        threshold = 0.5 * p * gap
 
-    def fw(x: float) -> float:
-        return aed_numeric(x / p, c, eta) / p
+    def fw(xs: np.ndarray) -> np.ndarray:
+        return aed_curve(xs / p, c, eta) / p
 
     return TheoryOverlay(
-        density=fw, atom_weight=atom, atom_threshold=threshold, label="aed-weighted"
+        density=_on_arrays(fw), atom_weight=atom, atom_threshold=threshold, label="aed-weighted"
     )
 
 

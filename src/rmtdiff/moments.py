@@ -13,7 +13,7 @@ import math
 
 from scipy.integrate import quad
 
-from .asym_law import aed_numeric, aed_symmetric, find_support_numeric, support_points
+from .asym_law import _check_domain, aed_numeric, aed_symmetric, find_support_numeric, support_points
 from .errors import DomainError, QuadratureFailure
 from .specfun import hyp2f1, hyp2f1_at_one, ln_gamma_complex
 
@@ -93,10 +93,9 @@ def absolute_moment(z, c: float):
     complex otherwise.
     """
     zc = complex(z)
-    if zc.real <= 0.0:
+    if not zc.real > 0.0:
         raise DomainError("absolute moment requires Re(z) > 0")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_domain(c)
     if c == 2.0:
         lo = _moment_low(zc, c)
         hi = _moment_high(zc, c)
@@ -123,8 +122,7 @@ def even_moment(l: int, c: float) -> float:
     """
     if l < 1:
         raise DomainError("l must be >= 1")
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_domain(c)
     if c == 2.0:
         raise DomainError("representation singular at c = 2; use absolute_moment")
     pref = (
@@ -147,8 +145,7 @@ def trace_distance_asymptotic(c: float) -> float:
     (1/(2 pi c)) [(c+1) sqrt((2-c)c) + (4c-2) arcsin(sqrt(c/2))] for c <= 2,
     1 - 1/(2c) above.  Equals absolute_moment(1, c) / 2.
     """
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_domain(c)
     if c > 2.0:
         return 1.0 - 0.5 / c
     return (
@@ -165,19 +162,21 @@ def operator_norm_asymptotic(c: float, n: int) -> float:
     return x_plus / n
 
 
-def _mp_quad(f, lo: float, hi: float) -> float:
-    """Integral of f against sqrt-edged weight on [lo, hi] via sin^2 substitution."""
+def _mp_quad(f, lo: float, hi: float) -> tuple[float, float]:
+    """Integral of f against sqrt-edged weight on [lo, hi] via sin^2 substitution.
+
+    Returns (value, scipy's error estimate).
+    """
     span = hi - lo
     if span <= 0.0:
-        return 0.0
+        return 0.0, 0.0
 
     def g(th):
         s = math.sin(th)
         x = lo + span * s * s
         return f(x) * span * 2.0 * s * math.cos(th)
 
-    val, _ = quad(g, 0.0, 0.5 * math.pi, **_QUAD_OPTS)
-    return val
+    return quad(g, 0.0, 0.5 * math.pi, **_QUAD_OPTS)
 
 
 def distance_to_mixed_asymptotic(c: float) -> float:
@@ -186,8 +185,7 @@ def distance_to_mixed_asymptotic(c: float) -> float:
     Half the first absolute moment of (x - 1) under the rescaled single-matrix
     law, atom included, computed by adaptive quadrature.
     """
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_domain(c)
     lo = (1.0 - math.sqrt(c)) ** 2
     hi = (1.0 + math.sqrt(c)) ** 2
     atom = max(1.0 - 1.0 / c, 0.0)
@@ -198,29 +196,40 @@ def distance_to_mixed_asymptotic(c: float) -> float:
     pieces = sorted({lo, hi, min(max(1.0, lo), hi)})
     total = 0.0
     for a, b in zip(pieces[:-1], pieces[1:]):
-        total += _mp_quad(integrand, a, b)
+        total += _mp_quad(integrand, a, b)[0]
     return 0.5 * (total + atom)
 
 
-def _symmetric_half_integral(f, c: float) -> float:
-    """Integral of f(x) * density over x > 0 for the equal-weight law."""
-    x_minus, x_plus = support_points(c)
-    lo = x_minus if x_minus is not None else 0.0
+def _against_density(f, c: float, eta: float) -> tuple[float, float]:
+    """(integral, error estimate) of f(x) times the continuous density.
 
-    def g(x):
-        return f(x) * aed_symmetric(x, c)
+    The equal-weight density is even: its positive half is integrated and
+    doubled, so f must be even there as well.
+    """
+    if eta == 1.0:
+        x_minus, x_plus = support_points(c)
+        pieces, fold = [(x_minus or 0.0, x_plus)], 2.0
 
-    return _mp_quad(g, lo, x_plus)
+        def density(x):
+            return aed_symmetric(x, c)
+    else:
+        pieces, fold = find_support_numeric(c, eta), 1.0
+
+        def density(x):
+            return aed_numeric(x, c, eta)
+
+    val = err = 0.0
+    for lo, hi in pieces:
+        v, e = _mp_quad(lambda x: f(x) * density(x), lo, hi)
+        val += fold * v
+        err += fold * e
+    return val, err
 
 
 def continuous_mass(c: float, eta: float = 1.0) -> float:
     """Total mass of the continuous part (1, or 2/c past the atom transition)."""
-    if eta == 1.0:
-        return 2.0 * _symmetric_half_integral(lambda x: 1.0, c)
-    total = 0.0
-    for lo, hi in find_support_numeric(c, eta):
-        total += _mp_quad(lambda x: aed_numeric(x, c, eta), lo, hi)
-    return total
+    _check_domain(c, eta)
+    return _against_density(lambda x: 1.0, c, eta)[0]
 
 
 def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
@@ -230,50 +239,10 @@ def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
     the square-root edge vanishing.  Raises QuadratureFailure if the scipy
     error estimate exceeds 1e-7 of the result.
     """
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError("z must be positive")
-    if c <= 0.0 or eta <= 0.0:
-        raise DomainError("c and eta must be positive")
-    if eta == 1.0:
-        x_minus, x_plus = support_points(c)
-        lo = x_minus if x_minus is not None else 0.0
-        span = x_plus - lo
-
-        def g(th):
-            s = math.sin(th)
-            x = lo + span * s * s
-            return (
-                abs(x) ** z
-                * aed_symmetric(x, c)
-                * span
-                * 2.0
-                * s
-                * math.cos(th)
-            )
-
-        val, err = quad(g, 0.0, 0.5 * math.pi, **_QUAD_OPTS)
-        val, err = 2.0 * val, 2.0 * err
-    else:
-        val = 0.0
-        err = 0.0
-        for lo, hi in find_support_numeric(c, eta):
-            span = hi - lo
-
-            def g(th):
-                s = math.sin(th)
-                x = lo + span * s * s
-                return (
-                    abs(x) ** z
-                    * aed_numeric(x, c, eta)
-                    * span
-                    * 2.0
-                    * s
-                    * math.cos(th)
-                )
-
-            v, e = quad(g, 0.0, 0.5 * math.pi, **_QUAD_OPTS)
-            val += v
-            err += e
+    _check_domain(c, eta)
+    val, err = _against_density(lambda x: abs(x) ** z, c, eta)
     if err > 1e-7 * max(1.0, abs(val)):
         raise QuadratureFailure(
             f"estimated quadrature error {err:.2e} too large for m_{z}({c})"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rmtdiff.asym_law import (
     support_points,
     _cubic_coefficients,
 )
+from rmtdiff import asym_law as law
 from rmtdiff.errors import DomainError, PoleError
 
 
@@ -53,7 +55,7 @@ class TestAtomWeight:
         assert atom_weight(5.0) == pytest.approx(0.6)
 
     def test_weighted_measured_deficit(self):
-        # equal-weight value recovered through the numeric path as well
+        # the rank value holds off the equal-weight line as well
         w = atom_weight(5.0, eta=1.0 + 1e-12)
         assert w == pytest.approx(0.6, abs=1e-5)
 
@@ -245,8 +247,8 @@ class TestNormalizationGrid:
             total = continuous_mass(c) + atom_weight(c)
             assert total == pytest.approx(1.0, abs=1e-6)
         else:
-            # measured-deficit construction: verify the continuous mass is
-            # sane (<= 1) and consistent with the reported atom
+            # the atom is the rank value max(1 - 2/c, 0), so this checks the
+            # quadrature of the continuous part over the discriminant support
             mass = continuous_mass(c, eta)
             assert mass <= 1.0 + 1e-6
             assert mass + atom_weight(c, eta) == pytest.approx(1.0, abs=1e-6)
@@ -265,7 +267,7 @@ class TestWeightedSupport:
 
 
 class TestAedResult:
-    @pytest.mark.parametrize("c", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("c", [1e-4, 1e-3, 1.0, 2.0, 2.5])
     def test_trapezoid_invariant(self, c):
         res = aed_grid(c)
         assert res.atom_weight + res.trapezoid_mass() == pytest.approx(1.0, abs=1e-6)
@@ -287,3 +289,116 @@ class TestAedResult:
     def test_weighted_grid_mass(self):
         res = aed_grid(1.0, eta=0.2)
         assert res.trapezoid_mass() + res.atom_weight == pytest.approx(1.0, abs=1e-6)
+
+
+class TestRankAtomRegression:
+    def test_weighted_atom_case_c3(self):
+        from rmtdiff.harness import theory_overlay
+        from rmtdiff.moments import continuous_mass
+        from rmtdiff.sampling import EnsembleParams
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # IntegrationWarning included
+            assert atom_weight(3.0, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+            assert continuous_mass(3.0, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-9)
+            overlay = theory_overlay(EnsembleParams(60, 20, weight_q=0.5))
+        # half the gap edge nearest the origin: the atom's eigenvalues stay out of the bins
+        assert overlay.atom_threshold == pytest.approx(0.0536, abs=1e-4)
+        intervals = find_support_numeric(3.0, 0.5)
+        assert len(intervals) == 2 and intervals[0][1] < 0.0 < intervals[1][0]
+
+    def test_gap_without_atom_at_transition(self):
+        # c = 2, eta = 0.5: no atom, but a gap (0, 0.00834) that a midpoint
+        # density test alone misses (it reads ~1e-21 of roundoff there)
+        intervals = find_support_numeric(2.0, 0.5)
+        assert len(intervals) == 2
+        assert intervals[0][1] == pytest.approx(0.0, abs=1e-12)
+        assert intervals[1][0] == pytest.approx(0.00833511, rel=1e-6)
+
+
+class TestDomainValidation:
+    def test_symmetric_density_nan_c(self):
+        with pytest.raises(DomainError):
+            aed_symmetric(1.0, math.nan)
+
+    def test_numeric_density_nan_eta(self):
+        with pytest.raises(DomainError):
+            aed_numeric(0.5, 1.0, math.nan)
+
+    def test_grid_nan_c(self):
+        with pytest.raises(DomainError):
+            aed_grid(math.nan)
+
+    def test_support_points_inf_c(self):
+        with pytest.raises(DomainError):
+            support_points(math.inf)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: aed_symmetric(math.inf, 1.0),
+            lambda: aed_numeric(math.nan, 1.0),
+            lambda: aed_curve(np.array([0.0, math.nan]), 1.0),
+            lambda: aed_curve([0.0], 1.0, -1.0),
+            lambda: aed_grid(1.0, math.inf),
+            lambda: atom_weight(math.inf),
+            lambda: atom_weight(3.0, math.nan),
+            lambda: find_support_numeric(math.nan, 0.5),
+            lambda: find_support_numeric(1.0, 0.0),
+            lambda: cauchy_roots(complex(math.nan, 1.0), 1.0),
+        ],
+    )
+    def test_non_finite_or_non_positive(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
+def _sweep_reference(r1, r2, ep):
+    """The point-by-point branch sweep of the scalar implementation, on given roots."""
+
+    def pick(roots, ep, hint):
+        cand = sorted(
+            (complex(r) for r in roots if r.imag < 0.0 and abs(r.imag) * ep < 1e-3),
+            key=lambda r: (r.imag, r.real),
+        )
+        if not cand:
+            return 0.0, None
+        if hint is not None and len(cand) >= 2 and abs(cand[0].imag - cand[1].imag) < 1e-13:
+            cand.sort(key=lambda r: abs(r - hint))
+        return cand[0].imag, cand[0]
+
+    out, hint = [], None
+    for a, b in zip(r1, r2):
+        im1, g1 = pick(a, ep, hint)
+        im2, g2 = pick(b, ep / 2.0, g1)
+        val = (2.0 * (-im2) - (-im1)) / math.pi
+        out.append(val if val > 0.0 else 0.0)
+        hint = g2 if g2 is not None else hint
+    return np.array(out)
+
+
+class TestBatchedKernel:
+    def test_roots_match_np_roots(self):
+        rng = np.random.default_rng(5)
+        zs = rng.uniform(-6.0, 6.0, 50) + 1j * 10.0 ** rng.uniform(-9.0, 0.0, 50)
+        for c, eta in ((1.0, 1.0), (3.0, 0.5), (0.4, 4.0)):
+            batched = law._solve_cubics(zs, c, eta)
+            for z, got in zip(zs, batched):
+                want = np.roots(_cubic_coefficients(z, c, eta))
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-10 * scale
+
+    def test_tie_rule_matches_sequential_sweep(self, monkeypatch):
+        # crafted roots: ties in Im G (exact and within 1e-13), atom-like
+        # roots (|Im G| eps >= 1e-3), rows without candidates
+        rng = np.random.default_rng(11)
+        k, ep = 400, 1e-9
+        roots = rng.uniform(-2.0, 2.0, (2 * k, 3)) + 1j * rng.uniform(-2.0, 0.5, (2 * k, 3))
+        tied = rng.random(2 * k) < 0.3
+        roots[tied, 1] = roots[tied, 1].real + 1j * (roots[tied, 0].imag + rng.uniform(-5e-14, 5e-14, tied.sum()))
+        roots[rng.random(2 * k) < 0.1, 2] = 1.0 - 1e7j
+        roots[rng.random(2 * k) < 0.05] = 0.3 + 0.2j
+        monkeypatch.setattr(law, "_solve_cubics", lambda z, c, eta: roots)
+        got = aed_curve(np.zeros(k), 1.0, 0.5, ep)
+        want = _sweep_reference(roots[:k], roots[k:], ep)
+        assert np.array_equal(got, want)

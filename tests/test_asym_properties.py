@@ -1,0 +1,104 @@
+"""Properties of the asymptotic law over random (c, eta, x), and mpmath spot checks."""
+
+import math
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rmtdiff.asym_law import (
+    aed_curve,
+    aed_symmetric,
+    atom_weight,
+    find_support_numeric,
+    support_points,
+)
+from rmtdiff.moments import continuous_mass
+
+ratios = st.floats(0.02, 20.0)
+weights = st.floats(0.05, 20.0)
+# keeps edge probes clear of the transition, where the gap closes like (c-2)^{3/2}
+off_transition = st.one_of(st.floats(0.02, 1.95), st.floats(2.05, 20.0))
+unit = st.floats(-1.2, 1.2)
+
+
+def _span(c, eta):
+    intervals = find_support_numeric(c, eta)
+    return intervals, max(abs(intervals[0][0]), abs(intervals[-1][1]))
+
+
+@given(ratios, weights, st.lists(unit, min_size=1, max_size=40))
+def test_density_nonnegative(c, eta, rel):
+    _, span = _span(c, eta)
+    assert np.all(aed_curve(np.array(rel) * span, c, eta) >= 0.0)
+
+
+@given(ratios, unit)
+def test_symmetric_density_even(c, rel):
+    _, x_plus = support_points(c)
+    x = rel * x_plus
+    assert aed_symmetric(x, c) == aed_symmetric(-x, c) >= 0.0
+    pair = aed_curve(np.array([x, -x]), c)
+    assert pair[0] == pytest.approx(pair[1], rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=25)
+@given(ratios, weights)
+def test_atom_plus_continuous_mass_is_one(c, eta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = atom_weight(c, eta) + continuous_mass(c, eta)
+    assert total == pytest.approx(1.0, abs=1e-6)
+
+
+@given(off_transition, weights)
+def test_density_switches_on_at_discriminant_edges(c, eta):
+    intervals = find_support_numeric(c, eta)
+    edges = [e for ab in intervals for e in ab]
+    # a step well inside every interval and every gap between intervals;
+    # eps = 1e-12 keeps the Richardson remainder, ~eps^3 delta^(-5/2) just
+    # outside an edge, far below the bound even when a gap is narrow
+    delta = 1e-3 * float(np.min(np.diff(edges)))
+    inside = [a + delta for a, _ in intervals] + [b - delta for _, b in intervals]
+    outside = [a - delta for a, _ in intervals] + [b + delta for _, b in intervals]
+    assert np.all(aed_curve(np.array(inside), c, eta, 1e-12) > 0.0)
+    assert np.all(aed_curve(np.array(outside), c, eta, 1e-12) < 1e-12)
+    if c > 2.0:
+        # the rank atom sits in the gap around the origin
+        assert len(intervals) == 2 and intervals[0][1] < 0.0 < intervals[1][0]
+
+
+@given(ratios)
+def test_equal_weight_edges_match_closed_form(c):
+    x_minus, x_plus = support_points(c)
+    if x_minus:
+        want = [(-x_plus, -x_minus), (x_minus, x_plus)]
+    else:
+        want = [(-x_plus, x_plus)]
+    got = find_support_numeric(c, 1.0)
+    assert len(got) == len(want)
+    for (a, b), (wa, wb) in zip(got, want):
+        assert a == pytest.approx(wa, abs=1e-12)
+        assert b == pytest.approx(wb, abs=1e-12)
+
+
+def _mp_density(x: float, c: float) -> mpmath.mpf:
+    """-Im G / pi from the equal-weight cubic solved at real x in 40 digits."""
+    with mpmath.workdps(40):
+        x, c = mpmath.mpf(x), mpmath.mpf(c)
+        roots = mpmath.polyroots([c * c * x, c * (2 - c), -x, 1], maxsteps=200, extraprec=200)
+        im = min(mpmath.im(r) for r in roots)
+        return -im / mpmath.pi if im < 0 else mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-3, 1e-2, 1.0])
+def test_closed_form_against_mpmath(c):
+    _, x_plus = support_points(c)
+    for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 0.999):
+        x = t * x_plus
+        want = _mp_density(x, c)
+        assert abs(aed_symmetric(x, c) - want) <= 1e-11 * want
+    assert aed_symmetric(0.0, c) == pytest.approx(1.0 / (math.pi * math.sqrt(c * (2.0 - c))), rel=1e-15)

@@ -6,6 +6,7 @@ import pytest
 from rmtdiff.errors import DomainError
 from rmtdiff.moments import (
     absolute_moment,
+    continuous_mass,
     distance_to_mixed_asymptotic,
     even_moment,
     moment_via_quadrature,
@@ -66,6 +67,26 @@ class TestAbsoluteMoment:
             absolute_moment(-1.0, 1.0)
         with pytest.raises(DomainError):
             absolute_moment(1.0, -0.5)
+
+    def test_nan_c(self):
+        with pytest.raises(DomainError):
+            absolute_moment(1, math.nan)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: absolute_moment(math.nan, 1.0),
+            lambda: even_moment(1, math.inf),
+            lambda: trace_distance_asymptotic(math.nan),
+            lambda: operator_norm_asymptotic(math.inf, 10),
+            lambda: distance_to_mixed_asymptotic(math.nan),
+            lambda: moment_via_quadrature(2.0, 1.0, math.inf),
+            lambda: continuous_mass(math.nan, 0.5),
+        ],
+    )
+    def test_non_finite_input(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_monotone_power_means(self):
         for c in (0.5, 2.5):

@@ -152,6 +152,24 @@ class TestTheoryOverlay:
         )
         assert scaled.density(2.0) == pytest.approx(base.density(1.0) / 2.0)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            EnsembleParams(2, 10, seed=0),
+            EnsembleParams(3, 4, seed=0),
+            EnsembleParams(40, 20, seed=0),
+            EnsembleParams(60, 20, weight_q=0.5, seed=0),
+        ],
+    )
+    def test_array_call_matches_scalar_calls(self, params):
+        overlay = theory_overlay(params)
+        xs = np.linspace(-4.0, 4.0, 6).reshape(2, 3)
+        got = overlay.density(xs)
+        assert got.shape == xs.shape
+        want = [[overlay.density(float(x)) for x in row] for row in xs]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert isinstance(overlay.density(0.5), float)
+
 
 class TestReductions:
     def test_trace_distance_parallel_consistency(self):
