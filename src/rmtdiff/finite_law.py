@@ -2,20 +2,23 @@
 
 On the zero-sum hyperplane the joint density of the diagonal elements of
 Z = rho1 - rho2 is, inside each sign orthant, an explicit polynomial with
-rational coefficients (a multinomial sum over Laguerre-type weights times
-powers of gamma = 1 - (1/2) sum |z_i|).  Applying the Vandermonde
-differential operator prod_{i<j}(d_i - d_j) and multiplying by the
-Vandermonde determinant yields the joint eigenvalue density.
+rational coefficients.  The sum over Laguerre-type weights w_k and the
+powers of gamma = 1 - (1/2) sum |z_i| factorise per monomial: |z|^a has
+coefficient P (-1/2)^|a| / (D - |a|)! prod_i u(a_i) with
+u(t) = sum_k w_k (-2)^k / (t - k)! (see ``build_psi_poly``).  Applying the
+Vandermonde differential operator prod_{i<j}(d_i - d_j) and multiplying by
+the Vandermonde determinant yields the joint eigenvalue density.
 
 Measure convention: the hyperplane delta is consumed by eliminating the last
 coordinate, i.e. every returned density is with respect to
 (lambda_1, ..., lambda_{N-1}) with lambda_N = -sum of the others.  Under
 this convention all densities integrate to one, which is what the tests pin.
 
-Evaluation is exact big-rational arithmetic by default (the differential
-operator amplifies cancellation catastrophically in floating point for the
-binomially large coefficients involved); a float fast path exists for bulk
-grid work such as marginalization, where 1e-6 absolute suffices.
+Evaluation is exact by default: integer arithmetic over a common
+denominator, rounded once to the nearest float (the differential operator
+amplifies cancellation catastrophically in floating point for the
+binomially large coefficients involved).  A batched float path exists for
+bulk grid work such as marginalization, where 1e-6 absolute suffices.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -38,6 +41,7 @@ from .errors import (
     SizeLimit,
     Unsupported,
 )
+from .specfun import laguerre_coefficients
 
 __all__ = [
     "OrthantPiecewisePoly",
@@ -60,21 +64,71 @@ def region_gamma(lambdas) -> float:
     return 1.0 - 0.5 * float(np.sum(np.abs(np.asarray(lambdas, dtype=float))))
 
 
-def _compositions(total: int, n: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n - 1):
-            yield (first,) + rest
-
-
 def _sign_factor(signs, exponents) -> int:
-    f = 1
-    for s, e in zip(signs, exponents):
-        if s < 0 and e % 2 == 1:
-            f = -f
-    return f
+    return -1 if sum(e for s, e in zip(signs, exponents) if s < 0) % 2 else 1
+
+
+def _int_table(poly: Poly):
+    """Nest an integer table by exponent, first variable outermost; with its top exponent."""
+    trie: dict = {}
+    for e, c in poly.items():
+        node = trie
+        for k in e[:-1]:
+            node = node.setdefault(k, {})
+        node[e[-1]] = c
+    return trie, max((max(e) for e in poly), default=0)
+
+
+def _nested_sum(node: dict, rows) -> int:
+    if len(rows) == 1:
+        return sum(c * rows[0][k] for k, c in node.items())
+    return sum(rows[0][k] * _nested_sum(child, rows[1:]) for k, child in node.items())
+
+
+def _exact_eval(table, den: int, point, *, vandermonde: bool = False) -> float:
+    """sum_e c_e prod_i point_i^e_i / den for an ``_int_table``, times
+    prod_{i<j}(point_j - point_i) if asked, as the float nearest the exact
+    rational: every float is N / 2^s exactly, so the sum is formed in Python
+    ints over one power-of-two denominator and rounded once."""
+    trie, top = table
+    ratios = [float(v).as_integer_ratio() for v in point]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    xs = [p << (s - q.bit_length() + 1) for p, q in ratios]
+    # x^k 2^(s (top - k)): every term shares the denominator 2^(s top n)
+    pows = [[x**k << s * (top - k) for k in range(top + 1)] for x in xs]
+    acc = _nested_sum(trie, pows)
+    den <<= s * top * len(xs)
+    if vandermonde:
+        for i, j in combinations(range(len(xs)), 2):
+            acc *= xs[j] - xs[i]
+            den <<= s
+    return acc / den
+
+
+def _float_table(poly: Poly, den=1):
+    E = np.array(list(poly.keys()), dtype=np.int64).reshape(len(poly), -1)
+    C = np.array([c / den for c in poly.values()], dtype=float)
+    return E, C
+
+
+def _float_eval(E: np.ndarray, C: np.ndarray, pts) -> np.ndarray:
+    """sum_e C_e prod_i pts[r, i]^e_i for every row r, from cumprod power tables,
+    in chunks of about 2**14 // terms rows (~2**14 elements per temporary)."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.zeros(len(pts))
+    top = int(E.max(initial=0))
+    step = max(1, 2**14 // max(len(C), 1))
+    for lo in range(0, len(pts), step):
+        blk = pts[lo : lo + step]
+        pw = np.ones(blk.shape + (top + 1,))
+        pw[:, :, 1:] = np.cumprod(np.repeat(blk[:, :, None], top, axis=2), axis=2)
+        # C-ordered gathers and a per-row pairwise sum: no row depends on the rest of its batch
+        mono = np.take(pw[:, 0], E[:, 0], axis=1)
+        for i in range(1, E.shape[1]):
+            mono *= np.take(pw[:, i], E[:, i], axis=1)
+        mono *= C
+        out[lo : lo + step] = mono.sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,7 +139,7 @@ class OrthantPiecewisePoly:
     polynomial in z; the pieces share one base coefficient table because the
     sign dependence factors as prod_i s_i^{e_i} per monomial (the |z_i|
     powers and the gamma expansion contribute s_i with the same parity as
-    the total exponent).
+    the total exponent).  Every piece at z therefore equals the base at |z|.
     """
 
     n_vars: int
@@ -93,26 +147,21 @@ class OrthantPiecewisePoly:
     base: Poly  # exponent tuple -> Fraction, all-positive orthant
 
     def piece(self, signs: tuple[int, ...]) -> Poly:
-        return {
-            e: c if _sign_factor(signs, e) > 0 else -c for e, c in self.base.items()
-        }
+        return {e: c * _sign_factor(signs, e) for e, c in self.base.items()}
+
+    @cached_property
+    def _exact(self):
+        """Base numerators over the lcm L of its denominators, nested as well, and L."""
+        den = math.lcm(*(c.denominator for c in self.base.values()))
+        nums = {e: c.numerator * (den // c.denominator) for e, c in self.base.items()}
+        return nums, _int_table(nums), den
 
     def evaluate(self, point, *, exact: bool = True) -> float:
         """Evaluate the smooth prefactor psi at a hyperplane point."""
-        pt = np.asarray(point, dtype=float)
-        signs = tuple(1 if v > 0 else -1 for v in pt)
-        poly = self.piece(signs)
+        pt = np.abs(np.asarray(point, dtype=float))
         if exact:
-            fr = [Fraction(float(v)) for v in pt]
-            acc = Fraction(0)
-            for e, c in poly.items():
-                term = c
-                for fv, k in zip(fr, e):
-                    term *= fv**k
-                acc += term
-            return float(acc)
-        E, C = _float_table(poly)
-        return float(C @ np.prod(pt[None, :] ** E, axis=1))
+            return _exact_eval(*self._exact[1:], pt)
+        return float(_float_eval(*_float_table(self.base), pt[None, :])[0])
 
     @property
     def term_count(self) -> int:
@@ -126,18 +175,18 @@ class OrthantPiecewisePoly:
             for signs in product((1, -1), repeat=self.n_vars):
                 tag = "".join("+" if s > 0 else "-" for s in signs)
                 piece = self.piece(signs)
-                for e in sorted(piece):
-                    c = piece[e]
-                    fh.write(
-                        "%s,%s,%s/%s\n"
-                        % (tag, ",".join(map(str, e)), c.numerator, c.denominator)
-                    )
+                for e, c in sorted(piece.items()):
+                    fh.write(f"{tag},{','.join(map(str, e))},{c.numerator}/{c.denominator}\n")
 
 
-def _float_table(poly: Poly):
-    E = np.array(list(poly.keys()), dtype=np.int64).reshape(len(poly), -1)
-    C = np.array([float(c) for c in poly.values()])
-    return E, C
+def _bounded_tuples(support, n: int, budget: int):
+    """Tuples of n entries from the ascending ``support`` whose sum is <= budget."""
+    if n == 0:
+        return [()]
+    return (
+        (t,) + rest for t in support if t <= budget
+        for rest in _bounded_tuples(support, n - 1, budget - t)
+    )
 
 
 def build_psi_poly(n: int, m: int, *, max_terms: int = 10_000_000) -> OrthantPiecewisePoly:
@@ -145,96 +194,69 @@ def build_psi_poly(n: int, m: int, *, max_terms: int = 10_000_000) -> OrthantPie
 
     psi(z) = Gamma(MN)^2/Gamma(M)^N * sum over k in {0..M-1}^N of
     gamma^(D - sum k) / (D - sum k)! * prod_i w_{k_i} |z_i|^{k_i} with
-    D = N(2M-1) - 1 and w_k the Laguerre-type integer weights.  Raises
-    SizeLimit when the multinomial expansion would exceed ``max_terms``
-    generated terms.
+    D = N(2M-1) - 1 and w_k the Laguerre-type integer weights
+    (``specfun.laguerre_coefficients``).  Expanding gamma^e binomially and
+    using C(e, j) j!/e! = 1/(e - j)! with e - j = D - |a| factorises the
+    coefficient of |z|^a, for every a with |a| <= D, as
+
+        P (-1/2)^|a| / (D - |a|)! prod_i u(a_i),
+        u(t) = sum_{k=0}^{min(t, M-1)} w_k (-2)^k / (t - k)!,
+
+    with P = (NM-1)!^2 / (M-1)!^N; zero coefficients are dropped.  Raises
+    SizeLimit, before any work, when the monomial count comb(D + N, N)
+    exceeds ``max_terms``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     D = n * (2 * m - 1) - 1
-    prefactor = Fraction(
-        math.factorial(n * m - 1) ** 2, math.factorial(m - 1) ** n
-    )
-    lag = [
-        Fraction(
-            math.factorial(2 * (m - 1) - k),
-            math.factorial(k) * math.factorial(m - 1 - k),
-        )
-        for k in range(m)
-    ]
+    if math.comb(D + n, n) > max_terms:
+        raise SizeLimit(f"psi expansion for (n={n}, m={m}) has comb({D + n}, {n})"
+                        f" monomials, more than max_terms={max_terms}")
+    w = laguerre_coefficients(m)
+    fact = [math.factorial(t) for t in range(D + 1)]
+    # t! u(t), an integer
+    tu = [sum(w[k] * (-2) ** k * (fact[t] // fact[t - k]) for k in range(min(t, m - 1) + 1))
+          for t in range(D + 1)]
+    p_num, p_den = math.factorial(n * m - 1) ** 2, math.factorial(m - 1) ** n
     base: Poly = {}
-    generated = 0
-    # binomial row cache for the gamma-power expansion
-    half = Fraction(1, 2)
-    for ks in product(range(m), repeat=n):
-        e = D - sum(ks)
-        coef = prefactor / math.factorial(e)
-        for k in ks:
-            coef *= lag[k]
-        for j in range(e + 1):
-            cj = coef * math.comb(e, j) * (-half) ** j
-            fj = math.factorial(j)
-            for js in _compositions(j, n):
-                generated += 1
-                if generated > max_terms:
-                    raise SizeLimit(
-                        f"psi expansion for (n={n}, m={m}) exceeded {max_terms} terms"
-                    )
-                cc = cj * fj
-                for ji in js:
-                    cc /= math.factorial(ji)
-                ex = tuple(k + ji for k, ji in zip(ks, js))
-                prev = base.get(ex)
-                base[ex] = cc if prev is None else prev + cc
-    base = {e: c for e, c in base.items() if c != 0}
+    for a in _bounded_tuples([t for t in range(D + 1) if tu[t]], n, D):
+        deg = sum(a)
+        num, den = (-1) ** deg * p_num, p_den * fact[D - deg] << deg
+        for t in a:
+            num *= tu[t]
+            den *= fact[t]
+        base[a] = Fraction(num, den)
     return OrthantPiecewisePoly(n_vars=n, m_large=m, base=base)
 
 
 def _apply_difference_operator(poly: Poly, n: int) -> Poly:
-    """Apply prod_{i<j} (d/dz_i - d/dz_j) to a monomial table."""
+    """Apply prod_{i<j} (d/dz_i - d/dz_j) to a monomial table (integer or rational)."""
     cur = poly
-    for i in range(n):
-        for j in range(i + 1, n):
-            nxt: Poly = {}
-            for e, c in cur.items():
-                if e[i] > 0:
-                    e2 = list(e)
-                    e2[i] -= 1
-                    key = tuple(e2)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * e[i]
-                if e[j] > 0:
-                    e2 = list(e)
-                    e2[j] -= 1
-                    key = tuple(e2)
-                    nxt[key] = nxt.get(key, Fraction(0)) - c * e[j]
-            cur = {e: c for e, c in nxt.items() if c != 0}
+    for i, j in combinations(range(n), 2):
+        nxt: Poly = {}
+        for e, c in cur.items():
+            for v, sign in ((i, 1), (j, -1)):
+                if e[v] > 0:
+                    key = e[:v] + (e[v] - 1,) + e[v + 1 :]
+                    nxt[key] = nxt.get(key, 0) + sign * c * e[v]
+        cur = {e: c for e, c in nxt.items() if c != 0}
     return cur
 
 
 @lru_cache(maxsize=16)
 def _law_tables(n: int, m: int):
-    """psi, its Vandermonde-differentiated pieces, and float tables per orthant."""
-    psi = build_psi_poly(n, m)
-    diff = {}
-    tables = {}
+    """Per orthant, the Vandermonde-differentiated psi piece as integer numerators
+    over psi's common denominator L, and its float table; plus L and prod_p p!."""
+    nums, _, den = build_psi_poly(n, m)._exact
+    ints, floats = {}, {}
     for signs in product((1, -1), repeat=n):
-        q = _apply_difference_operator(psi.piece(signs), n)
-        diff[signs] = q
-        tables[signs] = _float_table(q)
-    norm = Fraction(1)
-    for p in range(1, n + 1):
-        norm *= math.factorial(p)
-    return psi, diff, tables, norm
-
-
-def _vandermonde(lam) -> float:
-    v = 1.0
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            v *= lam[j] - lam[i]
-    return v
+        piece = {e: c * _sign_factor(signs, e) for e, c in nums.items()}
+        q = _apply_difference_operator(piece, n)
+        ints[signs] = _int_table(q)
+        floats[signs] = _float_table(q, den)
+    return ints, floats, den, math.prod(math.factorial(p) for p in range(1, n + 1))
 
 
 def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float:
@@ -263,31 +285,16 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
         if gam <= -BOUNDARY_TOL:
             return 0.0  # outside the support region entirely
         raise BoundaryPoint("point is within 1e-9 of the support-region boundary")
-    _, diff, tables, norm = _law_tables(n, m)
+    ints, floats, den, norm = _law_tables(n, m)
     signs = tuple(1 if v > 0 else -1 for v in lam)
     if exact:
-        fr = [Fraction(float(v)) for v in lam]
-        acc = Fraction(0)
-        for e, c in diff[signs].items():
-            term = c
-            for fv, k in zip(fr, e):
-                term *= fv**k
-            acc += term
-        vand = Fraction(1)
-        for i in range(n):
-            for j in range(i + 1, n):
-                vand *= fr[j] - fr[i]
-        val = float(vand * acc / norm)
+        val = _exact_eval(ints[signs], den * norm, lam, vandermonde=True)
     else:
-        E, C = tables[signs]
-        q = float(C @ np.prod(lam[None, :] ** E, axis=1))
-        val = _vandermonde(lam) * q / float(norm)
+        vand = math.prod(lam[j] - lam[i] for i, j in combinations(range(n), 2))
+        val = vand * float(_float_eval(*floats[signs], lam[None, :])[0]) / norm
     if val < -1e-9:
-        warnings.warn(
-            f"joint density evaluated to {val:.3e} < 0 at {lam}",
-            NegativeDensityWarning,
-            stacklevel=2,
-        )
+        msg = f"joint density evaluated to {val:.3e} < 0 at {lam}"
+        warnings.warn(msg, NegativeDensityWarning, stacklevel=2)
     return val
 
 
@@ -357,42 +364,36 @@ def _marginal_2(points, m: int) -> np.ndarray:
 
 
 def _marginal_3(points, m: int, order: int) -> np.ndarray:
-    _, _, tables, norm = _law_tables(3, m)
+    """Gauss-Legendre panels over lambda_2 between the cuts {lo, hi, 0, -l1},
+    evaluated for every point, panel and node at once, grouped by orthant."""
+    l1 = np.asarray(points, dtype=float)
+    block = max(1, 2**12 // (3 * order))  # points per pass: at most ~2**12 node rows in memory
+    if len(l1) > block:
+        parts = np.split(l1, range(block, len(l1), block))
+        return np.concatenate([_marginal_3(part, m, order) for part in parts])
+    _, floats, _, norm = _law_tables(3, m)
     nodes, weights = leggauss(order)
-    fnorm = float(norm)
-
-    def dens(l1: float, l2: float) -> float:
-        l3 = -l1 - l2
-        lam = (l1, l2, l3)
-        if min(abs(v) for v in lam) < 1e-13:
-            return 0.0
-        if 1.0 - 0.5 * (abs(l1) + abs(l2) + abs(l3)) <= 0.0:
-            return 0.0
-        signs = tuple(1 if v > 0 else -1 for v in lam)
-        E, C = tables[signs]
-        mono = (l1 ** E[:, 0]) * (l2 ** E[:, 1]) * (l3 ** E[:, 2])
-        q = float(C @ mono)
-        return (l2 - l1) * (l3 - l1) * (l3 - l2) * q / fnorm
-
-    out = np.empty(len(points))
-    for idx, l1 in enumerate(np.asarray(points, dtype=float)):
-        if abs(l1) >= 1.0:
-            out[idx] = 0.0
-            continue
-        lo = -1.0 if l1 >= 0.0 else -1.0 - l1
-        hi = 1.0 - l1 if l1 >= 0.0 else 1.0
-        cuts = sorted({lo, hi, 0.0, -l1})
-        cuts = [v for v in cuts if lo <= v <= hi]
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a < 1e-14:
-                continue
-            xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            total += 0.5 * (b - a) * float(
-                np.dot(weights, [dens(float(l1), float(x)) for x in xs])
-            )
-        out[idx] = total
-    return out
+    pos = l1 >= 0.0
+    lo = np.where(pos, -1.0, -1.0 - l1)
+    hi = np.where(pos, 1.0 - l1, 1.0)
+    cuts = np.sort(np.stack([lo, hi, np.zeros_like(l1), -l1], axis=1), axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    keep = (b - a >= 1e-14) & (np.abs(l1) < 1.0)[:, None]
+    owner = np.repeat(np.nonzero(keep)[0], order)
+    a, b = a[keep][:, None], b[keep][:, None]
+    x1 = l1[owner]
+    x2 = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
+    lam = np.stack([x1, x2, -x1 - x2], axis=1)
+    wts = (0.5 * (b - a) * weights).ravel()
+    absl = np.abs(lam)
+    live = (absl.min(axis=1) >= 1e-13) & (1.0 - 0.5 * absl.sum(axis=1) > 0.0)
+    dens = np.zeros(len(lam))
+    for signs, (E, C) in floats.items():
+        rows = np.nonzero(live & np.all((lam > 0) == (np.array(signs) > 0), axis=1))[0]
+        if len(rows):
+            x, y, z = lam[rows].T
+            dens[rows] = (y - x) * (z - x) * (z - y) * _float_eval(E, C, lam[rows]) / norm
+    return np.bincount(owner, weights=wts * dens, minlength=len(l1))
 
 
 def single_eigenvalue_marginal(n: int, m: int, points, *, gauss_order: int = 24) -> np.ndarray:
@@ -441,7 +442,5 @@ def derivative_principle_selftest(*, tol: float = 1e-10, verbose: bool = False) 
             if abs(got - want) > tol:
                 ok = False
                 if verbose:
-                    print(
-                        f"selftest mismatch at ({l1}, {l2}): got {got!r}, want {want!r}"
-                    )
+                    print(f"selftest mismatch at ({l1}, {l2}): got {got!r}, want {want!r}")
     return ok
