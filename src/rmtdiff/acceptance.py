@@ -102,7 +102,7 @@ def ac03_atom_fraction(level: str) -> CriterionResult:
 def ac04_mc_vs_aed(level: str) -> CriterionResult:
     params = EnsembleParams(n_small=80, m_large=50, seed=304)
     samples = _scale(level, 3000)
-    hist, overlay, _ = run_hist(params, samples, 60, prefer_exact=False)
+    hist, overlay, _ = run_hist(params, samples, 60)
     dist = l1_distance(hist, overlay.density)
     return _result("AC-04", dist, 0.0, _tol(level, 0.05), detail="L1, 60 bins")
 

@@ -1,9 +1,18 @@
 """Command-line front end.
 
-Subcommands: sample, hist, aed, moments, distance, fig, verify.  The master
-seed can be overridden with the RMTDIFF_SEED environment variable (useful
-in CI).  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numerical or I/O error.
+Subcommands and the options each accepts:
+  sample   --n --m [--p --q --seed --samples --out]
+  hist     the same, plus [--bins --grid lo:hi:count --workers --format]
+  aed      --c | --n --m [--eta --count --out --format]
+  moments  --c [--z ... --out]
+  distance --c ... [--n --out]
+  fig      --id [--out --fast --workers --format]
+  verify   [--level --out]
+With --grid, its count is the bin count (a differing --bins exits 2).
+--workers is the number of independent random sub-streams: the output
+depends on it, and no threads are started.  RMTDIFF_SEED overrides the
+master seed (useful in CI).  Exit codes: 0 success, 1 verification
+failure, 2 usage error, 3 numerical or I/O error.
 """
 
 from __future__ import annotations
@@ -14,12 +23,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-
 from .acceptance import run_verify
 from .asym_law import aed_grid
 from .errors import RmtDiffError
 from .figures import FIGURE_IDS, run_fig
-from .harness import default_meta, run_hist, write_histogram_csv, write_xy_csv
+from .harness import default_meta, write_hist, write_xy_csv
 from .moments import (
     absolute_moment,
     distance_to_mixed_asymptotic,
@@ -65,47 +73,14 @@ class GridSpec:
         return spec
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one Monte Carlo CLI run."""
-
-    command: str
-    params: EnsembleParams
-    samples: int = 1000
-    bins: int = 60
-    grid: GridSpec | None = None
-    output_path: str | None = None
-    workers: int = 1
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.format not in ("csv", "svg"):
-            raise ValueError("format must be csv or svg")
-
-
 def _ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="kept dimension N")
     p.add_argument("--m", type=int, required=True, help="traced-out dimension M")
     p.add_argument("--p", type=_finite_float, default=1.0, help="weight of the first state")
     p.add_argument("--q", type=_finite_float, default=1.0, help="weight of the second state")
     p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
-
-
-def _common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--bins", type=int, default=60)
-    p.add_argument("--grid", type=GridSpec.parse, default=None,
-                   help="lo:hi:count (use --grid=-3:3:61 for a negative lo)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--format", choices=("csv", "svg"), default="csv",
-                   help="svg additionally renders a quick-look chart")
+    p.add_argument("--out", default=None, help="output file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,11 +92,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="dump raw difference spectra")
     _ensemble_args(p)
-    _common_args(p)
 
     p = sub.add_parser("hist", help="histogram of rescaled spectra vs theory")
     _ensemble_args(p)
-    _common_args(p)
+    p.add_argument("--bins", type=int, default=None, help="bin count (default 60)")
+    p.add_argument("--grid", type=GridSpec.parse, default=None,
+                   help="lo:hi:count range and bin count (--grid=-3:3:61 for a negative lo)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="independent random sub-streams (the output depends on it)")
+    p.add_argument("--format", choices=("csv", "svg"), default="csv",
+                   help="svg additionally renders a quick-look chart")
 
     p = sub.add_parser("aed", help="asymptotic density on a grid")
     p.add_argument("--c", type=_finite_float, default=None, help="dimension ratio N/M")
@@ -146,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=FIGURE_IDS)
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--fast", action="store_true", help="tenth of the samples")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="independent random sub-streams")
     p.add_argument("--format", choices=("csv", "svg"), default="svg")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -155,41 +135,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _seed_override(seed: int) -> int:
-    env = os.environ.get(_SEED_ENV)
-    return int(env) if env else seed
-
-
 def _params(args) -> EnsembleParams:
     return EnsembleParams(
         n_small=args.n, m_large=args.m, weight_p=args.p, weight_q=args.q,
-        seed=_seed_override(args.seed),
-    )
-
-
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        params=_params(args),
-        samples=args.samples,
-        bins=args.bins,
-        grid=args.grid,
-        output_path=args.out,
-        workers=args.workers,
-        format=args.format,
+        seed=int(os.environ.get(_SEED_ENV) or args.seed),
     )
 
 
 def _cmd_sample(args) -> int:
-    cfg = _run_config(args)
-    spectra = difference_spectra(cfg.params, cfg.samples, rescaled=True)
-    out = cfg.output_path or "spectra.csv"
+    params = _params(args)
+    spectra = difference_spectra(params, args.samples, rescaled=True)
+    out = args.out or "spectra.csv"
     with open(out, "w") as fh:
         fh.write("draw,k,x\n")
         for i, row in enumerate(spectra):
             for k, v in enumerate(row):
                 fh.write("%d,%d,%.17g\n" % (i, k, v))
-        meta = default_meta(cfg.params, cfg.samples, 0, 1)
+        meta = default_meta(params, args.samples, 0, 1)
         del meta["bins"]
         for key, val in meta.items():
             fh.write(f"# {key}={val}\n")
@@ -198,28 +160,20 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    cfg = _run_config(args)
-    vrange = (cfg.grid.lo, cfg.grid.hi) if cfg.grid else None
-    hist, overlay, theory = run_hist(
-        cfg.params, cfg.samples, cfg.bins, workers=cfg.workers, value_range=vrange
+    grid = args.grid
+    bins = 60 if args.bins is None else args.bins
+    value_range = None
+    if grid is not None:
+        if args.bins not in (None, grid.count):
+            raise ValueError(f"--bins {args.bins} differs from the --grid count {grid.count}")
+        bins, value_range = grid.count, (grid.lo, grid.hi)
+    title = f"n={args.n} m={args.m} ({args.samples} samples)" if args.format == "svg" else None
+    files = write_hist(
+        _params(args), args.samples, bins, args.out or "hist.csv",
+        workers=args.workers, value_range=value_range, svg_title=title,
     )
-    meta = default_meta(cfg.params, cfg.samples, cfg.bins, cfg.workers)
-    meta["overlay"] = overlay.label
-    if overlay.atom_threshold is not None:
-        meta["atom_threshold"] = "%.17g" % overlay.atom_threshold
-        meta["atom_fraction"] = "%.17g" % hist.atom_fraction
-    out = cfg.output_path or "hist.csv"
-    write_histogram_csv(out, hist, theory, meta)
-    print(f"wrote {out}")
-    if cfg.format == "svg":
-        svg = os.path.splitext(out)[0] + ".svg"
-        render_xy(
-            svg,
-            title=f"n={cfg.params.n_small} m={cfg.params.m_large} ({cfg.samples} samples)",
-            bars=(hist.bin_edges, hist.normalized_density, "steelblue"),
-            lines=[(hist.centers, theory, "crimson")],
-        )
-        print(f"wrote {svg}")
+    for f in files:
+        print(f"wrote {f}")
     return 0
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import Unsupported
 from .finite_law import joint_eigen_density, region_gamma
-from .harness import default_meta, run_hist, write_histogram_csv, write_xy_csv
+from .harness import write_hist, write_xy_csv
 from .moments import trace_distance_asymptotic
 from .montecarlo import trace_distance_mc
 from .sampling import EnsembleParams
@@ -51,27 +51,11 @@ def _emit_hist(fig_id: str, out_dir: str, fast: bool, svg: bool, workers: int) -
     if fast:
         samples = max(samples // 10, 100)
     params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=seed)
-    bins = 60
-    hist, overlay, theory = run_hist(params, samples, bins, workers=workers)
-    meta = default_meta(params, samples, bins, workers)
-    meta["overlay"] = overlay.label
-    if overlay.atom_threshold is not None:
-        meta["atom_threshold"] = "%.17g" % overlay.atom_threshold
-        meta["atom_fraction"] = "%.17g" % hist.atom_fraction
-        meta["atom_weight_theory"] = "%.17g" % overlay.atom_weight
-    csv_path = os.path.join(out_dir, f"{fig_id}.csv")
-    write_histogram_csv(csv_path, hist, theory, meta)
-    written = [csv_path]
-    if svg:
-        svg_path = os.path.join(out_dir, f"{fig_id}.svg")
-        render_xy(
-            svg_path,
-            title=f"{fig_id}: n={n} m={m} eta={q:g}, {samples} samples",
-            bars=(hist.bin_edges, hist.normalized_density, "steelblue"),
-            lines=[(hist.centers, theory, "crimson")],
-        )
-        written.append(svg_path)
-    return written
+    title = f"{fig_id}: n={n} m={m} eta={q:g}, {samples} samples" if svg else None
+    return write_hist(
+        params, samples, 60, os.path.join(out_dir, f"{fig_id}.csv"),
+        workers=workers, svg_title=title,
+    )
 
 
 def _emit_fig1(out_dir: str, fast: bool, svg: bool) -> list[str]:

@@ -8,6 +8,7 @@ rho1 - eta rho2 and mapped back by x -> x/p, density -> density/p.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,13 @@ from .asym_law import aed_curve, aed_symmetric, atom_weight, find_support_numeri
 from .finite_law import single_eigenvalue_marginal
 from .montecarlo import HistogramResult, bin_theory_mass, build_histogram, pooled_spectrum
 from .sampling import EnsembleParams
+from .svgplot import render_xy
 
 __all__ = [
     "TheoryOverlay",
     "theory_overlay",
     "run_hist",
+    "write_hist",
     "write_histogram_csv",
     "write_xy_csv",
 ]
@@ -61,7 +64,7 @@ def _exact_marginal(n: int, m: int, p: float):
     return _on_arrays(f)
 
 
-def theory_overlay(params: EnsembleParams, *, prefer_exact: bool = True) -> TheoryOverlay:
+def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
     """Reference density for the rescaled spectrum of the given ensemble.
 
     Equal weights at n = 2 or 3 use the exact finite-dimension law (what the
@@ -73,7 +76,7 @@ def theory_overlay(params: EnsembleParams, *, prefer_exact: bool = True) -> Theo
     p = params.weight_p
     eta = params.weight_ratio
     if eta == 1.0:
-        if prefer_exact and n in (2, 3) and n <= params.m_large:
+        if n in (2, 3) and n <= params.m_large:
             return TheoryOverlay(
                 density=_exact_marginal(n, params.m_large, p),
                 atom_weight=0.0,
@@ -111,7 +114,6 @@ def run_hist(
     *,
     workers: int = 1,
     value_range: tuple[float, float] | None = None,
-    prefer_exact: bool = True,
 ) -> tuple[HistogramResult, TheoryOverlay, np.ndarray]:
     """Pool rescaled difference spectra, bin them, and tabulate the overlay.
 
@@ -119,14 +121,50 @@ def run_hist(
     the atom window |x| < threshold (gap half-width, present when the
     origin carries a point mass) are excluded from the bins but kept in the
     normalization denominator, so the continuous parts are comparable.
+    Bad ``bins``, ``samples`` or ``workers`` raise ``ValueError`` before any draw.
     """
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
     pooled = pooled_spectrum(params, samples, workers=workers, rescaled=True)
-    overlay = theory_overlay(params, prefer_exact=prefer_exact)
+    overlay = theory_overlay(params)
     hist = build_histogram(
         pooled, bins, value_range=value_range, atom_threshold=overlay.atom_threshold
     )
     theory = bin_theory_mass(overlay.density, hist.bin_edges) / hist.widths
     return hist, overlay, theory
+
+
+def write_hist(
+    params: EnsembleParams,
+    samples: int,
+    bins: int,
+    csv_path: str,
+    *,
+    workers: int = 1,
+    value_range: tuple[float, float] | None = None,
+    svg_title: str | None = None,
+) -> list[str]:
+    """Run ``run_hist`` and write its CSV, plus an SVG next to it given ``svg_title``.
+
+    Metadata: ``default_meta``, the overlay label and, with an atom at the
+    origin, its threshold, measured fraction and theory weight.  Returns the paths.
+    """
+    hist, overlay, theory = run_hist(
+        params, samples, bins, workers=workers, value_range=value_range
+    )
+    meta = default_meta(params, samples, bins, workers)
+    meta["overlay"] = overlay.label
+    if overlay.atom_threshold is not None:
+        meta["atom_threshold"] = "%.17g" % overlay.atom_threshold
+        meta["atom_fraction"] = "%.17g" % hist.atom_fraction
+        meta["atom_weight_theory"] = "%.17g" % overlay.atom_weight
+    write_histogram_csv(csv_path, hist, theory, meta)
+    if svg_title is None:
+        return [csv_path]
+    svg_path = os.path.splitext(csv_path)[0] + ".svg"
+    bars = (hist.bin_edges, hist.normalized_density, "steelblue")
+    render_xy(svg_path, title=svg_title, bars=bars, lines=[(hist.centers, theory, "crimson")])
+    return [csv_path, svg_path]
 
 
 def _meta_lines(meta: dict) -> list[str]:

@@ -1,10 +1,11 @@
-"""Batched Monte Carlo over difference spectra, with deterministic parallelism.
+"""Batched Monte Carlo over difference spectra, on reproducible sub-streams.
 
-Worker w draws from its own counter-based sub-stream (see ``sampling``), so
-results are byte-reproducible for a fixed (seed, workers) pair and worker
-counts only redistribute which stream produced which draw.  Heavy lifting
-(matrix products, eigensolves) happens in numpy batches, which release the
-GIL, so a thread pool gives real speedup without pickling overhead.
+``workers`` is the number of independent sub-streams: stream w is the
+counter-based generator (seed, w) of ``sampling``, it draws its share of the
+samples, and the results are joined in stream order.  Output is therefore
+byte-reproducible for a fixed (seed, workers) pair and depends on both.  The
+streams run one after another in the calling thread; the batched BLAS and
+LAPACK calls that do the work already use the cores.
 
 ``difference_spectra`` is the one sampling kernel.  Each draw is
 Z = X J X^H with X = [sqrt(p) G1/||G1||_F, sqrt(q) G2/||G2||_F] (N x 2M) and
@@ -19,12 +20,11 @@ paths consume the random stream in the same order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import EnsembleParams, make_rng
+from .sampling import EnsembleParams
 
 __all__ = [
     "difference_spectra",
@@ -39,13 +39,24 @@ __all__ = [
     "mean_purity_mc",
 ]
 
-# Batch size is a pure function of the dimensions so that sample streams do
-# not depend on memory pressure.
 _BATCH_ENTRIES = 4_000_000
 
 
-def _batch_size(n: int, m: int) -> int:
-    return max(1, _BATCH_ENTRIES // max(n * m, n * n))
+def _batches(n: int, m: int, n_samples: int) -> list[slice]:
+    """Slices covering ``n_samples`` draws; sized from (N, M) alone, never from free memory."""
+    step = max(1, _BATCH_ENTRIES // max(n * m, n * n))
+    return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
+
+
+def _ginibre(rng: np.random.Generator, b: int, n: int, m: int) -> np.ndarray:
+    """b complex Ginibre N x M matrices: real parts drawn first, then imaginary."""
+    return rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
+
+
+def _gram(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G G^H for each matrix of the batch, and its (real) trace."""
+    s = g @ g.conj().transpose(0, 2, 1)
+    return s, np.trace(s, axis1=1, axis2=2).real
 
 
 def _use_reduced(n: int, m: int) -> bool:
@@ -80,22 +91,17 @@ def difference_spectra(
     p, q = params.weight_p, params.weight_q
     reduced = _use_reduced(n, m)
     out = np.empty((n_samples, n))
-    done = 0
-    batch = _batch_size(n, m)
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        g1 = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-        g2 = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
+    for sl in _batches(n, m, n_samples):
+        b = sl.stop - sl.start
+        g1 = _ginibre(rng, b, n, m)
+        g2 = _ginibre(rng, b, n, m)
         if reduced:
-            out[done : done + b] = _reduced_spectra(g1, g2, p, q)
+            out[sl] = _reduced_spectra(g1, g2, p, q)
         else:
-            s1 = g1 @ g1.conj().transpose(0, 2, 1)
-            s2 = g2 @ g2.conj().transpose(0, 2, 1)
-            t1 = np.trace(s1, axis1=1, axis2=2).real
-            t2 = np.trace(s2, axis1=1, axis2=2).real
+            s1, t1 = _gram(g1)
+            s2, t2 = _gram(g2)
             z = p * s1 / t1[:, None, None] - q * s2 / t2[:, None, None]
-            out[done : done + b] = np.linalg.eigvalsh(z)
-        done += b
+            out[sl] = np.linalg.eigvalsh(z)
     if rescaled:
         out *= n
     return out
@@ -124,31 +130,21 @@ def _reduced_spectra(g1: np.ndarray, g2: np.ndarray, p: float, q: float) -> np.n
     return vals
 
 
-def _worker_counts(n_samples: int, workers: int) -> list[int]:
-    base, extra = divmod(n_samples, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
 def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> list:
-    """``reduce`` of each worker's raw (unrescaled) spectra, in worker order.
+    """``reduce`` of each sub-stream's raw (unrescaled) spectra, in stream order.
 
-    Worker w draws its share of ``n_samples`` from sub-stream (seed, w); a
-    worker with no draws reduces an empty (0, N) array.
+    Stream w = (seed, w) draws ``n_samples // workers`` samples, one more for
+    w < ``n_samples % workers``; streams left with no draws are skipped.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    counts = _worker_counts(n_samples, workers)
-
-    def job(w: int):
-        if counts[w] == 0:
-            return reduce(np.empty((0, params.n_small)))
-        rng = make_rng(params.seed, w)
-        return reduce(difference_spectra(params, counts[w], rng, rescaled=False))
-
-    if workers == 1:
-        return [job(0)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, range(workers)))
+    base, extra = divmod(n_samples, workers)
+    return [
+        reduce(difference_spectra(params, base + (w < extra), params.rng(w), rescaled=False))
+        for w in range(min(workers, n_samples))
+    ]
 
 
 def pooled_spectrum(
@@ -160,7 +156,7 @@ def pooled_spectrum(
 ) -> np.ndarray:
     """All eigenvalues of n_samples draws pooled into one array.
 
-    Draws are split across ``workers`` sub-streams and merged in worker
+    Draws are split across ``workers`` sub-streams and joined in stream
     order, so the output is deterministic for fixed (seed, workers).
     """
     scale = params.n_small if rescaled else 1
@@ -269,39 +265,42 @@ def _reduced_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> 
     return v @ v.conj().transpose(0, 2, 1)
 
 
-def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
-    """Mean von Neumann entropy (nats) of sampled reduced density matrices."""
+def _ginibre_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> np.ndarray:
+    """Batch of G G^H / Tr(G G^H) for complex Ginibre N x M matrices G."""
+    s, t = _gram(_ginibre(rng, b, n, m))
+    return s / t[:, None, None]
+
+
+_DENSITY_BATCHES = {"ginibre": _ginibre_density_batch, "pure-state": _reduced_density_batch}
+
+
+def _batch_mean(params: EnsembleParams, n_samples: int, density_batch, total) -> float:
+    """Mean over stream (seed, 0) draws; ``total`` sums a batch of density matrices."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = params.rng()
     n, m = params.n_small, params.m_large
-    total = 0.0
-    done = 0
-    batch = _batch_size(n, m)
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        lam = np.linalg.eigvalsh(_reduced_density_batch(n, m, b, rng))
-        lam = np.clip(lam, 1e-300, None)
-        total += float(-np.sum(lam * np.log(lam)))
-        done += b
-    return total / n_samples
+    acc = 0.0
+    for sl in _batches(n, m, n_samples):
+        acc += total(density_batch(n, m, sl.stop - sl.start, rng))
+    return acc / n_samples
+
+
+def _entropy_total(rho: np.ndarray) -> float:
+    lam = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
+    """Mean von Neumann entropy (nats) of sampled reduced density matrices."""
+    return _batch_mean(params, n_samples, _reduced_density_batch, _entropy_total)
 
 
 def mean_purity_mc(params: EnsembleParams, n_samples: int, *, path: str = "ginibre") -> float:
     """Mean Tr(rho^2); ``path`` selects which of the two samplers to exercise."""
-    rng = params.rng()
-    n, m = params.n_small, params.m_large
-    total = 0.0
-    done = 0
-    batch = _batch_size(n, m)
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        if path == "ginibre":
-            g = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-            s = g @ g.conj().transpose(0, 2, 1)
-            rho = s / np.trace(s, axis1=1, axis2=2).real[:, None, None]
-        elif path == "pure-state":
-            rho = _reduced_density_batch(n, m, b, rng)
-        else:
-            raise ValueError("path must be 'ginibre' or 'pure-state'")
-        total += float(np.einsum("bij,bji->", rho, rho).real)
-        done += b
-    return total / n_samples
+    if path not in _DENSITY_BATCHES:
+        raise ValueError("path must be 'ginibre' or 'pure-state'")
+    return _batch_mean(
+        params, n_samples, _DENSITY_BATCHES[path],
+        lambda rho: float(np.einsum("bij,bji->", rho, rho).real),
+    )

@@ -49,6 +49,23 @@ class TestHistCommand:
         first = out.read_text().splitlines()[1].split(",")
         assert float(first[0]) == pytest.approx(-3.0)
 
+    def test_grid_count_sets_bins(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run_cli(["hist", "--n", "4", "--m", "4", "--samples", "30", "--seed", "2",
+                        "--grid=-3:3:10", "--out", str(out)]) == 0
+        rows = [ln for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
+        assert len(rows) == 10
+        assert float(rows[-1].split(",")[1]) == pytest.approx(3.0)
+
+    def test_atom_metadata_matches_fig(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert run_cli(["hist", "--n", "12", "--m", "4", "--samples", "20", "--seed", "3",
+                        "--out", str(out)]) == 0
+        meta = dict(ln[2:].split("=", 1) for ln in out.read_text().splitlines()
+                    if ln.startswith("# "))
+        assert float(meta["atom_weight_theory"]) == pytest.approx(1.0 - 2.0 / 3.0)
+        assert {"atom_threshold", "atom_fraction"} <= meta.keys()
+
 
 class TestOtherCommands:
     def test_aed(self, tmp_path):
@@ -135,6 +152,31 @@ class TestExitCodes:
         code = run_cli(["hist", "--n", "4", "--m", "4", "--samples", "0",
                         "--out", str(tmp_path / "h.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--samples", "0"], ["--workers", "0"], ["--bins", "1"],
+         ["--grid=-3:3:10", "--bins", "20"]],
+    )
+    def test_bad_hist_value_exits_2_before_sampling(self, extra, tmp_path, monkeypatch):
+        from rmtdiff import montecarlo
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        out = tmp_path / "h.csv"
+        code = run_cli(["hist", "--n", "4", "--m", "4", "--out", str(out)] + extra)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--workers", "2"], ["--bins", "5"], ["--grid=-1:1:5"], ["--format", "svg"]]
+    )
+    def test_sample_rejects_hist_options(self, extra, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sample", "--n", "3", "--m", "3", "--out", str(tmp_path / "s.csv")] + extra)
+        assert exc.value.code == 2
 
     def test_verify_fast_subprocess_smoke(self):
         # exercised through the console entry point for the exit-code contract

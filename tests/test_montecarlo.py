@@ -9,6 +9,7 @@ from rmtdiff.montecarlo import (
     difference_spectra,
     l1_distance,
     mean_entropy_mc,
+    mean_purity_mc,
     operator_norm_mc,
     pooled_spectrum,
     trace_distance_mc,
@@ -92,6 +93,29 @@ class TestPooling:
         params = EnsembleParams(n_small=3, m_large=3, seed=11)
         assert pooled_spectrum(params, 17, workers=4).size == 17 * 3
 
+    @pytest.mark.parametrize("n,m", [(5, 6), (12, 4)])  # Gram path, rank-reduced path
+    def test_stream_partition(self, n, m):
+        # stream w = (seed, w) draws 17 // 4 samples, one more for w < 17 % 4,
+        # and the streams are joined in stream order
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=0.7, seed=21)
+        streams = [
+            difference_spectra(params, count, make_rng(params.seed, w), rescaled=False)
+            for w, count in enumerate((5, 4, 4, 4))
+        ]
+        pooled = pooled_spectrum(params, 17, workers=4, rescaled=False)
+        assert np.array_equal(pooled, np.concatenate([s.ravel() for s in streams]))
+        trace = sum(float(np.sum(np.abs(s)) * 0.5) for s in streams) / 17
+        assert trace_distance_mc(params, 17, workers=4) == trace
+        norm = sum(float(np.sum(np.max(np.abs(s), axis=1))) for s in streams) / 17
+        assert operator_norm_mc(params, 17, workers=4) == norm
+
+    @pytest.mark.parametrize(
+        "fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc, mean_entropy_mc, mean_purity_mc]
+    )
+    def test_zero_samples_raise(self, fn):
+        with pytest.raises(ValueError, match="n_samples"):
+            fn(EnsembleParams(n_small=3, m_large=3, seed=11), 0)
+
 
 class TestHistogram:
     def test_mass_equals_fraction_in_range(self):
@@ -145,11 +169,8 @@ class TestTheoryOverlay:
 
     def test_weight_scaling(self):
         # doubling both weights scales abscissas by p and density by 1/p
-        base = theory_overlay(EnsembleParams(20, 10, seed=0), prefer_exact=False)
-        scaled = theory_overlay(
-            EnsembleParams(20, 10, weight_p=2.0, weight_q=2.0, seed=0),
-            prefer_exact=False,
-        )
+        base = theory_overlay(EnsembleParams(20, 10, seed=0))
+        scaled = theory_overlay(EnsembleParams(20, 10, weight_p=2.0, weight_q=2.0, seed=0))
         assert scaled.density(2.0) == pytest.approx(base.density(1.0) / 2.0)
 
     @pytest.mark.parametrize(
