@@ -10,6 +10,8 @@ three; analytic checks run identically at both levels.
 from __future__ import annotations
 
 import math
+import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,11 +307,17 @@ def format_report_line(r: CriterionResult) -> str:
 
 
 def run_verify(level: str = "full", out_path=None, *, echo=print) -> int:
-    """Run every criterion; return 0 iff all pass.  One report line each."""
-    results = [run_criterion(cid, level) for cid in CRITERIA]
-    lines = [format_report_line(r) for r in results]
-    for line in lines:
-        echo(line)
+    """Run every criterion; return 0 iff all pass.
+
+    One report line each goes to ``echo`` and its elapsed seconds to stderr.
+    """
+    results, lines = [], []
+    for cid in CRITERIA:
+        start = time.perf_counter()
+        results.append(run_criterion(cid, level))
+        lines.append(format_report_line(results[-1]))
+        echo(lines[-1])
+        print(f"{cid} {time.perf_counter() - start:.2f} s", file=sys.stderr)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write("criterion,measured,expected,tolerance,status\n")

@@ -124,28 +124,6 @@ def aed_symmetric(x: float, c: float) -> float:
     return pref * math.sinh(ell / 3.0)
 
 
-def aed_symmetric_wform(x: float, c: float) -> float:
-    """Alternative cube-root expression of the same density (cross-check form)."""
-    x_minus, x_plus = support_points(c)
-    ax = abs(x)
-    if ax >= x_plus or ax == 0.0:
-        return 0.0
-    if x_minus is not None and ax <= x_minus:
-        return 0.0
-    s = math.sqrt(4.0 * c + 1.0)
-    xp2 = (s + 3.0) ** 3 * (s - 1.0) / 16.0
-    xm2 = (s - 3.0) ** 3 * (s + 1.0) / 16.0  # negative for c < 2
-    u = 2.0 - c
-    x2 = x * x
-    rad = x2 * (x2 - xm2) * (xp2 - x2)
-    if rad < 0.0:
-        return 0.0
-    w = (math.sqrt(rad) + _SQRT3 * (c + 1.0) * (x2 + u**3 / (9.0 * (c + 1.0)))) ** (
-        1.0 / 3.0
-    )
-    return (w - (x2 + u * u / 3.0) / w) / (2.0 * math.pi * c * ax)
-
-
 def atom_weight(c: float, eta: float = 1.0) -> float:
     """Weight of the point mass at the origin.
 

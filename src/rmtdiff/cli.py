@@ -53,6 +53,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (dimension ratios and weights)."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GridSpec:
     lo: float
@@ -76,8 +84,8 @@ class GridSpec:
 def _ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="kept dimension N")
     p.add_argument("--m", type=int, required=True, help="traced-out dimension M")
-    p.add_argument("--p", type=_finite_float, default=1.0, help="weight of the first state")
-    p.add_argument("--q", type=_finite_float, default=1.0, help="weight of the second state")
+    p.add_argument("--p", type=_positive_float, default=1.0, help="weight of the first state")
+    p.add_argument("--q", type=_positive_float, default=1.0, help="weight of the second state")
     p.add_argument("--seed", type=int, default=0, help="master seed (64-bit)")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--out", default=None, help="output file")
@@ -104,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="svg additionally renders a quick-look chart")
 
     p = sub.add_parser("aed", help="asymptotic density on a grid")
-    p.add_argument("--c", type=_finite_float, default=None, help="dimension ratio N/M")
-    p.add_argument("--eta", type=_finite_float, default=1.0, help="weight ratio q/p")
+    p.add_argument("--c", type=_positive_float, default=None, help="dimension ratio N/M")
+    p.add_argument("--eta", type=_positive_float, default=1.0, help="weight ratio q/p")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--count", type=int, default=6001)
@@ -113,12 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     p = sub.add_parser("moments", help="absolute moments: closed form vs quadrature")
-    p.add_argument("--c", type=_finite_float, required=True)
+    p.add_argument("--c", type=_positive_float, required=True)
     p.add_argument("--z", type=_finite_float, nargs="+", default=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("distance", help="asymptotic distance measures vs c")
-    p.add_argument("--c", type=_finite_float, nargs="+", required=True)
+    p.add_argument("--c", type=_positive_float, nargs="+", required=True)
     p.add_argument("--n", type=int, default=1, help="dimension for the operator norm")
     p.add_argument("--out", default=None)
 

@@ -132,6 +132,8 @@ def run_fig(
         raise Unsupported(
             f"unknown figure id {fig_id!r}; choose from {', '.join(FIGURE_IDS)}"
         )
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
     if fig_id == "fig1":
         return _emit_fig1(out_dir, fast, svg)

@@ -121,10 +121,13 @@ def run_hist(
     the atom window |x| < threshold (gap half-width, present when the
     origin carries a point mass) are excluded from the bins but kept in the
     normalization denominator, so the continuous parts are comparable.
-    Bad ``bins``, ``samples`` or ``workers`` raise ``ValueError`` before any draw.
+    Bad ``bins``, ``samples`` or ``workers``, and N = 1 (where every draw
+    is the constant p - q), raise ``ValueError`` before any draw.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    if params.n_small < 2:
+        raise ValueError("a histogram needs N >= 2: for N = 1 every draw is the constant p - q")
     pooled = pooled_spectrum(params, samples, workers=workers, rescaled=True)
     overlay = theory_overlay(params)
     hist = build_histogram(

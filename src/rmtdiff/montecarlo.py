@@ -7,15 +7,33 @@ byte-reproducible for a fixed (seed, workers) pair and depends on both.  The
 streams run one after another in the calling thread; the batched BLAS and
 LAPACK calls that do the work already use the cores.
 
-``difference_spectra`` is the one sampling kernel.  Each draw is
-Z = X J X^H with X = [sqrt(p) G1/||G1||_F, sqrt(q) G2/||G2||_F] (N x 2M) and
-J = diag(I_M, -I_M), so rank Z <= 2M.  When N > 2M and the textbook LAPACK
-flop count favours it (2Nk^2 + 8k^3/3 < 2N^2 k + 4N^3/3 with k = 2M, a pure
-function of (N, M)), the kernel takes R from a batched QR of X and solves
-only the 2M x 2M Hermitian R J R^H; the other N - 2M eigenvalues are exact
-zeros, which are the atom of weight 1 - 2/c of the asymptotic law.  Otherwise
-it forms the two N x N Gram products and solves the N x N problem.  Both
-paths consume the random stream in the same order.
+``difference_spectra`` is the one sampling kernel.  It draws only what the
+eigenvalue law of Z = p rho1 - q rho2 needs.  With k = min(N, M),
+K = max(N, M), r = min(N - k, k) and d = k + r = min(N, 2M):
+
+* rho1 is drawn as T/t1 (+) 0 with T = B B^T, B the k x k real lower
+  bidiagonal Laguerre factor of Dumitriu and Edelman (J. Math. Phys. 43,
+  2002): B_ii^2 ~ chi^2_{2(K-i)}, B_{i+1,i}^2 ~ chi^2_{2(k-1-i)},
+  t1 = ||B||_F^2.
+* rho2 is drawn as Y Y^H/t2 with Y of size d x k: on top the k x k lower
+  Bartlett factor (Y_ii^2 ~ chi^2_{2(M-i)}, complex normals below the
+  diagonal), at the bottom an r x k upper trapezoid (Y_{k+j,j}^2 ~
+  chi^2_{2(N-M-j)}, complex normals right of the diagonal), t2 = ||Y||_F^2.
+
+The kernel solves the d x d Hermitian p (T/t1 (+) 0_r) - q Y Y^H/t2 and pads
+with N - d exact zeros, the atom of weight 1 - 2/c of the asymptotic law.
+Two facts make the eigenvalue law exact.  rho2 is unitarily invariant and
+independent of rho1, so rho1 may be replaced by any matrix with the same
+eigenvalue law, here the tridiagonal model.  And G2 G2^H = L L^H for the
+N x k Bartlett factor L of G2, whose rows below k form an iid complex normal
+A = Q R; conjugating by diag(I_k, Q^H) leaves T (+) 0 fixed and turns A
+into R, the upper trapezoid above.
+
+Complex normals have unit-variance real and imaginary parts, drawn as
+consecutive (real, imaginary) pairs with the entries in row-major order.
+Each ``_batches`` slice consumes the stream in this order: rho1 diagonal
+chi^2, rho1 subdiagonal chi^2, rho2 diagonal chi^2, rho2 normals below the
+diagonal, bottom-block chi^2, bottom-block normals.
 """
 
 from __future__ import annotations
@@ -48,29 +66,6 @@ def _batches(n: int, m: int, n_samples: int) -> list[slice]:
     return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
 
 
-def _ginibre(rng: np.random.Generator, b: int, n: int, m: int) -> np.ndarray:
-    """b complex Ginibre N x M matrices: real parts drawn first, then imaginary."""
-    return rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-
-
-def _gram(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G G^H for each matrix of the batch, and its (real) trace."""
-    s = g @ g.conj().transpose(0, 2, 1)
-    return s, np.trace(s, axis1=1, axis2=2).real
-
-
-def _use_reduced(n: int, m: int) -> bool:
-    """Whether the rank-2M path costs fewer flops than the N x N Gram path.
-
-    Textbook LAPACK counts with k = 2M: Householder QR of N x k plus a
-    k x k ``eigvalsh`` against two N x N Gram products plus an N x N
-    ``eigvalsh``.  The crossover sits near k/N = 0.84, so draws just past
-    the rank edge N > 2M keep the Gram path.
-    """
-    k = 2 * m
-    return 2 * n * k * k + 8 * k**3 / 3 < 2 * n * n * k + 4 * n**3 / 3
-
-
 def difference_spectra(
     params: EnsembleParams,
     n_samples: int,
@@ -80,8 +75,8 @@ def difference_spectra(
 ) -> np.ndarray:
     """(n_samples, N) ascending eigenvalues of independent difference draws.
 
-    Shapes where ``_use_reduced`` holds take the rank-2M path described in
-    the module docstring; its N - 2M zero eigenvalues are exact.
+    Every shape takes the min(N, 2M) solve of the module docstring; the
+    other max(N - 2M, 0) eigenvalues of each row are exact zeros.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -89,45 +84,35 @@ def difference_spectra(
         rng = params.rng()
     n, m = params.n_small, params.m_large
     p, q = params.weight_p, params.weight_q
-    reduced = _use_reduced(n, m)
-    out = np.empty((n_samples, n))
+    k, big = min(n, m), max(n, m)
+    r = min(n - k, k)
+    d = k + r
+    i, j = np.arange(k), np.arange(r)
+    below, right = np.tril_indices(k, -1), np.triu_indices(r, 1, k)
+    out = np.zeros((n_samples, n))
     for sl in _batches(n, m, n_samples):
         b = sl.stop - sl.start
-        g1 = _ginibre(rng, b, n, m)
-        g2 = _ginibre(rng, b, n, m)
-        if reduced:
-            out[sl] = _reduced_spectra(g1, g2, p, q)
-        else:
-            s1, t1 = _gram(g1)
-            s2, t2 = _gram(g2)
-            z = p * s1 / t1[:, None, None] - q * s2 / t2[:, None, None]
-            out[sl] = np.linalg.eigvalsh(z)
+        a2 = rng.chisquare(2 * (big - i), (b, k))
+        s2 = rng.chisquare(2 * (k - 1 - i[:-1]), (b, k - 1))
+        y = np.zeros((b, d, k), dtype=complex)
+        y[:, i, i] = np.sqrt(rng.chisquare(2 * (m - i), (b, k)))
+        y[:, below[0], below[1]] = rng.standard_normal((b, 2 * below[0].size)).view(complex)
+        y[:, k + j, j] = np.sqrt(rng.chisquare(2 * (n - m - j), (b, r)))
+        y[:, k + right[0], right[1]] = rng.standard_normal((b, 2 * right[0].size)).view(complex)
+        y *= np.sqrt(q / np.sum(y.view(float) ** 2, axis=(1, 2)))[:, None, None]
+        z = -(y @ y.conj().transpose(0, 2, 1))
+        # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i
+        w = p / (a2.sum(axis=1) + s2.sum(axis=1))[:, None]
+        z[:, i, i] += w * a2
+        z[:, i[1:], i[1:]] += w * s2
+        off = w * np.sqrt(s2 * a2[:, :-1])
+        z[:, i[1:], i[:-1]] += off
+        z[:, i[:-1], i[1:]] += off
+        out[sl, :d] = np.linalg.eigvalsh(z)
+        out[sl].sort(axis=1)  # places the N - d padded zeros
     if rescaled:
         out *= n
     return out
-
-
-def _frobenius_sq(g: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,bij->b", g.real, g.real) + np.einsum("bij,bij->b", g.imag, g.imag)
-
-
-def _reduced_spectra(g1: np.ndarray, g2: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Ascending spectra of p G1 G1^H/||G1||^2 - q G2 G2^H/||G2||^2 for N > 2M."""
-    b, n, m = g1.shape
-    x = np.concatenate((g1, g2), axis=2)
-    x[:, :, :m] *= np.sqrt(p / _frobenius_sq(g1))[:, None, None]
-    x[:, :, m:] *= np.sqrt(q / _frobenius_sq(g2))[:, None, None]
-    r = np.linalg.qr(x, mode="r")
-    # R J R^H = A A^H - C C^H; R is upper triangular, so A = R[:, :, :M]
-    # is zero below row M and A A^H fills only the leading M x M block.
-    a = r[:, :m, :m]
-    c = r[:, :, m:]
-    h = -(c @ c.conj().transpose(0, 2, 1))
-    h[:, :m, :m] += a @ a.conj().transpose(0, 2, 1)
-    vals = np.zeros((b, n))
-    vals[:, : 2 * m] = np.linalg.eigvalsh(h)
-    vals.sort(axis=1)
-    return vals
 
 
 def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> list:
@@ -266,9 +251,10 @@ def _reduced_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> 
 
 
 def _ginibre_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of G G^H / Tr(G G^H) for complex Ginibre N x M matrices G."""
-    s, t = _gram(_ginibre(rng, b, n, m))
-    return s / t[:, None, None]
+    """Batch of G G^H / Tr(G G^H) for complex Ginibre N x M matrices G (real parts drawn first)."""
+    g = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
+    s = g @ g.conj().transpose(0, 2, 1)
+    return s / np.trace(s, axis1=1, axis2=2).real[:, None, None]
 
 
 _DENSITY_BATCHES = {"ginibre": _ginibre_density_batch, "pure-state": _reduced_density_batch}

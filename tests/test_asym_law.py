@@ -9,7 +9,6 @@ from rmtdiff.asym_law import (
     aed_grid,
     aed_numeric,
     aed_symmetric,
-    aed_symmetric_wform,
     atom_weight,
     cauchy_roots,
     cauchy_roots_trigonometric,
@@ -21,6 +20,18 @@ from rmtdiff.asym_law import (
 )
 from rmtdiff import asym_law as law
 from rmtdiff.errors import DomainError, PoleError
+
+
+def aed_symmetric_wform(x: float, c: float) -> float:
+    """Cube-root expression of the equal-weight density; x inside the support."""
+    s = math.sqrt(4.0 * c + 1.0)
+    xp2 = (s + 3.0) ** 3 * (s - 1.0) / 16.0
+    xm2 = (s - 3.0) ** 3 * (s + 1.0) / 16.0  # negative for c < 2
+    u = 2.0 - c
+    x2 = x * x
+    rad = x2 * (x2 - xm2) * (xp2 - x2)
+    w = (math.sqrt(rad) + math.sqrt(3.0) * (c + 1.0) * (x2 + u**3 / (9.0 * (c + 1.0)))) ** (1 / 3)
+    return (w - (x2 + u * u / 3.0) / w) / (2.0 * math.pi * c * abs(x))
 
 
 class TestSupportPoints:

@@ -118,11 +118,37 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_numerical_error_is_3(self, capsys):
-        # n > m makes the exact finite-dimension overlay impossible and the
-        # sampler itself fine, so pick something that raises inside the library
-        code = run_cli(["aed", "--c", "-1.0"])
+        # well-formed arguments that the library's closed form cannot serve:
+        # absolute moments are implemented for Re(z) > 0 only
+        code = run_cli(["moments", "--c", "1.0", "--z", "-0.5"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["aed", "--c", "-1"],
+            ["aed", "--c", "0"],
+            ["aed", "--c", "1.0", "--eta", "-0.5"],
+            ["moments", "--c", "-2"],
+            ["distance", "--c", "0.5", "-1"],
+            ["hist", "--n", "4", "--m", "4", "--p", "0"],
+            ["sample", "--n", "4", "--m", "4", "--q", "-1"],
+        ],
+    )
+    def test_non_positive_float_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig_bad_workers_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "d"
+        code = run_cli(["fig", "--id", "fig4d", "--fast", "--workers", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -168,6 +194,19 @@ class TestExitCodes:
         out = tmp_path / "h.csv"
         code = run_cli(["hist", "--n", "4", "--m", "4", "--out", str(out)] + extra)
         assert code == 2
+        assert not out.exists()
+
+    def test_hist_n1_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        from rmtdiff import montecarlo
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        out = tmp_path / "h.csv"
+        code = run_cli(["hist", "--n", "1", "--m", "1", "--samples", "5", "--out", str(out)])
+        assert code == 2
+        assert "N >= 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
 from rmtdiff.montecarlo import (
-    _use_reduced,
     build_histogram,
     difference_spectra,
     l1_distance,
@@ -42,23 +42,75 @@ class TestSpectra:
         assert np.max(np.abs(s.sum(axis=1))) < 1e-10
 
 
+def _reference_draw(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
+    """One draw of the kernel's construction as a full N x N matrix.
+
+    Entry by entry, in the kernel's stream order: rho1 = B B^T/||B||^2 with
+    B the bidiagonal Laguerre factor, rho2 = Y Y^H/||Y||^2 with Y the
+    Bartlett block on top of the upper trapezoid, both zero-padded to N x N.
+    """
+    n, m = params.n_small, params.m_large
+    k, big = min(n, m), max(n, m)
+    r = min(n - k, k)
+    cnormal = lambda: complex(rng.standard_normal(), rng.standard_normal())  # noqa: E731
+    b = np.zeros((k, k))
+    for i in range(k):
+        b[i, i] = np.sqrt(rng.chisquare(2 * (big - i)))
+    for i in range(k - 1):
+        b[i + 1, i] = np.sqrt(rng.chisquare(2 * (k - 1 - i)))
+    y = np.zeros((n, k), dtype=complex)
+    for i in range(k):
+        y[i, i] = np.sqrt(rng.chisquare(2 * (m - i)))
+    for i in range(k):
+        for j in range(i):
+            y[i, j] = cnormal()
+    for j in range(r):
+        y[k + j, j] = np.sqrt(rng.chisquare(2 * (n - m - j)))
+    for j in range(r):
+        for col in range(j + 1, k):
+            y[k + j, col] = cnormal()
+    rho1 = np.zeros((n, n))
+    rho1[:k, :k] = b @ b.T / np.sum(b * b)
+    rho2 = y @ y.conj().T / np.sum(np.abs(y) ** 2)
+    return params.weight_p * rho1 - params.weight_q * rho2
+
+
 class TestReducedKernel:
-    # (N, M, takes the rank-2M path): both sides of the flop-count switch
+    # (N, M, the exact-zero atom 1 - 2M/N is at least a fifth of the spectrum)
     SHAPES = [(100, 20, True), (80, 30, True), (61, 30, False), (3, 1, True), (7, 3, False)]
 
-    @pytest.mark.parametrize("n,m,reduced", SHAPES)
+    @pytest.mark.parametrize("n,m,mostly_atom", SHAPES)
     @pytest.mark.parametrize("q", [0.3, 1.0, 2.0])
-    def test_matches_scalar_path(self, n, m, reduced, q):
-        assert _use_reduced(n, m) is reduced
+    def test_matches_scalar_path(self, n, m, mostly_atom, q):
+        assert (5 * (n - 2 * m) >= n) is mostly_atom
         params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=0)
         for s in range(3):
             batched = difference_spectra(params, 1, make_rng(s, 0), rescaled=False)[0]
-            scalar = hermitian_eigenvalues(sample_difference(params, make_rng(s, 0))).eigenvalues
+            scalar = hermitian_eigenvalues(_reference_draw(params, make_rng(s, 0))).eigenvalues
             assert np.max(np.abs(batched - scalar)) < 1e-12
             assert np.all(np.diff(batched) >= 0)
             assert abs(batched.sum() - (1.0 - q)) < 1e-12
-            if reduced:
-                assert int(np.count_nonzero(batched == 0.0)) == n - 2 * m
+            assert int(np.count_nonzero(batched == 0.0)) == max(n - 2 * m, 0)
+
+    @pytest.mark.parametrize(
+        "n,m,q", [(3, 5, 1.0), (7, 3, 1.0), (12, 4, 2.0), (8, 10, 0.5), (3, 1, 1.0)]
+    )
+    def test_law_matches_ginibre_route(self, n, m, q):
+        # the kernel's spectrum law against full Ginibre draws of sampling.sample_difference
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=31)
+        draws = 3000
+        kernel = difference_spectra(params, draws, rescaled=False)
+        rng = make_rng(97, 0)
+        ginibre = np.array(
+            [hermitian_eigenvalues(sample_difference(params, rng)).eigenvalues
+             for _ in range(draws)]
+        )
+        for col in (0, -1):  # lambda_min, lambda_max
+            assert ks_2samp(kernel[:, col], ginibre[:, col]).pvalue > 1e-3
+        # exact zeros in the kernel, rounding-size ones (~1e-16) in the Ginibre route
+        zeros = max(n - 2 * m, 0)
+        assert np.all(np.count_nonzero(kernel == 0.0, axis=1) == zeros)
+        assert np.all(np.count_nonzero(np.abs(ginibre) < 1e-12, axis=1) == zeros)
 
     @pytest.mark.parametrize("n,m,q", [(12, 4, 2.0), (8, 10, 0.5)])
     def test_second_moment(self, n, m, q):
@@ -69,6 +121,21 @@ class TestReducedKernel:
         expected = (1.0 + q * q) * (n + m) / (n * m + 1) - 2.0 * q / n
         stderr = tr_z2.std(ddof=1) / np.sqrt(tr_z2.size)
         assert abs(tr_z2.mean() - expected) < 5.0 * stderr
+
+    # N < M, M < N < 2M and N > 2M; p != 1 in one of them
+    @pytest.mark.parametrize("n,m,p,q", [(8, 10, 1.0, 0.5), (5, 3, 0.7, 0.5), (12, 4, 1.0, 2.0)])
+    def test_third_moment(self, n, m, p, q):
+        # E Tr rho^3 = (N^2 + M^2 + 3NM + 1)/((NM + 1)(NM + 2)); the cross terms
+        # factor as Tr(E rho1^2 E rho2) = E Tr rho^2 / N by unitary invariance:
+        # E Tr Z^3 = (p^3 - q^3) E Tr rho^3 - 3pq(p - q)(N + M)/(N(NM + 1))
+        params = EnsembleParams(n_small=n, m_large=m, weight_p=p, weight_q=q, seed=2025)
+        tr_z3 = np.sum(difference_spectra(params, 20_000, rescaled=False) ** 3, axis=1)
+        nm = n * m
+        expected = (p**3 - q**3) * (n * n + m * m + 3 * nm + 1) / ((nm + 1) * (nm + 2)) - (
+            3 * p * q * (p - q) * (n + m) / (n * (nm + 1))
+        )
+        stderr = tr_z3.std(ddof=1) / np.sqrt(tr_z3.size)
+        assert abs(tr_z3.mean() - expected) < 5.0 * stderr
 
 
 class TestPooling:
@@ -93,7 +160,7 @@ class TestPooling:
         params = EnsembleParams(n_small=3, m_large=3, seed=11)
         assert pooled_spectrum(params, 17, workers=4).size == 17 * 3
 
-    @pytest.mark.parametrize("n,m", [(5, 6), (12, 4)])  # Gram path, rank-reduced path
+    @pytest.mark.parametrize("n,m", [(5, 6), (12, 4)])  # full rank, exact zeros
     def test_stream_partition(self, n, m):
         # stream w = (seed, w) draws 17 // 4 samples, one more for w < 17 % 4,
         # and the streams are joined in stream order
