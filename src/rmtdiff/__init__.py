@@ -45,8 +45,6 @@ from .specfun import (
     HypergeometricQuery,
     gauss_2f1,
     hyp2f1,
-    laguerre_sum,
-    ln_gamma,
     ln_gamma_complex,
 )
 from .finite_law import (
@@ -67,7 +65,6 @@ from .asym_law import (
     aed_symmetric,
     atom_weight,
     cauchy_roots,
-    cauchy_roots_trigonometric,
     marchenko_pastur,
     r_transform_sum,
     support_points,

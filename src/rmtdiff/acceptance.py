@@ -86,7 +86,7 @@ def ac02_closed_vs_inversion(level: str) -> CriterionResult:
     for c in (0.5, 1.0, 1.9, 2.1, 3.0, 5.0):
         _, xp = support_points(c)
         xs = np.linspace(-1.1 * xp, 1.1 * xp, 2001)
-        closed = np.array([aed_symmetric(float(x), c) for x in xs])
+        closed = aed_symmetric(xs, c)
         numeric = aed_curve(xs, c)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     return _result("AC-02", worst, 0.0, _tol(level, 1e-8), detail="sup over 2001-point grids")

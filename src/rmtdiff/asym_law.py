@@ -4,10 +4,12 @@ For x = N * lambda and c = N/M fixed, the limiting spectral measure of
 rho1 - rho2 is the free additive convolution of a Marchenko-Pastur law with
 its reflection.  Its Cauchy transform satisfies a cubic equation; Stieltjes
 inversion of the physical root gives the density.  The symmetric case
-(equal weights) has the closed form implemented in ``aed_symmetric``; the
-weighted case eta = q/p != 1 inverts the cubic at all query points in one
-batched solve (``aed_curve``).  Its support edges are the real roots of the
-cubic's discriminant, a quartic in z (``find_support_numeric``), and the
+(equal weights) has the closed form implemented in ``aed_symmetric``, one
+NumPy expression for scalars and arrays; the weighted case eta = q/p != 1
+inverts the cubic at all query points at once (``aed_curve``), with the
+roots from a vectorised closed-form (Cardano) solve.  The support edges
+are the real roots of the cubic's discriminant, a quartic in z
+(``find_support_numeric``); the inversion reads exactly 0 outside them.  The
 origin atom is max(1 - 2/c, 0) for every eta because rank Z = min(N, 2M).
 
 Conventions: the weighted density is expressed in units of the normalized
@@ -17,7 +19,6 @@ abscissas by p and divides densities by p.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ __all__ = [
     "aed_symmetric",
     "CauchyEval",
     "cauchy_roots",
-    "cauchy_roots_trigonometric",
     "aed_numeric",
     "aed_curve",
     "marchenko_pastur",
@@ -47,8 +47,12 @@ _SQRT3 = math.sqrt(3.0)
 # origin showing through; it is excluded when computing the continuous part.
 _ATOM_IM_EPS = 1e-3
 
-# Query points per batched eigensolve: amortizes the call, caps temporaries near 0.5 MB.
+# Query points per block of the closed-form cubic solve: caps its (block, 3)
+# complex temporaries near 50 kB each.
 _SOLVE_BLOCK = 1024
+
+# The three cube roots of unity, one per root of the cubic.
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3.0)
 
 
 def _check_domain(c: float, eta: float = 1.0, x=0.0) -> None:
@@ -77,24 +81,26 @@ def support_points(c: float) -> tuple[float | None, float]:
     return None, x_plus
 
 
-def _eta_excess(x: float, c: float) -> float:
+def _eta_excess(x, c: float):
     """(eta(x) - 1) / x^2 for eta(x) = (9(c+1)x^2 + u^3) / (u^2 + 3x^2)^{3/2}, u = 2 - c.
 
     Below the transition (u > 0) eta - 1 is
     x^2 [13.5c - 9x^2 (s + 1/2) / (u (s+1)^2)] / (u^2 + 3x^2)^{3/2} with
     s = sqrt(1 + 3x^2/u^2), which cancels nothing as x -> 0 or c -> 0.
+    Powers are products, so a scalar and an array give the same bits.
     """
     u = 2.0 - c
     x2 = x * x
-    r = (u * u + 3.0 * x2) ** 1.5
+    q = u * u + 3.0 * x2
+    r = q * np.sqrt(q)
     if u <= 0.0:
         return ((9.0 * (c + 1.0) * x2 + u**3) / r - 1.0) / x2
-    s = math.sqrt(1.0 + 3.0 * x2 / (u * u))
-    return (13.5 * c - 9.0 * x2 * (s + 0.5) / (u * (s + 1.0) ** 2)) / r
+    s = np.sqrt(1.0 + 3.0 * x2 / (u * u))
+    return (13.5 * c - 9.0 * x2 * (s + 0.5) / (u * (s + 1.0) * (s + 1.0))) / r
 
 
-def aed_symmetric(x: float, c: float) -> float:
-    """Continuous part of the equal-weight asymptotic density at x.
+def aed_symmetric(x, c: float):
+    """Continuous part of the equal-weight asymptotic density at x (scalar or array).
 
     Inside the support the value is
     sqrt((2-c)^2 + 3x^2) / (sqrt(3) pi c |x|) * sinh(l(x)/3) with
@@ -102,26 +108,22 @@ def aed_symmetric(x: float, c: float) -> float:
     c > 2 is reported separately by ``atom_weight``.  arccosh is taken as
     log1p(d + sqrt(d(d+2))) of d = eta - 1 from ``_eta_excess``, so the
     value keeps its relative precision at small c and near x = 0, where
-    only the exact limit 1/(pi sqrt(c(2-c))) is special-cased.
+    only the exact limit 1/(pi sqrt(c(2-c))) is special-cased.  An array
+    keeps its shape; a scalar gives a float, bit for bit the array's entry.
     """
-    _check_domain(c, 1.0, x)
+    ax = np.abs(np.asarray(x, dtype=float))
+    _check_domain(c, 1.0, ax)
     x_minus, x_plus = support_points(c)
-    ax = abs(x)
     u = 2.0 - c
-    if ax >= x_plus:
-        return 0.0
-    if ax == 0.0 and u >= 0.0:
-        # finite below the transition, integrable |x|^(-1/3) divergence at it
-        return 1.0 / (math.pi * math.sqrt(c * u)) if u > 0.0 else math.inf
-    if x_minus is not None and ax <= x_minus:
-        return 0.0
-    q = _eta_excess(ax, c)
-    if q <= 0.0:
-        return 0.0
-    t = ax * math.sqrt(q)  # sqrt(d), free of underflow in x^2
-    ell = math.log1p(t * (t + math.sqrt(t * t + 2.0)))
-    pref = math.sqrt(u * u + 3.0 * x * x) / (_SQRT3 * math.pi * c * ax)
-    return pref * math.sinh(ell / 3.0)
+    with np.errstate(all="ignore"):
+        t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
+        ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
+        val = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax) * np.sinh(ell / 3.0)
+    # finite below the transition, integrable |x|^(-1/3) divergence at it, in the gap above
+    origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
+    inner = np.isnan(val) | (ax <= (x_minus or 0.0))
+    val = np.where(ax >= x_plus, 0.0, np.where(ax == 0.0, origin, np.where(inner, 0.0, val)))
+    return float(val) if val.ndim == 0 else val
 
 
 def atom_weight(c: float, eta: float = 1.0) -> float:
@@ -150,19 +152,32 @@ def _cubic_coefficients(z: complex, c: float, eta: float) -> tuple[complex, ...]
 
 
 def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
-    """Roots (K, 3) of the Cauchy cubic at K query points.
+    """Roots (K, 3) of the Cauchy cubic at K query points, in closed form.
 
-    The companion matrices ``np.roots`` would build go through one
-    ``eigvals`` call per ``_SOLVE_BLOCK`` points; two Newton steps polish.
+    With h = 1/G the cubic is the monic h^3 + a1 h^2 + a2 h + a3, which stays
+    well scaled as a3 = eta c^2 z -> 0 sends one G root to infinity.  Cardano
+    on the depressed cubic t^3 + 3 p3 t - 2 w (h = t - a1/3) takes the larger
+    of |w +- s|, s^2 = w^2 + p3^3, as u^3 so that the sum does not cancel;
+    t = u omega^k - p3/(u omega^k).  The smallest h, which cancels
+    in t - a1/3, comes from h0 h1 h2 = -a3 instead.  G = 1/h is polished by
+    two Newton steps on the cubic in G.
     """
     z = np.asarray(z, dtype=complex).ravel()
     roots = np.empty((z.size, 3), dtype=complex)
     for start in range(0, z.size, _SOLVE_BLOCK):
         a3, a2, a1, _ = _cubic_coefficients(z[start : start + _SOLVE_BLOCK, None], c, eta)
-        comp = np.zeros((len(a3), 3, 3), dtype=complex)
-        comp[:, 0, :] = np.concatenate((a2, a1, np.ones_like(a3)), axis=1) / -a3
-        comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-        g = np.linalg.eigvals(comp)
+        p3 = (a2 - a1 * a1 / 3.0) / 3.0
+        w = -(a1 * (2.0 * a1 * a1 - 9.0 * a2) / 27.0 + a3) / 2.0
+        s = np.sqrt(w * w + p3 * p3 * p3)
+        s = np.where((w.conj() * s).real >= 0.0, s, -s)
+        u = (w + s) ** (1.0 / 3.0) * _OMEGA
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(u == 0.0, 0.0, u - p3 / u) - a1 / 3.0  # u = 0: triple root
+        # the smallest root cancels in t - a1/3; Vieta (h0 h1 h2 = -a3) gives it from the others
+        small = np.argmin(np.abs(h), axis=1)
+        rows = np.arange(len(h))
+        h[rows, small] = -a3[:, 0] / (h[rows, (small + 1) % 3] * h[rows, (small + 2) % 3])
+        g = 1.0 / h
         for _ in range(2):
             f = ((a3 * g + a2) * g + a1) * g + 1.0
             df = (3.0 * a3 * g + 2.0 * a2) * g + a1
@@ -216,33 +231,16 @@ def cauchy_roots(
     return CauchyEval(z=z, roots=roots, selected=sel)
 
 
-def cauchy_roots_trigonometric(z: complex, c: float) -> list[complex]:
-    """Equal-weight roots in closed trigonometric form (independent solver).
-
-    G_k = 2 sqrt((2-c)^2+3z^2)/(3cz) sin(Arcsin(eta(z))/3 + 2 pi k/3)
-          + (c-2)/(3cz),  k = 0, 1, 2.
-    """
-    z = complex(z)
-    u = 2.0 - c
-    disc = cmath.sqrt(u * u + 3.0 * z * z)
-    e = (9.0 * (c + 1.0) * z * z + u**3) / disc**3
-    theta0 = cmath.asin(e) / 3.0
-    out = []
-    for k in range(3):
-        th = theta0 + 2.0 * math.pi * k / 3.0
-        out.append(2.0 * disc / (3.0 * c * z) * cmath.sin(th) + (c - 2.0) / (3.0 * c * z))
-    return out
-
-
-def _select_branch(roots: np.ndarray, ep: float, hint: np.ndarray):
+def _select_branch(roots: np.ndarray, ep: np.ndarray, hint: np.ndarray):
     """Continuous-part branch of each row of ``roots`` (-1 if none), and the tie mask.
 
-    Candidates have Im G < 0 but are not the atom's root (|Im G| ep >= _ATOM_IM_EPS).
+    Candidates have Im G < 0 but are not the atom's root (|Im G| ep >= _ATOM_IM_EPS,
+    with ep the row's imaginary offset).
     The most negative Im G wins, then the smaller real part; where the two most
     negative are within 1e-13, the candidate nearest a non-NaN ``hint`` wins.
     """
     im = roots.imag
-    cand = (im < 0.0) & (-im * ep < _ATOM_IM_EPS)
+    cand = (im < 0.0) & (-im * ep[:, None] < _ATOM_IM_EPS)
     key = np.where(cand, im, np.inf)
     order = np.lexsort((roots.real, key), axis=-1)
     rows = np.arange(len(roots))
@@ -259,36 +257,58 @@ def _select_branch(roots: np.ndarray, ep: float, hint: np.ndarray):
     return sel, tie
 
 
+def _support_geometry(xs: np.ndarray, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the points of xs outside the support, and each one's distance to an edge.
+
+    The edges, computed once per call, are the real roots of the
+    discriminant; a gap between two of them is outside where the
+    discriminant is positive (three real roots, G real).  ``support_points``
+    is not used, so that the closed form and the inversion stay independent.
+    """
+    disc, edges = _discriminant(c, eta)
+    gap = np.concatenate(([True], disc(0.5 * (edges[:-1] + edges[1:])) >= 0.0, [True]))
+    return gap[np.searchsorted(edges, xs)], np.min(np.abs(xs[:, None] - edges), axis=1)
+
+
 def _continuous_density(xs: np.ndarray, c: float, eta: float, epsilon: float) -> np.ndarray:
     """-Im G(x + i0)/pi at the 1-D points xs, continuous part only.
 
     -Im G/pi at eps and eps/2 comes from one batched solve and is
-    Richardson-extrapolated.  At eps/2 a tie is broken by the same point's
-    eps root; at eps by the eps/2 root of the nearest point to the left
-    that has one, so only tied points are revisited one at a time.
+    Richardson-extrapolated.  eps is ``epsilon``, or 1e-3 of the distance to
+    the nearest support edge where that is smaller (but at least 1e-6
+    epsilon), which keeps the remainder small next to an edge where the
+    density diverges.  At eps/2 a tie is broken by the same point's eps
+    root; at eps by the eps/2 root of the nearest point to the left that
+    has one, so only tied points are revisited one at a time.  Points
+    outside the support read exactly 0.  Equal weights are solved at |x|,
+    because Z and -Z have one law there.
     """
     _check_domain(c, eta, xs)
     if not 0.0 < epsilon <= 1e-4:
         raise DomainError("epsilon must lie in (0, 1e-4]")
+    if eta == 1.0:
+        xs = np.abs(xs)
+    outside, dist = _support_geometry(xs, c, eta)
+    ep = np.clip(1e-3 * dist, 1e-6 * epsilon, epsilon)
     k = xs.size
-    roots = _solve_cubics(np.concatenate((xs + 1j * epsilon, xs + 0.5j * epsilon)), c, eta)
+    roots = _solve_cubics(np.concatenate((xs + 1j * ep, xs + 0.5j * ep)), c, eta)
     r1, r2 = roots[:k], roots[k:]
     rows = np.arange(k)
-    sel1, tie1 = _select_branch(r1, epsilon, np.full(k, np.nan))
+    sel1, tie1 = _select_branch(r1, ep, np.full(k, np.nan))
     g1 = np.where(sel1 >= 0, r1[rows, sel1], np.nan)
-    sel2, _ = _select_branch(r2, 0.5 * epsilon, g1)
+    sel2, _ = _select_branch(r2, 0.5 * ep, g1)
     left = np.maximum.accumulate(np.where(sel2 >= 0, rows, -1))
     for i in np.flatnonzero(tie1[1:]) + 1:
         j = left[i - 1]
         if j < 0:
             continue
-        sel1[i] = _select_branch(r1[i : i + 1], epsilon, r2[j, sel2[j]][None])[0][0]
+        sel1[i] = _select_branch(r1[i : i + 1], ep[i : i + 1], r2[j, sel2[j]][None])[0][0]
         g1[i] = r1[i, sel1[i]]
-        sel2[i] = _select_branch(r2[i : i + 1], 0.5 * epsilon, g1[i : i + 1])[0][0]
+        sel2[i] = _select_branch(r2[i : i + 1], 0.5 * ep[i : i + 1], g1[i : i + 1])[0][0]
     im1 = np.where(sel1 >= 0, r1[rows, sel1].imag, 0.0)
     im2 = np.where(sel2 >= 0, r2[rows, sel2].imag, 0.0)
     val = (2.0 * (-im2) - (-im1)) / math.pi
-    return np.where(val > 0.0, val, 0.0)
+    return np.where((val > 0.0) & ~outside, val, 0.0)
 
 
 def aed_numeric(
@@ -297,7 +317,8 @@ def aed_numeric(
     """Continuous density at x by Stieltjes inversion of the cubic.
 
     Evaluates -Im G(x + i eps)/pi at eps and eps/2 and Richardson-
-    extrapolates the linear-in-eps error away.  Roots whose imaginary part
+    extrapolates the linear-in-eps error away; eps is ``epsilon`` except
+    within 1e3 epsilon of a support edge, where it is 1e-3 of the distance.  Roots whose imaginary part
     diverges like 1/eps (the origin point mass) are excluded, so this is the
     continuous part only, matching ``aed_symmetric`` for eta = 1.  A batch
     of one of ``aed_curve``.
@@ -341,24 +362,28 @@ def r_transform_sum(g: complex, c: float, eta: float = 1.0) -> complex:
     return 1.0 / (1.0 - c * g) - eta / (1.0 + eta * c * g)
 
 
+def _discriminant(c: float, eta: float):
+    """The discriminant of the Cauchy cubic as a quartic in z, and its sorted real roots."""
+    a3, a2, a1, _ = _cubic_coefficients(np.polynomial.Polynomial([0.0, 1.0]), c, eta)
+    disc = 18.0 * a3 * a2 * a1 - 4.0 * a2**3 + a2**2 * a1**2 - 4.0 * a3 * a1**3 - 27.0 * a3**2
+    roots = disc.roots()
+    return disc, np.unique(roots.real[np.abs(roots.imag) <= 1e-7 * np.max(np.abs(roots))])
+
+
 def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     """Intervals where the weighted continuous density is positive.
 
     Edges are where two roots of the Cauchy cubic meet: the real roots of
     its discriminant, a quartic in z (Rao & Edelman's polynomial method,
     Found. Comput. Math. 2008).  A gap between consecutive roots is support
-    if at its midpoint the discriminant is negative (a complex pair; in a
-    true gap the density reads ~1e-21 of roundoff, not 0) and the density
-    is positive (the pair is physical).  Kept gaps meeting at a double root
-    are merged.
+    if at its midpoint the discriminant is negative (a complex pair) and
+    the density is positive (the pair is physical).  Kept gaps meeting at a
+    double root are merged.
     """
     _check_domain(c, eta)
-    a3, a2, a1, _ = _cubic_coefficients(np.polynomial.Polynomial([0.0, 1.0]), c, eta)
-    disc = 18.0 * a3 * a2 * a1 - 4.0 * a2**3 + a2**2 * a1**2 - 4.0 * a3 * a1**3 - 27.0 * a3**2
-    roots = disc.roots()
-    edges = np.unique(roots.real[np.abs(roots.imag) <= 1e-7 * np.max(np.abs(roots))])
+    _, edges = _discriminant(c, eta)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    keep = (disc(mids) < 0.0) & (_continuous_density(mids, c, eta, 1e-9) > 0.0)
+    keep = _continuous_density(mids, c, eta, 1e-9) > 0.0
     intervals: list[tuple[float, float]] = []
     for lo, hi in zip(edges[:-1][keep], edges[1:][keep]):
         if intervals and intervals[-1][1] == lo:
@@ -432,29 +457,28 @@ def aed_grid(
     sin^2-clustered at every support edge so that atom_weight plus the
     trapezoid integral of the stored continuous part reproduces unit mass
     to better than 1e-6.  The critical ratio c = 2 carries an integrable
-    |x|^(-1/3) divergence at the origin and gets a denser grid plus a
-    geometric origin cluster.
+    divergence at the origin (|x|^(-1/3) for equal weights, one-sided
+    |x|^(-1/2) otherwise) and gets a denser grid plus a geometric origin
+    cluster.
     """
     _check_domain(c, eta)
-    x_minus = origin_cluster = None
+    x_minus = None
     if eta == 1.0:
         x_minus, x_plus = support_points(c)
         split = x_minus or 0.0
         intervals = [(-x_plus, -split), (split, x_plus)]
-        if c == 2.0:
-            count *= 4
-            origin_cluster = x_plus
     else:
         intervals = find_support_numeric(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
+    origin_cluster = None
+    if c == 2.0:
+        count *= 4
+        origin_cluster = max(-lo, hi)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * pad
     grid = _support_grid(intervals, mid - half, mid + half, count, origin_cluster)
-    if eta != 1.0:
-        dens = aed_curve(grid, c, eta, epsilon)
-    else:
-        if origin_cluster is not None:
-            grid = grid[grid != 0.0]  # density unbounded exactly at the origin
-        dens = np.array([aed_symmetric(float(x), c) for x in grid])
+    if origin_cluster is not None:
+        grid = grid[grid != 0.0]  # density unbounded exactly at the origin
+    dens = aed_symmetric(grid, c) if eta == 1.0 else aed_curve(grid, c, eta, epsilon)
     return AedResult(
         grid=grid, density=dens, atom_weight=atom_weight(c, eta), x_minus=x_minus,
         x_plus=float(max(-lo, hi)), c=c, eta=eta, epsilon=epsilon,

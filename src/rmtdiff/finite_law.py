@@ -18,7 +18,10 @@ Evaluation is exact by default: integer arithmetic over a common
 denominator, rounded once to the nearest float (the differential operator
 amplifies cancellation catastrophically in floating point for the
 binomially large coefficients involved).  A batched float path exists for
-bulk grid work such as marginalization, where 1e-6 absolute suffices.
+bulk grid work such as marginalization.  Its absolute error against the
+exact path grows fast with M through cancellation among the large
+alternating coefficients: at most 1.3e-10 at M = 3, 9.0e-9 at M = 4 and
+2.0e-6 at M = 5 over 400 random interior N = 3 points.
 """
 
 from __future__ import annotations

@@ -88,7 +88,7 @@ def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
         threshold = 0.5 * p * x_minus if (atom > 0.0 and x_minus) else None
 
         def f(xs: np.ndarray) -> np.ndarray:
-            return np.array([aed_symmetric(x, c) for x in xs / p]) / p
+            return aed_symmetric(xs / p, c) / p
 
         return TheoryOverlay(
             density=_on_arrays(f), atom_weight=atom, atom_threshold=threshold, label="aed"

@@ -1,4 +1,4 @@
-"""Self-contained special functions: log-gamma, Gauss 2F1, Laguerre-type sums.
+"""Self-contained special functions: complex log-gamma, Gauss 2F1, Laguerre-type weights.
 
 Everything here is scalar, pure and stateless.  The hypergeometric evaluator
 only implements the convergent power series |x| < 1 plus exact termination at
@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from .errors import DomainError, NoConvergence, PoleError
 
 __all__ = [
-    "ln_gamma",
     "ln_gamma_complex",
     "HypergeometricQuery",
     "gauss_2f1",
     "hyp2f1",
-    "laguerre_sum",
     "laguerre_coefficients",
 ]
 
@@ -61,20 +59,6 @@ def ln_gamma_complex(z: complex) -> complex:
         acc += _LANCZOS_COEF[i] / (w + i)
     t = w + _LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for real x > 0 (relative error <= 1e-13 on [0.5, 1e6])."""
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return ln_gamma(x + 1.0) - math.log(x)
-    w = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _pochhammer_zero_index(v) -> int | None:
@@ -200,34 +184,3 @@ def laguerre_coefficients(m_large: int) -> list[int]:
         math.factorial(2 * mm - k) // (math.factorial(k) * math.factorial(mm - k))
         for k in range(m_large)
     ]
-
-
-def laguerre_sum(m_large: int, t: float) -> float:
-    """Finite sum sum_k (2(M-1)-k)!/(k!(M-1-k)!) t^k.
-
-    Equals (M-1)! (-1)^(M-1) L_{M-1}^{1-2M}(t) in terms of the associated
-    Laguerre polynomial.  Evaluated with exact integer coefficients for
-    M <= 20 and in log space above that to avoid factorial overflow.
-    """
-    if m_large < 1:
-        raise DomainError("m_large must be >= 1")
-    if m_large <= 20:
-        return float(sum(c * t**k for k, c in enumerate(laguerre_coefficients(m_large))))
-    mm = m_large - 1
-    if t == 0.0:
-        return math.exp(ln_gamma(2 * mm + 1) - ln_gamma(mm + 1))
-    ln_abs_t = math.log(abs(t))
-    sign_t = 1.0 if t > 0 else -1.0
-    logs = []
-    signs = []
-    for k in range(m_large):
-        logs.append(
-            ln_gamma(2 * mm - k + 1)
-            - ln_gamma(k + 1)
-            - ln_gamma(mm - k + 1)
-            + k * ln_abs_t
-        )
-        signs.append(sign_t**k)
-    peak = max(logs)
-    acc = sum(s * math.exp(v - peak) for v, s in zip(logs, signs))
-    return acc * math.exp(peak)

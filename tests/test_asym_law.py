@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from rmtdiff.asym_law import (
     aed_symmetric,
     atom_weight,
     cauchy_roots,
-    cauchy_roots_trigonometric,
     find_support_numeric,
     marchenko_pastur,
     r_transform_sum,
@@ -20,6 +20,22 @@ from rmtdiff.asym_law import (
 )
 from rmtdiff import asym_law as law
 from rmtdiff.errors import DomainError, PoleError
+
+
+def cauchy_roots_trigonometric(z: complex, c: float) -> list[complex]:
+    """Equal-weight roots in closed trigonometric form (independent solver).
+
+    G_k = 2 sqrt((2-c)^2+3z^2)/(3cz) sin(Arcsin(eta(z))/3 + 2 pi k/3)
+          + (c-2)/(3cz),  k = 0, 1, 2.
+    """
+    u = 2.0 - c
+    disc = cmath.sqrt(u * u + 3.0 * z * z)
+    e = (9.0 * (c + 1.0) * z * z + u**3) / disc**3
+    theta0 = cmath.asin(e) / 3.0
+    return [
+        2.0 * disc / (3.0 * c * z) * cmath.sin(theta0 + 2.0 * math.pi * k / 3.0) + (c - 2.0) / (3.0 * c * z)
+        for k in range(3)
+    ]
 
 
 def aed_symmetric_wform(x: float, c: float) -> float:
@@ -117,6 +133,61 @@ class TestSymmetricDensity:
 
         for c in (0.5, 1.0, 3.0):
             assert moment_via_quadrature(2.0, c) == pytest.approx(2 * c, rel=1e-5)
+
+
+class TestSymmetricDensityArrays:
+    def test_array_equals_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(7)
+        for c in (1e-3, 0.5, 1.0, 2.0, 2.5, 5.0):
+            _, xp = support_points(c)
+            xs = np.concatenate((rng.uniform(-1.2 * xp, 1.2 * xp, 500), [0.0, xp, -xp, 1e-9 * xp]))
+            got = aed_symmetric(xs, c)
+            want = np.array([aed_symmetric(float(x), c) for x in xs])
+            assert np.array_equal(got, want)
+
+    def test_shapes(self):
+        assert type(aed_symmetric(0.3, 1.0)) is float
+        assert np.shape(aed_symmetric(np.array(0.3), 1.0)) == ()
+        assert aed_symmetric(np.linspace(-1.0, 1.0, 5), 1.0).shape == (5,)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = aed_symmetric(grid, 1.0)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), aed_symmetric(grid.ravel(), 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anywhere_raises(self, bad):
+        xs = np.array([[0.1, 0.2], [0.3, 0.4]])
+        xs[1, 0] = bad
+        with pytest.raises(DomainError):
+            aed_symmetric(xs, 1.0)
+
+    def test_origin_diverges_at_transition(self):
+        assert aed_symmetric(0.0, 2.0) == math.inf
+        assert aed_symmetric(np.array([0.0, 1.0]), 2.0)[0] == math.inf
+
+
+class TestSupportMask:
+    def test_zero_just_outside_every_edge(self):
+        # a narrow gap (0.00125, 0.00244): 1.2e-8 below its upper edge the
+        # Richardson remainder of the default eps read 1.4e-7
+        c, eta = 1.9375, 2.0
+        intervals = find_support_numeric(c, eta)
+        assert len(intervals) == 2
+        outside = [a - 1.2e-8 for a, _ in intervals] + [b + 1.2e-8 for _, b in intervals]
+        inside = [a + 1.2e-8 for a, _ in intervals] + [b - 1.2e-8 for _, b in intervals]
+        assert np.all(aed_curve(np.array(outside), c, eta) == 0.0)
+        assert np.all(aed_curve(np.array(inside), c, eta) > 0.0)
+
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 2.0, 4.0])
+    def test_hard_edge_at_transition(self, eta):
+        # at c = 2 the weighted density diverges like |x|^(-1/2) at its edge
+        # x = 0; quadrature and grid both need it accurate right up to it
+        from rmtdiff.moments import continuous_mass
+
+        assert continuous_mass(2.0, eta) == pytest.approx(1.0, abs=1e-9)
+        res = aed_grid(2.0, eta)
+        assert res.trapezoid_mass() == pytest.approx(1.0, abs=1e-6)
+        assert np.all(np.isfinite(res.density))
 
 
 class TestCauchyRoots:

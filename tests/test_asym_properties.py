@@ -1,5 +1,6 @@
 """Properties of the asymptotic law over random (c, eta, x), and mpmath spot checks."""
 
+import itertools
 import math
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmtdiff import asym_law
 from rmtdiff.asym_law import (
     aed_curve,
     aed_symmetric,
@@ -34,6 +36,36 @@ def _span(c, eta):
 def test_density_nonnegative(c, eta, rel):
     _, span = _span(c, eta)
     assert np.all(aed_curve(np.array(rel) * span, c, eta) >= 0.0)
+
+
+@given(
+    ratios,
+    weights,
+    unit,
+    st.sampled_from([1.0, 1e-6, 1e-12]),
+    st.sampled_from([5e-10, 1e-9, 1e-3, 1.0]),
+)
+def test_cubic_roots_match_np_roots(c, eta, rel, shrink, im):
+    # np.roots (LAPACK eigenvalues of a companion matrix) is independent of the
+    # closed-form solve.  Tiny |z| sends one root to infinity, where the
+    # companion matrix in G loses the finite roots and the one in h = 1/G the
+    # infinite one, so each root is matched in whichever of the two is nearer
+    _, span = _span(c, eta)
+    z = complex(1.2 * rel * span * shrink, im * shrink)
+    coef = asym_law._cubic_coefficients(z, c, eta)
+    got = asym_law._solve_cubics(np.array([z]), c, eta)[0]
+    in_g, in_h = np.roots(coef), 1.0 / np.roots(coef[::-1])
+
+    def rel(a, b):
+        return abs(a - b) / abs(b)
+
+    perms = list(itertools.permutations(range(3)))
+    gap = min(
+        max(min(rel(got[i], in_g[p[i]]), rel(got[i], in_h[q[i]])) for i in range(3))
+        for p in perms
+        for q in perms
+    )
+    assert gap <= 1e-9
 
 
 @given(ratios, unit)

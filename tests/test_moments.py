@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from rmtdiff.errors import DomainError
@@ -13,7 +14,7 @@ from rmtdiff.moments import (
     operator_norm_asymptotic,
     trace_distance_asymptotic,
 )
-from rmtdiff.asym_law import support_points
+from rmtdiff.asym_law import atom_weight, support_points
 
 
 class TestAbsoluteMoment:
@@ -224,6 +225,33 @@ class TestQuadratureOracle:
         var_want = c * (1.0 + eta**2)
         assert m2 - mean**2 == pytest.approx(var_want, abs=2e-4)
 
+    @pytest.mark.parametrize("c,eta", [(1.0, 0.2), (0.5, 2.0), (3.0, 0.5), (1.0, 0.3)])
+    def test_weighted_moments_match_free_cumulants(self, c, eta):
+        want = _free_cumulant_moments(8, c, eta)
+        for k in (2, 4, 6, 8):
+            assert moment_via_quadrature(k, c, eta) == pytest.approx(want[k], rel=1e-10)
+        assert atom_weight(c, eta) + continuous_mass(c, eta) == pytest.approx(1.0, abs=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             moment_via_quadrature(0.0, 1.0)
+
+
+def _free_cumulant_moments(kmax: int, c: float, eta: float) -> list[float]:
+    """Moments m_0..m_kmax of x = N(rho1 - eta rho2) from its free cumulants.
+
+    Marchenko-Pastur is free Poisson with rate 1/c and jump c, so
+    kappa_s = c^(s-1) (1 + (-eta)^s) (Nica & Speicher, Lectures on the
+    Combinatorics of Free Probability, 2006).  The moment-cumulant recursion
+    is m_n = sum_s kappa_s [z^(n-s)] M(z)^s with M(z) = sum_j m_j z^j.
+    """
+    kappa = [0.0] + [c ** (s - 1) * (1.0 + (-eta) ** s) for s in range(1, kmax + 1)]
+    m = np.zeros(kmax + 1)
+    m[0] = 1.0
+    for n in range(1, kmax + 1):
+        power = np.zeros(n)
+        power[0] = 1.0
+        for s in range(1, n + 1):
+            power = np.convolve(power, m[:n])[:n]  # M^s up to degree n - 1
+            m[n] += kappa[s] * power[n - s]
+    return list(m)
