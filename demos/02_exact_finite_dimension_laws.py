@@ -3,8 +3,8 @@
 The diagonal-element density is an explicit orthant-piecewise polynomial;
 the derivative principle turns it into the joint eigenvalue density.  This
 script dumps the polynomial, verifies the principle on the solvable 2x2
-Gaussian ensemble, evaluates the closed-form two-dimensional marginal
-against Monte Carlo, and marginalizes the three-dimensional joint law.
+Gaussian ensemble, and evaluates the closed-form single-eigenvalue
+marginals at n = 2 and n = 3 against Monte Carlo.
 """
 
 import os
@@ -46,7 +46,7 @@ curve = np.array([n2_exact_density(float(x), 10) for x in centers])
 l1 = float(np.sum(np.abs(hist - curve)) * (edges[1] - edges[0]))
 print(f"L1(exact n=2 law, MC histogram of 30000 draws) = {l1:.4f}")
 
-# n=3: marginalize the joint law numerically and compare to Monte Carlo
+# n=3: the exact marginal, a polynomial integrated from the joint law, against Monte Carlo
 xs = np.linspace(-0.95, 0.95, 39)
 marg = single_eigenvalue_marginal(3, 3, xs)
 pool3 = pooled_spectrum(EnsembleParams(3, 3, seed=12), 30_000, rescaled=False)

@@ -116,9 +116,14 @@ def aed_symmetric(x, c: float):
     x_minus, x_plus = support_points(c)
     u = 2.0 - c
     with np.errstate(all="ignore"):
-        t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
+        if u == 0.0:  # eta = 3 sqrt(3)/|x| exactly, so no x^2 can underflow
+            t = np.sqrt(3.0 * _SQRT3 / ax - 1.0)
+            pre = 1.0 / (2.0 * math.pi)
+        else:
+            t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
+            pre = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
         ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
-        val = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax) * np.sinh(ell / 3.0)
+        val = pre * np.sinh(ell / 3.0)
     # finite below the transition, integrable |x|^(-1/3) divergence at it, in the gap above
     origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
     inner = np.isnan(val) | (ax <= (x_minus or 0.0))

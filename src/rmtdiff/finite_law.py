@@ -17,11 +17,11 @@ this convention all densities integrate to one, which is what the tests pin.
 Evaluation is exact by default: integer arithmetic over a common
 denominator, rounded once to the nearest float (the differential operator
 amplifies cancellation catastrophically in floating point for the
-binomially large coefficients involved).  A batched float path exists for
-bulk grid work such as marginalization.  Its absolute error against the
-exact path grows fast with M through cancellation among the large
-alternating coefficients: at most 1.3e-10 at M = 3, 9.0e-9 at M = 4 and
-2.0e-6 at M = 5 over 400 random interior N = 3 points.
+binomially large coefficients involved); the N = 3 marginal is integrated
+in those integers too.  A float path serves bulk grids such as fig1; its
+error against the exact path grows fast with M through cancellation:
+at most 1.3e-10 at M = 3, 9.0e-9 at M = 4 and 2.0e-6 at M = 5 over 400
+random interior N = 3 points.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     BoundaryPoint,
@@ -114,24 +113,17 @@ def _float_table(poly: Poly, den=1):
     return E, C
 
 
-def _float_eval(E: np.ndarray, C: np.ndarray, pts) -> np.ndarray:
-    """sum_e C_e prod_i pts[r, i]^e_i for every row r, from cumprod power tables,
-    in chunks of about 2**14 // terms rows (~2**14 elements per temporary)."""
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros(len(pts))
+def _float_eval(E: np.ndarray, C: np.ndarray, point) -> float:
+    """sum_e C_e prod_i point_i^e_i from a cumprod power table and gathers."""
+    pt = np.asarray(point, dtype=float)
     top = int(E.max(initial=0))
-    step = max(1, 2**14 // max(len(C), 1))
-    for lo in range(0, len(pts), step):
-        blk = pts[lo : lo + step]
-        pw = np.ones(blk.shape + (top + 1,))
-        pw[:, :, 1:] = np.cumprod(np.repeat(blk[:, :, None], top, axis=2), axis=2)
-        # C-ordered gathers and a per-row pairwise sum: no row depends on the rest of its batch
-        mono = np.take(pw[:, 0], E[:, 0], axis=1)
-        for i in range(1, E.shape[1]):
-            mono *= np.take(pw[:, i], E[:, i], axis=1)
-        mono *= C
-        out[lo : lo + step] = mono.sum(axis=1)
-    return out
+    pw = np.ones((len(pt), top + 1))
+    pw[:, 1:] = np.cumprod(np.repeat(pt[:, None], top, axis=1), axis=1)
+    mono = np.take(pw[0], E[:, 0])
+    for i in range(1, E.shape[1]):
+        mono *= np.take(pw[i], E[:, i])
+    mono *= C
+    return float(mono.sum())
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ class OrthantPiecewisePoly:
         pt = np.abs(np.asarray(point, dtype=float))
         if exact:
             return _exact_eval(*self._exact[1:], pt)
-        return float(_float_eval(*_float_table(self.base), pt[None, :])[0])
+        return _float_eval(*_float_table(self.base), pt)
 
     @property
     def term_count(self) -> int:
@@ -294,7 +286,7 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
         val = _exact_eval(ints[signs], den * norm, lam, vandermonde=True)
     else:
         vand = math.prod(lam[j] - lam[i] for i, j in combinations(range(n), 2))
-        val = vand * float(_float_eval(*floats[signs], lam[None, :])[0]) / norm
+        val = vand * _float_eval(*floats[signs], lam) / norm
     if val < -1e-9:
         msg = f"joint density evaluated to {val:.3e} < 0 at {lam}"
         warnings.warn(msg, NegativeDensityWarning, stacklevel=2)
@@ -362,58 +354,65 @@ def n2_exact_density(lam: float, m: int) -> float:
     return -t * math.exp(ln_f) * dln_f
 
 
-def _marginal_2(points, m: int) -> np.ndarray:
-    return np.array([n2_exact_density(float(x), m) for x in np.asarray(points)])
+@lru_cache(maxsize=16)
+def _marginal_3_table(m: int):
+    """The N = 3 marginal at lambda_1 = t in (0, 1) as an ``_int_table`` in t
+    over one denominator, integrated exactly from the ``_law_tables`` pieces.
+
+    For t > 0 the lambda_2 panels [-1, -t], [-t, 0] and [0, 1 - t] lie in
+    the orthants (+,-,+), (+,-,-) and (+,+,-).  In each, lambda_3 = -t - lambda_2
+    is substituted binomially, the Vandermonde multiplied in, every power of
+    lambda_2 integrated and the limits c0 + c1 t expanded; the panels add up
+    to one polynomial of degree 6M - 3.  The law is even, so it serves
+    t = |lambda_1|.
+    """
+    ints, _, den, norm = _law_tables(3, m)
+    scale = math.lcm(*range(1, 6 * m - 2))  # clears every 1/(j + 1) of int y^j dy
+    coef = [0] * (6 * m - 2)
+    for signs, lo, hi in (((1, -1, 1), (-1, 0), (0, -1)), ((1, -1, -1), (0, -1), (0, 0)),
+                          ((1, 1, -1), (0, 0), (1, -1))):
+        sub: Poly = {}  # the piece at (x, y, -x - y), keyed (i, j) for x^i y^j
+        for a, rest in ints[signs][0].items():
+            for b, last in rest.items():
+                for c, v in last.items():
+                    for j in range(c + 1):
+                        key = (a + c - j, b + j)
+                        sub[key] = sub.get(key, 0) + (-1) ** c * math.comb(c, j) * v
+        for (i, j), v in sub.items():
+            # (y - x)(z - x)(z - y) at z = -x - y is -2x^3 - 3x^2 y + 3x y^2 + 2y^3
+            for (p, r), w in (((3, 0), -2), ((2, 1), -3), ((1, 2), 3), ((0, 3), 2)):
+                e = j + r + 1
+                u = w * v * (scale // e)
+                for (c0, c1), s in ((hi, u), (lo, -u)):  # s (c0 + c1 t)^e
+                    for k in range(e + 1):
+                        coef[i + p + k] += s * math.comb(e, k) * c0 ** (e - k) * c1**k
+    g = math.gcd(den * norm * scale, *coef)
+    return _int_table({(k,): c // g for k, c in enumerate(coef) if c}), den * norm * scale // g
 
 
-def _marginal_3(points, m: int, order: int) -> np.ndarray:
-    """Gauss-Legendre panels over lambda_2 between the cuts {lo, hi, 0, -l1},
-    evaluated for every point, panel and node at once, grouped by orthant."""
-    l1 = np.asarray(points, dtype=float)
-    block = max(1, 2**12 // (3 * order))  # points per pass: at most ~2**12 node rows in memory
-    if len(l1) > block:
-        parts = np.split(l1, range(block, len(l1), block))
-        return np.concatenate([_marginal_3(part, m, order) for part in parts])
-    _, floats, _, norm = _law_tables(3, m)
-    nodes, weights = leggauss(order)
-    pos = l1 >= 0.0
-    lo = np.where(pos, -1.0, -1.0 - l1)
-    hi = np.where(pos, 1.0 - l1, 1.0)
-    cuts = np.sort(np.stack([lo, hi, np.zeros_like(l1), -l1], axis=1), axis=1)
-    a, b = cuts[:, :-1], cuts[:, 1:]
-    keep = (b - a >= 1e-14) & (np.abs(l1) < 1.0)[:, None]
-    owner = np.repeat(np.nonzero(keep)[0], order)
-    a, b = a[keep][:, None], b[keep][:, None]
-    x1 = l1[owner]
-    x2 = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
-    lam = np.stack([x1, x2, -x1 - x2], axis=1)
-    wts = (0.5 * (b - a) * weights).ravel()
-    absl = np.abs(lam)
-    live = (absl.min(axis=1) >= 1e-13) & (1.0 - 0.5 * absl.sum(axis=1) > 0.0)
-    dens = np.zeros(len(lam))
-    for signs, (E, C) in floats.items():
-        rows = np.nonzero(live & np.all((lam > 0) == (np.array(signs) > 0), axis=1))[0]
-        if len(rows):
-            x, y, z = lam[rows].T
-            dens[rows] = (y - x) * (z - x) * (z - y) * _float_eval(E, C, lam[rows]) / norm
-    return np.bincount(owner, weights=wts * dens, minlength=len(l1))
-
-
-def single_eigenvalue_marginal(n: int, m: int, points, *, gauss_order: int = 24) -> np.ndarray:
+def single_eigenvalue_marginal(n: int, m: int, points) -> np.ndarray:
     """Average (single-eigenvalue) density at the given raw-lambda points.
 
-    n = 2 uses the closed form; n = 3 marginalizes the joint law by
-    piecewise Gauss-Legendre quadrature over the hexagonal support (the
-    integrand is polynomial between orthant walls, so modest orders are
-    exact).  Larger n is out of scope.
+    n = 2 uses the closed form ``n2_exact_density``; n = 3 evaluates the
+    exact polynomial of ``_marginal_3_table``, each value the float nearest
+    the exact rational.  The n = 3 value at lambda = 0 exactly is 0.0, as the
+    whole lambda_2 line there lies on an orthant wall; its continuous limit
+    at 0 is the polynomial's constant term.  Both give 0.0 for |lambda| >= 1
+    and raise DomainError for a non-finite point.  Larger n is out of scope.
     """
+    if n not in (2, 3):
+        raise Unsupported("marginal density implemented for n in {2, 3} only")
+    ts = np.abs(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(ts)):
+        raise DomainError("points must be finite")
+    out = np.zeros(ts.shape)
+    inside = (ts > 0.0) & (ts < 1.0)
     if n == 2:
-        return _marginal_2(points, m)
-    if n == 3:
-        if m < 3:
-            raise DimensionOrder("requires n <= m")
-        return _marginal_3(points, m, gauss_order)
-    raise Unsupported("marginal density implemented for n in {2, 3} only")
+        out[inside] = [n2_exact_density(t, m) for t in ts[inside]]
+    else:
+        table, den = _marginal_3_table(m)
+        out[inside] = [_exact_eval(table, den, (t,)) for t in ts[inside]]
+    return out
 
 
 def derivative_principle_selftest(*, tol: float = 1e-10, verbose: bool = False) -> bool:

@@ -55,11 +55,7 @@ def _exact_marginal(n: int, m: int, p: float):
     scale = n * p
 
     def f(xs: np.ndarray) -> np.ndarray:
-        u = xs / scale
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = single_eigenvalue_marginal(n, m, u[inside])
-        return out / scale
+        return single_eigenvalue_marginal(n, m, xs / scale) / scale
 
     return _on_arrays(f)
 

@@ -165,6 +165,14 @@ class TestSymmetricDensityArrays:
         assert aed_symmetric(0.0, 2.0) == math.inf
         assert aed_symmetric(np.array([0.0, 1.0]), 2.0)[0] == math.inf
 
+    def test_tiny_x_at_transition_follows_asymptote(self):
+        # eta = 3 sqrt(3)/|x| at c = 2, so the density is (6 sqrt(3)/|x|)^(1/3)/(4 pi)
+        # up to a relative (2 eta)^(-2/3); x^2 underflows for |x| below ~1e-154
+        xs = np.logspace(-300, -100, 201)
+        want = (6.0 * math.sqrt(3.0) / xs) ** (1.0 / 3.0) / (4.0 * math.pi)
+        for x in (xs, -xs):
+            assert np.allclose(aed_symmetric(x, 2.0), want, rtol=1e-12, atol=0.0)
+
 
 class TestSupportMask:
     def test_zero_just_outside_every_edge(self):

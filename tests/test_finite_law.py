@@ -263,6 +263,18 @@ class TestMarginal:
         with pytest.raises(Unsupported):
             single_eigenvalue_marginal(4, 5, [0.1])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, n, bad):
+        with pytest.raises(DomainError):
+            single_eigenvalue_marginal(n, 3, [0.1, bad])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_zero_outside_support(self, n):
+        vals = single_eigenvalue_marginal(n, 3, [-2.0, -1.0, 0.5, 1.0, 2.0])
+        assert np.array_equal(vals[[0, 1, 3, 4]], np.zeros(4))
+        assert vals[2] > 0.0
+
 
 class TestDerivativePrinciple:
     def test_gue_selftest(self):

@@ -4,8 +4,8 @@
   coefficient table as ``build_psi_poly``;
 * a plain ``Fraction`` evaluator must give bit-identical floats to the
   integer path of ``psi.evaluate`` and ``joint_eigen_density``;
-* scipy ``quad`` over the float joint density must reproduce the batched
-  N = 3 marginal.
+* scipy ``quad`` over the joint density, float and exact, must reproduce
+  the closed-form N = 3 marginal.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from scipy.integrate import IntegrationWarning, quad
 from rmtdiff.errors import BoundaryPoint, NegativeDensityWarning, SizeLimit
 from rmtdiff.finite_law import (
     _apply_difference_operator,
+    _marginal_3_table,
     build_psi_poly,
     joint_eigen_density,
     region_gamma,
@@ -105,14 +106,14 @@ def test_integer_path_is_bit_identical(n, m):
     check()
 
 
-def _quad_marginal(l1: float, m: int) -> float:
-    """Per-point reference: quad over lambda_2 of the float joint density, split at the walls."""
+def _quad_marginal(l1: float, m: int, exact: bool = False) -> float:
+    """Per-point reference: quad over lambda_2 of the joint density, split at the walls."""
     if abs(l1) >= 1.0:
         return 0.0
 
     def dens(l2: float) -> float:
         try:
-            return joint_eigen_density((l1, l2, -l1 - l2), 3, m, exact=False)
+            return joint_eigen_density((l1, l2, -l1 - l2), 3, m, exact=exact)
         except BoundaryPoint:
             return 0.0
 
@@ -153,6 +154,25 @@ def test_batched_marginal_independent_of_batch(m):
 def test_batched_marginal_empty_input():
     out = single_eigenvalue_marginal(3, 3, [])
     assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_marginal_mass_is_exactly_one(m):
+    (coef, _), den = _marginal_3_table(m)
+    assert 2 * sum(Fraction(c, den) / (k + 1) for k, c in coef.items()) == 1
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_marginal_nonnegative(m):
+    xs = np.linspace(-(1 - 1e-6), 1 - 1e-6, 401)
+    assert np.all(single_eigenvalue_marginal(3, m, xs) >= 0.0)
+
+
+def test_marginal_matches_quad_of_exact_joint_density():
+    # the exact joint density keeps full precision at m = 5, where the float path errs by ~1e-6
+    xs = [-0.6, 0.05, 0.35]
+    want = [_quad_marginal(x, 5, exact=True) for x in xs]
+    assert np.max(np.abs(single_eigenvalue_marginal(3, 5, xs) - want)) <= 1e-12
 
 
 def test_size_limit_raises_before_any_work():
