@@ -2,14 +2,16 @@
 
 For x = N * lambda and c = N/M fixed, the limiting spectral measure of
 rho1 - rho2 is the free additive convolution of a Marchenko-Pastur law with
-its reflection.  Its Cauchy transform satisfies a cubic equation; Stieltjes
-inversion of the physical root gives the density.  The symmetric case
-(equal weights) has the closed form implemented in ``aed_symmetric``, one
-NumPy expression for scalars and arrays; the weighted case eta = q/p != 1
-inverts the cubic at all query points at once (``aed_curve``), with the
-roots from a vectorised closed-form (Cardano) solve.  The support edges
+its reflection.  Its Cauchy transform G satisfies a cubic equation, and the
+density is -Im G(x + i0)/pi.  The symmetric case (equal weights) has the
+closed form implemented in ``aed_symmetric``, one NumPy expression for
+scalars and arrays.  The weighted case eta = q/p != 1 (``aed_curve``)
+solves the cubic at all real query points at once, in closed form
+(Cardano): for real x its coefficients are real, so inside the support
+G(x + i0) is one of a complex-conjugate pair of roots and the density is
+that pair's |Im G|/pi, with no step off the real axis.  The support edges
 are the real roots of the cubic's discriminant, a quartic in z
-(``find_support_numeric``); the inversion reads exactly 0 outside them.  The
+(``find_support_numeric``); the density reads exactly 0 outside them.  The
 origin atom is max(1 - 2/c, 0) for every eta because rank Z = min(N, 2M).
 
 Conventions: the weighted density is expressed in units of the normalized
@@ -20,7 +22,7 @@ abscissas by p and divides densities by p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +44,6 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
-
-# A root whose imaginary part scales like -w/epsilon is the point mass at the
-# origin showing through; it is excluded when computing the continuous part.
-_ATOM_IM_EPS = 1e-3
 
 # Query points per block of the closed-form cubic solve: caps its (block, 3)
 # complex temporaries near 50 kB each.
@@ -108,7 +106,9 @@ def aed_symmetric(x, c: float):
     c > 2 is reported separately by ``atom_weight``.  arccosh is taken as
     log1p(d + sqrt(d(d+2))) of d = eta - 1 from ``_eta_excess``, so the
     value keeps its relative precision at small c and near x = 0, where
-    only the exact limit 1/(pi sqrt(c(2-c))) is special-cased.  An array
+    the exact limit 1/(pi sqrt(c(2-c))) is returned once |x| is too small to
+    change it.  At c = 2 the value follows (6 sqrt(3)/|x|)^(1/3)/(4 pi) down
+    to the smallest subnormal |x|, and is inf at x = 0.  An array
     keeps its shape; a scalar gives a float, bit for bit the array's entry.
     """
     ax = np.abs(np.asarray(x, dtype=float))
@@ -116,18 +116,22 @@ def aed_symmetric(x, c: float):
     x_minus, x_plus = support_points(c)
     u = 2.0 - c
     with np.errstate(all="ignore"):
-        if u == 0.0:  # eta = 3 sqrt(3)/|x| exactly, so no x^2 can underflow
-            t = np.sqrt(3.0 * _SQRT3 / ax - 1.0)
+        if u == 0.0:  # eta = 3 sqrt(3)/|x|: arccosh eta = log(eta) + log1p(sqrt(1 - 1/eta^2))
+            r = ax / (3.0 * _SQRT3)  # neither x^2 nor 1/|x| appears, so none over- or underflows
+            ell = np.log1p(np.sqrt((1.0 - r) * (1.0 + r))) + math.log(3.0 * _SQRT3) - np.log(ax)
             pre = 1.0 / (2.0 * math.pi)
         else:
             t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
+            ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
             pre = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
-        ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
         val = pre * np.sinh(ell / 3.0)
     # finite below the transition, integrable |x|^(-1/3) divergence at it, in the gap above
     origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
+    # below x_flat the relative x^2 term (c + 1/2) x^2 / (c u^3) is under 2^-54, so the
+    # density rounds to its origin value; pre would overflow at subnormal |x|
+    x_flat = math.sqrt(2.0**-54 * c * u**3 / (c + 0.5)) if u > 0.0 else 0.0
     inner = np.isnan(val) | (ax <= (x_minus or 0.0))
-    val = np.where(ax >= x_plus, 0.0, np.where(ax == 0.0, origin, np.where(inner, 0.0, val)))
+    val = np.where(ax >= x_plus, 0.0, np.where(ax <= x_flat, origin, np.where(inner, 0.0, val)))
     return float(val) if val.ndim == 0 else val
 
 
@@ -165,7 +169,9 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     of |w +- s|, s^2 = w^2 + p3^3, as u^3 so that the sum does not cancel;
     t = u omega^k - p3/(u omega^k).  The smallest h, which cancels
     in t - a1/3, comes from h0 h1 h2 = -a3 instead.  G = 1/h is polished by
-    two Newton steps on the cubic in G.
+    two Newton steps on the cubic in G, each kept only where it lowers the
+    residual: next to a double root (a support edge, for real z) the slope
+    is ~0 and an unchecked step can throw the pair off by up to 1e-2.
     """
     z = np.asarray(z, dtype=complex).ravel()
     roots = np.empty((z.size, 3), dtype=complex)
@@ -183,10 +189,13 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
         rows = np.arange(len(h))
         h[rows, small] = -a3[:, 0] / (h[rows, (small + 1) % 3] * h[rows, (small + 2) % 3])
         g = 1.0 / h
+        f = ((a3 * g + a2) * g + a1) * g + 1.0
         for _ in range(2):
-            f = ((a3 * g + a2) * g + a1) * g + 1.0
             df = (3.0 * a3 * g + 2.0 * a2) * g + a1
-            g = g - f / np.where(df == 0.0, np.inf, df)  # a zero slope leaves the root as is
+            step = g - f / np.where(df == 0.0, np.inf, df)  # a zero slope leaves the root as is
+            f_step = ((a3 * step + a2) * step + a1) * step + 1.0
+            better = np.abs(f_step) <= np.abs(f)
+            g, f = np.where(better, step, g), np.where(better, f_step, f)
         roots[start : start + _SOLVE_BLOCK] = g
     return roots
 
@@ -236,111 +245,55 @@ def cauchy_roots(
     return CauchyEval(z=z, roots=roots, selected=sel)
 
 
-def _select_branch(roots: np.ndarray, ep: np.ndarray, hint: np.ndarray):
-    """Continuous-part branch of each row of ``roots`` (-1 if none), and the tie mask.
+def _support_geometry(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted support edges, and for each of the len(edges) + 1 gaps whether it is outside.
 
-    Candidates have Im G < 0 but are not the atom's root (|Im G| ep >= _ATOM_IM_EPS,
-    with ep the row's imaginary offset).
-    The most negative Im G wins, then the smaller real part; where the two most
-    negative are within 1e-13, the candidate nearest a non-NaN ``hint`` wins.
-    """
-    im = roots.imag
-    cand = (im < 0.0) & (-im * ep[:, None] < _ATOM_IM_EPS)
-    key = np.where(cand, im, np.inf)
-    order = np.lexsort((roots.real, key), axis=-1)
-    rows = np.arange(len(roots))
-    sel = np.where(cand.any(axis=1), order[:, 0], -1)
-    gap = np.subtract(
-        key[rows, order[:, 1]], key[rows, order[:, 0]],
-        out=np.full(len(roots), np.inf), where=cand.sum(axis=1) >= 2,
-    )
-    tie = gap < 1e-13
-    fix = tie & ~np.isnan(hint)
-    if fix.any():
-        dist = np.where(cand[fix], np.abs(roots[fix] - hint[fix, None]), np.inf)
-        sel[fix] = np.argmin(dist, axis=1)
-    return sel, tie
-
-
-def _support_geometry(xs: np.ndarray, c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the points of xs outside the support, and each one's distance to an edge.
-
-    The edges, computed once per call, are the real roots of the
-    discriminant; a gap between two of them is outside where the
-    discriminant is positive (three real roots, G real).  ``support_points``
-    is not used, so that the closed form and the inversion stay independent.
+    The edges are the real roots of the discriminant.  A gap is outside
+    where the discriminant is >= 0 at its midpoint (three real roots, G
+    real), and so are the two unbounded ends.  ``support_points`` is not
+    used, so that the closed form and the inversion stay independent.
     """
     disc, edges = _discriminant(c, eta)
-    gap = np.concatenate(([True], disc(0.5 * (edges[:-1] + edges[1:])) >= 0.0, [True]))
-    return gap[np.searchsorted(edges, xs)], np.min(np.abs(xs[:, None] - edges), axis=1)
+    outside = np.concatenate(([True], disc(0.5 * (edges[:-1] + edges[1:])) >= 0.0, [True]))
+    return edges, outside
 
 
-def _continuous_density(xs: np.ndarray, c: float, eta: float, epsilon: float) -> np.ndarray:
+def _continuous_density(xs: np.ndarray, c: float, eta: float) -> np.ndarray:
     """-Im G(x + i0)/pi at the 1-D points xs, continuous part only.
 
-    -Im G/pi at eps and eps/2 comes from one batched solve and is
-    Richardson-extrapolated.  eps is ``epsilon``, or 1e-3 of the distance to
-    the nearest support edge where that is smaller (but at least 1e-6
-    epsilon), which keeps the remainder small next to an edge where the
-    density diverges.  At eps/2 a tie is broken by the same point's eps
-    root; at eps by the eps/2 root of the nearest point to the left that
-    has one, so only tied points are revisited one at a time.  Points
-    outside the support read exactly 0.  Equal weights are solved at |x|,
-    because Z and -Z have one law there.
+    For real x the cubic has real coefficients, so inside the support G(x + i0)
+    is one of a complex-conjugate pair and the density is the pair's |Im G|/pi,
+    read at x itself.  That is the middle of the three |Im G|: the real
+    root's is rounding only, and for the root that goes to infinity as
+    x -> 0 it can exceed the pair's (at x = 0, where a3 = 0, that root is
+    infinite and counts as 0).  Points outside the support read exactly 0.
+    Equal weights are solved at |x|, because Z and -Z have one law there.
     """
     _check_domain(c, eta, xs)
-    if not 0.0 < epsilon <= 1e-4:
-        raise DomainError("epsilon must lie in (0, 1e-4]")
     if eta == 1.0:
         xs = np.abs(xs)
-    outside, dist = _support_geometry(xs, c, eta)
-    ep = np.clip(1e-3 * dist, 1e-6 * epsilon, epsilon)
-    k = xs.size
-    roots = _solve_cubics(np.concatenate((xs + 1j * ep, xs + 0.5j * ep)), c, eta)
-    r1, r2 = roots[:k], roots[k:]
-    rows = np.arange(k)
-    sel1, tie1 = _select_branch(r1, ep, np.full(k, np.nan))
-    g1 = np.where(sel1 >= 0, r1[rows, sel1], np.nan)
-    sel2, _ = _select_branch(r2, 0.5 * ep, g1)
-    left = np.maximum.accumulate(np.where(sel2 >= 0, rows, -1))
-    for i in np.flatnonzero(tie1[1:]) + 1:
-        j = left[i - 1]
-        if j < 0:
-            continue
-        sel1[i] = _select_branch(r1[i : i + 1], ep[i : i + 1], r2[j, sel2[j]][None])[0][0]
-        g1[i] = r1[i, sel1[i]]
-        sel2[i] = _select_branch(r2[i : i + 1], 0.5 * ep[i : i + 1], g1[i : i + 1])[0][0]
-    im1 = np.where(sel1 >= 0, r1[rows, sel1].imag, 0.0)
-    im2 = np.where(sel2 >= 0, r2[rows, sel2].imag, 0.0)
-    val = (2.0 * (-im2) - (-im1)) / math.pi
-    return np.where((val > 0.0) & ~outside, val, 0.0)
+    edges, outside = _support_geometry(c, eta)
+    with np.errstate(all="ignore"):  # the root near infinity as x -> 0
+        roots = _solve_cubics(xs, c, eta)
+    im = np.sort(np.abs(np.where(np.isfinite(roots), roots.imag, 0.0)), axis=1)[:, 1]
+    return np.where(outside[np.searchsorted(edges, xs)], 0.0, im / math.pi)
 
 
-def aed_numeric(
-    x: float, c: float, eta: float = 1.0, epsilon: float = 1e-9
-) -> float:
-    """Continuous density at x by Stieltjes inversion of the cubic.
+def aed_numeric(x: float, c: float, eta: float = 1.0) -> float:
+    """Continuous density at x by Stieltjes inversion of the cubic on the real axis.
 
-    Evaluates -Im G(x + i eps)/pi at eps and eps/2 and Richardson-
-    extrapolates the linear-in-eps error away; eps is ``epsilon`` except
-    within 1e3 epsilon of a support edge, where it is 1e-3 of the distance.  Roots whose imaginary part
-    diverges like 1/eps (the origin point mass) are excluded, so this is the
-    continuous part only, matching ``aed_symmetric`` for eta = 1.  A batch
-    of one of ``aed_curve``.
+    Inside the support the density is |Im G|/pi of the cubic's complex root
+    pair at x; outside the discriminant edges it is exactly 0.  The origin
+    point mass is not included, so this matches ``aed_symmetric`` for eta = 1.
+    A batch of one of ``aed_curve``.
     """
-    return float(_continuous_density(np.array([x], dtype=float), c, eta, epsilon)[0])
+    return float(_continuous_density(np.array([x], dtype=float), c, eta)[0])
 
 
-def aed_curve(
-    xs: np.ndarray, c: float, eta: float = 1.0, epsilon: float = 1e-9
-) -> np.ndarray:
-    """aed_numeric at every point of xs, from one batched cubic solve.
-
-    Where two branches tie, the selected root is carried along xs in the
-    given order for continuity.
-    """
+def aed_curve(xs: np.ndarray, c: float, eta: float = 1.0) -> np.ndarray:
+    """aed_numeric at every point of xs (any shape), from one batched cubic solve."""
     xs = np.asarray(xs, dtype=float)
-    return _continuous_density(xs.ravel(), c, eta, epsilon).reshape(xs.shape)
+    return _continuous_density(xs.ravel(), c, eta).reshape(xs.shape)
 
 
 def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
@@ -381,14 +334,13 @@ def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     Edges are where two roots of the Cauchy cubic meet: the real roots of
     its discriminant, a quartic in z (Rao & Edelman's polynomial method,
     Found. Comput. Math. 2008).  A gap between consecutive roots is support
-    if at its midpoint the discriminant is negative (a complex pair) and
-    the density is positive (the pair is physical).  Kept gaps meeting at a
-    double root are merged.
+    if at its midpoint the discriminant is negative (a complex pair), the
+    rule ``aed_curve`` masks with.  Kept gaps meeting at a double root are
+    merged.
     """
     _check_domain(c, eta)
-    _, edges = _discriminant(c, eta)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    keep = _continuous_density(mids, c, eta, 1e-9) > 0.0
+    edges, outside = _support_geometry(c, eta)
+    keep = ~outside[1:-1]
     intervals: list[tuple[float, float]] = []
     for lo, hi in zip(edges[:-1][keep], edges[1:][keep]):
         if intervals and intervals[-1][1] == lo:
@@ -408,7 +360,6 @@ class AedResult:
     x_plus: float
     c: float
     eta: float = 1.0
-    epsilon: float = field(default=1e-9, compare=False)
 
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
@@ -436,35 +387,28 @@ def _interval_grid(a: float, b: float, k: int) -> np.ndarray:
     return a + (b - a) * np.sin(th) ** 2
 
 
-def _support_grid(intervals, lo, hi, count, origin_cluster: float | None):
+def _support_grid(intervals, lo, hi, count, origin_scale: float):
     k = max(501, count // max(len(intervals), 1))
-    pts = [np.linspace(lo, hi, 101)]
+    extra = origin_scale * np.geomspace(1e-13, 0.3, 400)
+    pts = [np.linspace(lo, hi, 101), extra, -extra]
     for a, b in intervals:
         pts.append(_interval_grid(a, b, k))
-    if origin_cluster is not None:
-        extra = origin_cluster * np.geomspace(1e-13, 0.3, 400)
-        pts += [extra, -extra]
     return np.unique(np.concatenate(pts))
 
 
-def aed_grid(
-    c: float,
-    eta: float = 1.0,
-    *,
-    count: int = 6001,
-    pad: float = 1.1,
-    epsilon: float = 1e-9,
-) -> AedResult:
+def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001, pad: float = 1.1) -> AedResult:
     """Tabulate the asymptotic density on an edge-aware grid.
 
     Equal weights use the closed form; eta != 1 inverts the cubic at every
     node in one batched solve, over the discriminant support.  Nodes are
-    sin^2-clustered at every support edge so that atom_weight plus the
-    trapezoid integral of the stored continuous part reproduces unit mass
-    to better than 1e-6.  The critical ratio c = 2 carries an integrable
-    divergence at the origin (|x|^(-1/3) for equal weights, one-sided
-    |x|^(-1/2) otherwise) and gets a denser grid plus a geometric origin
-    cluster.
+    sin^2-clustered at every support edge and geometrically clustered at
+    the origin, so that atom_weight plus the trapezoid integral of the
+    stored continuous part reproduces unit mass to within 5e-6 (measured
+    over c in [1e-3, 50] and eta in [0.2, 5]; within 5e-7 where
+    |c - 2| >= 0.2).  The critical
+    ratio c = 2 carries an integrable divergence at the origin (|x|^(-1/3)
+    for equal weights, one-sided |x|^(-1/2) otherwise) and gets a grid four
+    times denser, without the origin node itself.
     """
     _check_domain(c, eta)
     x_minus = None
@@ -475,16 +419,14 @@ def aed_grid(
     else:
         intervals = find_support_numeric(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
-    origin_cluster = None
     if c == 2.0:
         count *= 4
-        origin_cluster = max(-lo, hi)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * pad
-    grid = _support_grid(intervals, mid - half, mid + half, count, origin_cluster)
-    if origin_cluster is not None:
+    grid = _support_grid(intervals, mid - half, mid + half, count, max(-lo, hi))
+    if c == 2.0:
         grid = grid[grid != 0.0]  # density unbounded exactly at the origin
-    dens = aed_symmetric(grid, c) if eta == 1.0 else aed_curve(grid, c, eta, epsilon)
+    dens = aed_symmetric(grid, c) if eta == 1.0 else aed_curve(grid, c, eta)
     return AedResult(
         grid=grid, density=dens, atom_weight=atom_weight(c, eta), x_minus=x_minus,
-        x_plus=float(max(-lo, hi)), c=c, eta=eta, epsilon=epsilon,
+        x_plus=float(max(-lo, hi)), c=c, eta=eta,
     )

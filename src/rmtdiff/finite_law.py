@@ -420,9 +420,10 @@ def derivative_principle_selftest(*, tol: float = 1e-10, verbose: bool = False) 
 
     For a product-Gaussian diagonal law (the 2x2 GUE case) the principle
     must reproduce (1/(4 pi)) (l1-l2)^2 exp(-(l1^2+l2^2)/2) exactly.  The
-    pairwise derivative difference is applied by Richardson-extrapolated
-    central differences so the check shares no code with the polynomial
-    path.  Returns False (with diagnostics) on mismatch.
+    pairwise derivative difference is applied by central differences at h
+    and h/2, extrapolated as (4 D(h/2) - D(h))/3, so the check shares no
+    code with the polynomial path.  Returns False (with diagnostics) on
+    mismatch.
     """
 
     def psi(a: float, b: float) -> float:

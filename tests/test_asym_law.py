@@ -165,6 +165,16 @@ class TestSymmetricDensityArrays:
         assert aed_symmetric(0.0, 2.0) == math.inf
         assert aed_symmetric(np.array([0.0, 1.0]), 2.0)[0] == math.inf
 
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_subnormal_x(self, x):
+        for c in (0.5, 1.0, 1.9):
+            want = 1.0 / (math.pi * math.sqrt(c * (2.0 - c)))
+            assert aed_symmetric(x, c) == aed_symmetric(-x, c) == pytest.approx(want, rel=1e-15)
+        assert aed_symmetric(x, 3.0) == 0.0
+        # (6 sqrt(3)/|x|)^(1/3)/(4 pi), with 6 sqrt(3)/|x| itself past the largest double
+        want = math.exp((math.log(6.0 * math.sqrt(3.0)) - math.log(x)) / 3.0) / (4.0 * math.pi)
+        assert aed_symmetric(x, 2.0) == pytest.approx(want, rel=1e-12)
+
     def test_tiny_x_at_transition_follows_asymptote(self):
         # eta = 3 sqrt(3)/|x| at c = 2, so the density is (6 sqrt(3)/|x|)^(1/3)/(4 pi)
         # up to a relative (2 eta)^(-2/3); x^2 underflows for |x| below ~1e-154
@@ -185,6 +195,14 @@ class TestSupportMask:
         inside = [a + 1.2e-8 for a, _ in intervals] + [b - 1.2e-8 for _, b in intervals]
         assert np.all(aed_curve(np.array(outside), c, eta) == 0.0)
         assert np.all(aed_curve(np.array(inside), c, eta) > 0.0)
+
+    @pytest.mark.parametrize("c, eta", [(1.9, 5.0), (10.0, 0.5), (50.0, 0.2), (100.0, 0.5)])
+    def test_small_within_ulps_of_every_edge(self, c, eta):
+        # a double root of the cubic sits on each edge; an unchecked Newton
+        # step on its ~0 slope throws the pair off by up to 1e-2 there
+        edges = np.array([e for ab in find_support_numeric(c, eta) for e in ab])
+        xs = (edges[:, None] + np.arange(-20, 21) * np.spacing(np.abs(edges))[:, None]).ravel()
+        assert np.max(aed_curve(xs, c, eta)) <= 1e-6
 
     @pytest.mark.parametrize("eta", [0.2, 0.5, 2.0, 4.0])
     def test_hard_edge_at_transition(self, eta):
@@ -250,6 +268,33 @@ class TestNumericInversion:
         closed = np.array([aed_symmetric(float(x), c) for x in xs])
         numeric = aed_curve(xs, c)
         assert float(np.max(np.abs(closed - numeric))) <= 1e-8
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0])
+    def test_matches_closed_form_on_acceptance_grids(self, c):
+        # the AC-02 grids, and c = 2 but for its |x|^(-1/3) divergence at x = 0
+        _, xp = support_points(c)
+        xs = np.linspace(-1.1 * xp, 1.1 * xp, 2001)
+        if c == 2.0:
+            xs = xs[xs != 0.0]
+        assert np.max(np.abs(aed_curve(xs, c) - aed_symmetric(xs, c))) <= 1e-12
+
+    @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 0.5), (2.0, 0.5), (3.0, 2.0)])
+    def test_origin_warns_nothing(self, c, eta):
+        # a3 = 0 at x = 0 sends one root of the cubic in G to infinity
+        xs = np.linspace(-1.0, 1.0, 201)
+        assert 0.0 in xs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dens = aed_curve(xs, c, eta)
+        assert np.all(np.isfinite(dens))
+
+    @pytest.mark.parametrize("c", [0.01, 0.5, 1.0, 1.9])
+    def test_tiny_x(self, c):
+        # the real root near infinity carries a rounding Im G ~ 1e-16 |G| ~ 1e-16/|x|,
+        # above the pair's own |Im G| once |x| < 1e-46 or so
+        xs = np.concatenate((np.logspace(-300, -10, 59), [1e-310, 5e-324]))
+        for x in (xs, -xs):
+            assert np.allclose(aed_curve(x, c), aed_symmetric(x, c), rtol=1e-12, atol=0.0)
 
     def test_atom_excluded_at_origin(self):
         for c in (2.5, 5.0):
@@ -376,6 +421,14 @@ class TestAedResult:
         assert np.array_equal(xs, res.grid)
         assert np.array_equal(ds, res.density)
 
+    @pytest.mark.parametrize("c", [1.999, 1.9999, 2.0001, 2.001])
+    @pytest.mark.parametrize("eta", [1.0, 0.2, 0.5, 2.0, 5.0])
+    def test_unit_mass_next_to_transition(self, c, eta):
+        # the origin edge is nearly the c = 2 divergence here, so the grid's
+        # origin cluster is what carries the mass next to it
+        res = aed_grid(c, eta)
+        assert res.atom_weight + res.trapezoid_mass() == pytest.approx(1.0, abs=5e-6)
+
     def test_weighted_grid_mass(self):
         res = aed_grid(1.0, eta=0.2)
         assert res.trapezoid_mass() + res.atom_weight == pytest.approx(1.0, abs=1e-6)
@@ -443,30 +496,6 @@ class TestDomainValidation:
             call()
 
 
-def _sweep_reference(r1, r2, ep):
-    """The point-by-point branch sweep of the scalar implementation, on given roots."""
-
-    def pick(roots, ep, hint):
-        cand = sorted(
-            (complex(r) for r in roots if r.imag < 0.0 and abs(r.imag) * ep < 1e-3),
-            key=lambda r: (r.imag, r.real),
-        )
-        if not cand:
-            return 0.0, None
-        if hint is not None and len(cand) >= 2 and abs(cand[0].imag - cand[1].imag) < 1e-13:
-            cand.sort(key=lambda r: abs(r - hint))
-        return cand[0].imag, cand[0]
-
-    out, hint = [], None
-    for a, b in zip(r1, r2):
-        im1, g1 = pick(a, ep, hint)
-        im2, g2 = pick(b, ep / 2.0, g1)
-        val = (2.0 * (-im2) - (-im1)) / math.pi
-        out.append(val if val > 0.0 else 0.0)
-        hint = g2 if g2 is not None else hint
-    return np.array(out)
-
-
 class TestBatchedKernel:
     def test_roots_match_np_roots(self):
         rng = np.random.default_rng(5)
@@ -477,18 +506,3 @@ class TestBatchedKernel:
                 want = np.roots(_cubic_coefficients(z, c, eta))
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-10 * scale
-
-    def test_tie_rule_matches_sequential_sweep(self, monkeypatch):
-        # crafted roots: ties in Im G (exact and within 1e-13), atom-like
-        # roots (|Im G| eps >= 1e-3), rows without candidates
-        rng = np.random.default_rng(11)
-        k, ep = 400, 1e-9
-        roots = rng.uniform(-2.0, 2.0, (2 * k, 3)) + 1j * rng.uniform(-2.0, 0.5, (2 * k, 3))
-        tied = rng.random(2 * k) < 0.3
-        roots[tied, 1] = roots[tied, 1].real + 1j * (roots[tied, 0].imag + rng.uniform(-5e-14, 5e-14, tied.sum()))
-        roots[rng.random(2 * k) < 0.1, 2] = 1.0 - 1e7j
-        roots[rng.random(2 * k) < 0.05] = 0.3 + 0.2j
-        monkeypatch.setattr(law, "_solve_cubics", lambda z, c, eta: roots)
-        got = aed_curve(np.zeros(k), 1.0, 0.5, ep)
-        want = _sweep_reference(roots[:k], roots[k:], ep)
-        assert np.array_equal(got, want)

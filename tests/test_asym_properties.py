@@ -90,14 +90,12 @@ def test_atom_plus_continuous_mass_is_one(c, eta):
 def test_density_switches_on_at_discriminant_edges(c, eta):
     intervals = find_support_numeric(c, eta)
     edges = [e for ab in intervals for e in ab]
-    # a step well inside every interval and every gap between intervals;
-    # eps = 1e-12 keeps the Richardson remainder, ~eps^3 delta^(-5/2) just
-    # outside an edge, far below the bound even when a gap is narrow
+    # a step well inside every interval and every gap between intervals
     delta = 1e-3 * float(np.min(np.diff(edges)))
     inside = [a + delta for a, _ in intervals] + [b - delta for _, b in intervals]
     outside = [a - delta for a, _ in intervals] + [b + delta for _, b in intervals]
-    assert np.all(aed_curve(np.array(inside), c, eta, 1e-12) > 0.0)
-    assert np.all(aed_curve(np.array(outside), c, eta, 1e-12) < 1e-12)
+    assert np.all(aed_curve(np.array(inside), c, eta) > 0.0)
+    assert np.all(aed_curve(np.array(outside), c, eta) < 1e-12)
     if c > 2.0:
         # the rank atom sits in the gap around the origin
         assert len(intervals) == 2 and intervals[0][1] < 0.0 < intervals[1][0]
@@ -134,3 +132,24 @@ def test_closed_form_against_mpmath(c):
         want = _mp_density(x, c)
         assert abs(aed_symmetric(x, c) - want) <= 1e-11 * want
     assert aed_symmetric(0.0, c) == pytest.approx(1.0 / (math.pi * math.sqrt(c * (2.0 - c))), rel=1e-15)
+
+
+def _mp_pair_density(x: float, c: float, eta: float) -> float:
+    """|Im G|/pi of the weighted cubic's complex pair at real x, from 60-digit roots (0 if all real)."""
+    with mpmath.workdps(60):
+        x, c, eta = mpmath.mpf(x), mpmath.mpf(c), mpmath.mpf(eta)
+        coeffs = [eta * c * c * x, c * eta * (2 - c) + c * (1 - eta) * x, (1 - eta) * (1 - c) - x, 1]
+        roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+        return float(max(abs(mpmath.im(r)) for r in roots) / mpmath.pi)
+
+
+@pytest.mark.parametrize(
+    "c, eta", [(2.0, 0.5), (2.0, 0.2), (2.0, 2.0), (1.0, 0.2), (3.0, 0.5), (0.5, 2.0), (2.2, 0.9)]
+)
+def test_weighted_density_next_to_edges_against_mpmath(c, eta):
+    # 1e-12 ... 1e-2 on both sides of every edge: square-root edges, and at
+    # c = 2 the one-sided |x|^(-1/2) edge at the origin
+    edges = [e for ab in find_support_numeric(c, eta) for e in ab]
+    xs = np.array([e + s * 10.0**-k for e in edges for s in (-1.0, 1.0) for k in range(2, 13)])
+    want = np.array([_mp_pair_density(x, c, eta) for x in xs])
+    assert np.max(np.abs(aed_curve(xs, c, eta) - want)) <= 1e-9

@@ -61,6 +61,21 @@ class TestAbsoluteMoment:
         got = absolute_moment(z, c)
         assert abs(got - want) < 1e-6 * abs(want)
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("z", [1 + 0.5j, 0.5 - 1j, 2.5 + 2j])
+    def test_complex_order_against_mpmath_quad(self, z, c):
+        import mpmath
+
+        from rmtdiff.asym_law import aed_symmetric
+
+        x_minus, x_plus = support_points(c)
+        with mpmath.workdps(20):
+            half = mpmath.quad(
+                lambda x: mpmath.power(x, z) * aed_symmetric(float(x), c), [x_minus or 0.0, x_plus]
+            )
+        want = 2.0 * complex(half)
+        assert abs(absolute_moment(z, c) - want) <= 1e-12 * abs(want)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             absolute_moment(0.0, 1.0)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rmtdiff.errors import DomainError, PoleError
@@ -139,6 +140,20 @@ class TestGauss2F1:
             (b + 1) * (z - 1)
         ) / (b - c + 1) * f(a, b + 2, c)
         assert lhs == pytest.approx(rhs2, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, x",
+    [
+        (0.5 + 0.3j, 1.2 - 0.7j, 2.1 + 0.4j, 0.3),
+        (-1.5 + 2j, 0.25 + 0.5j, 1.5 - 1j, -0.6),
+        (1 - 0.5j, 1 + 0.5j, 3 + 2j, 0.85),
+        (2.5j, -0.7 + 1.1j, 0.5 + 0.5j, 0.45),
+    ],
+)
+def test_hyp2f1_complex_parameters_against_mpmath(a, b, c, x):
+    want = complex(mpmath.hyp2f1(a, b, c, x))
+    assert abs(hyp2f1(a, b, c, x) - want) <= 1e-12 * abs(want)
 
 
 class TestLaguerreSum:
