@@ -61,7 +61,6 @@ from .asym_law import (
     CauchyEval,
     aed_curve,
     aed_grid,
-    aed_numeric,
     aed_symmetric,
     atom_weight,
     cauchy_roots,

@@ -34,7 +34,6 @@ __all__ = [
     "aed_symmetric",
     "CauchyEval",
     "cauchy_roots",
-    "aed_numeric",
     "aed_curve",
     "marchenko_pastur",
     "r_transform_sum",
@@ -167,11 +166,11 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     well scaled as a3 = eta c^2 z -> 0 sends one G root to infinity.  Cardano
     on the depressed cubic t^3 + 3 p3 t - 2 w (h = t - a1/3) takes the larger
     of |w +- s|, s^2 = w^2 + p3^3, as u^3 so that the sum does not cancel;
-    t = u omega^k - p3/(u omega^k).  The smallest h, which cancels
-    in t - a1/3, comes from h0 h1 h2 = -a3 instead.  G = 1/h is polished by
-    two Newton steps on the cubic in G, each kept only where it lowers the
-    residual: next to a double root (a support edge, for real z) the slope
-    is ~0 and an unchecked step can throw the pair off by up to 1e-2.
+    t = u omega^k - p3/(u omega^k).  Only h0, the root of largest |h|, is
+    kept: the smaller two can cancel in t - a1/3.  They solve h^2 - s h + p
+    with p = -a3/h0 and s = (a2 - p)/h0 (Vieta), as q = s/2 +- sqrt(s^2/4 - p)
+    with the sign of larger |q| and p/q, so no step subtracts O(1) terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.8).
     """
     z = np.asarray(z, dtype=complex).ravel()
     roots = np.empty((z.size, 3), dtype=complex)
@@ -184,19 +183,13 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
         u = (w + s) ** (1.0 / 3.0) * _OMEGA
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where(u == 0.0, 0.0, u - p3 / u) - a1 / 3.0  # u = 0: triple root
-        # the smallest root cancels in t - a1/3; Vieta (h0 h1 h2 = -a3) gives it from the others
-        small = np.argmin(np.abs(h), axis=1)
-        rows = np.arange(len(h))
-        h[rows, small] = -a3[:, 0] / (h[rows, (small + 1) % 3] * h[rows, (small + 2) % 3])
-        g = 1.0 / h
-        f = ((a3 * g + a2) * g + a1) * g + 1.0
-        for _ in range(2):
-            df = (3.0 * a3 * g + 2.0 * a2) * g + a1
-            step = g - f / np.where(df == 0.0, np.inf, df)  # a zero slope leaves the root as is
-            f_step = ((a3 * step + a2) * step + a1) * step + 1.0
-            better = np.abs(f_step) <= np.abs(f)
-            g, f = np.where(better, step, g), np.where(better, f_step, f)
-        roots[start : start + _SOLVE_BLOCK] = g
+        h0 = np.take_along_axis(h, np.argmax(np.abs(h), axis=1)[:, None], axis=1)
+        p = -a3 / h0
+        half = (a2 - p) / (2.0 * h0)
+        r = np.sqrt(half * half - p)
+        q = half + np.where((half.conj() * r).real >= 0.0, r, -r)
+        h = np.hstack((h0, q, np.where(q == 0.0, 0.0, p / q)))
+        roots[start : start + _SOLVE_BLOCK] = 1.0 / h
     return roots
 
 
@@ -279,19 +272,14 @@ def _continuous_density(xs: np.ndarray, c: float, eta: float) -> np.ndarray:
     return np.where(outside[np.searchsorted(edges, xs)], 0.0, im / math.pi)
 
 
-def aed_numeric(x: float, c: float, eta: float = 1.0) -> float:
-    """Continuous density at x by Stieltjes inversion of the cubic on the real axis.
-
-    Inside the support the density is |Im G|/pi of the cubic's complex root
-    pair at x; outside the discriminant edges it is exactly 0.  The origin
-    point mass is not included, so this matches ``aed_symmetric`` for eta = 1.
-    A batch of one of ``aed_curve``.
-    """
-    return float(_continuous_density(np.array([x], dtype=float), c, eta)[0])
-
-
 def aed_curve(xs: np.ndarray, c: float, eta: float = 1.0) -> np.ndarray:
-    """aed_numeric at every point of xs (any shape), from one batched cubic solve."""
+    """Continuous density at every point of xs (any shape), from one batched cubic solve.
+
+    Stieltjes inversion of the cubic on the real axis: inside the support the
+    density is |Im G|/pi of the cubic's complex root pair at x; outside the
+    discriminant edges it is exactly 0.  The origin point mass is not
+    included, so this matches ``aed_symmetric`` for eta = 1.
+    """
     xs = np.asarray(xs, dtype=float)
     return _continuous_density(xs.ravel(), c, eta).reshape(xs.shape)
 
@@ -396,7 +384,7 @@ def _support_grid(intervals, lo, hi, count, origin_scale: float):
     return np.unique(np.concatenate(pts))
 
 
-def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001, pad: float = 1.1) -> AedResult:
+def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     """Tabulate the asymptotic density on an edge-aware grid.
 
     Equal weights use the closed form; eta != 1 inverts the cubic at every
@@ -421,7 +409,7 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001, pad: float = 1.1)
     lo, hi = intervals[0][0], intervals[-1][1]
     if c == 2.0:
         count *= 4
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * pad
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 1.1  # 10 % padding around the support
     grid = _support_grid(intervals, mid - half, mid + half, count, max(-lo, hi))
     if c == 2.0:
         grid = grid[grid != 0.0]  # density unbounded exactly at the origin

@@ -38,11 +38,11 @@ diagonal, bottom-block chi^2, bottom-block normals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import EnsembleParams
+from .sampling import EnsembleParams, _reduced_density_batch, von_neumann_entropy
 
 __all__ = [
     "difference_spectra",
@@ -54,7 +54,6 @@ __all__ = [
     "trace_distance_mc",
     "operator_norm_mc",
     "mean_entropy_mc",
-    "mean_purity_mc",
 ]
 
 _BATCH_ENTRIES = 4_000_000
@@ -163,7 +162,6 @@ class HistogramResult:
     total_samples: int
     atom_fraction: float = 0.0
     atom_threshold: float | None = None
-    metadata: dict = field(default_factory=dict, compare=False)
 
     @property
     def centers(self) -> np.ndarray:
@@ -242,51 +240,14 @@ def operator_norm_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1
     return sum(totals) / n_samples
 
 
-def _reduced_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of reduced density matrices via the normalized-state path."""
-    psi = rng.standard_normal((b, n * m)) + 1j * rng.standard_normal((b, n * m))
-    psi /= np.linalg.norm(psi, axis=1)[:, None]
-    v = psi.reshape(b, n, m)
-    return v @ v.conj().transpose(0, 2, 1)
-
-
-def _ginibre_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of G G^H / Tr(G G^H) for complex Ginibre N x M matrices G (real parts drawn first)."""
-    g = rng.standard_normal((b, n, m)) + 1j * rng.standard_normal((b, n, m))
-    s = g @ g.conj().transpose(0, 2, 1)
-    return s / np.trace(s, axis1=1, axis2=2).real[:, None, None]
-
-
-_DENSITY_BATCHES = {"ginibre": _ginibre_density_batch, "pure-state": _reduced_density_batch}
-
-
-def _batch_mean(params: EnsembleParams, n_samples: int, density_batch, total) -> float:
-    """Mean over stream (seed, 0) draws; ``total`` sums a batch of density matrices."""
+def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
+    """Mean von Neumann entropy (nats) of reduced density matrices drawn on stream (seed, 0)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = params.rng()
     n, m = params.n_small, params.m_large
-    acc = 0.0
+    total = 0.0
     for sl in _batches(n, m, n_samples):
-        acc += total(density_batch(n, m, sl.stop - sl.start, rng))
-    return acc / n_samples
-
-
-def _entropy_total(rho: np.ndarray) -> float:
-    lam = np.clip(np.linalg.eigvalsh(rho), 1e-300, None)
-    return float(-np.sum(lam * np.log(lam)))
-
-
-def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
-    """Mean von Neumann entropy (nats) of sampled reduced density matrices."""
-    return _batch_mean(params, n_samples, _reduced_density_batch, _entropy_total)
-
-
-def mean_purity_mc(params: EnsembleParams, n_samples: int, *, path: str = "ginibre") -> float:
-    """Mean Tr(rho^2); ``path`` selects which of the two samplers to exercise."""
-    if path not in _DENSITY_BATCHES:
-        raise ValueError("path must be 'ginibre' or 'pure-state'")
-    return _batch_mean(
-        params, n_samples, _DENSITY_BATCHES[path],
-        lambda rho: float(np.einsum("bij,bji->", rho, rho).real),
-    )
+        rho = _reduced_density_batch(n, m, sl.stop - sl.start, rng)
+        total += von_neumann_entropy(np.linalg.eigvalsh(rho))
+    return total / n_samples

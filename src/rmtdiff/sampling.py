@@ -39,6 +39,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 HERMITIAN_TOL = 1e-10
 
+# Invariant tolerances of ``is_density_matrix``.
+_DENSITY_HERM_TOL = 1e-12
+_DENSITY_TRACE_TOL = 1e-12
+_DENSITY_PSD_TOL = 1e-10
+
 
 def _mix64(v: int) -> int:
     """SplitMix64 finalizer; a bijective 64-bit scrambler."""
@@ -100,10 +105,9 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Ascending eigenvalues of one draw; ``rescaled`` means x = N * lambda."""
+    """Ascending eigenvalues of one draw."""
 
     eigenvalues: np.ndarray
-    rescaled: bool = False
 
 
 def sample_ginibre(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,24 +128,31 @@ def reduced_density_from_ginibre(g: np.ndarray) -> np.ndarray:
     return s / tr
 
 
+def _reduced_density_batch(n: int, m: int, b: int, rng: np.random.Generator) -> np.ndarray:
+    """(b, N, N) reduced density matrices of uniformly random bipartite pure states.
+
+    Each draws a normalized complex Gaussian vector in dimension N*M (real
+    parts first; equivalent to a Haar-uniform unit vector), reshapes it to
+    N x M and traces out the M-dimensional factor.
+    """
+    psi = rng.standard_normal((b, n * m)) + 1j * rng.standard_normal((b, n * m))
+    nrm = np.linalg.norm(psi, axis=1)
+    if np.any(nrm == 0.0):
+        raise ZeroMatrix("zero state vector")
+    v = (psi / nrm[:, None]).reshape(b, n, m)
+    return v @ v.conj().transpose(0, 2, 1)
+
+
 def sample_pure_state_reduced(
     params: EnsembleParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Reduced density matrix of a uniformly random bipartite pure state.
 
-    Draws a normalized complex Gaussian vector in dimension N*M (equivalent
-    to a Haar-uniform unit vector), reshapes to N x M, and traces out the
-    M-dimensional factor.  Distributionally identical to
-    ``reduced_density_from_ginibre`` but computed along an independent code
-    path for cross-validation.
+    A batch of one of the pure-state builder that ``mean_entropy_mc`` also
+    uses.  Distributionally identical to ``reduced_density_from_ginibre``
+    but computed along an independent code path for cross-validation.
     """
-    n, m = params.n_small, params.m_large
-    psi = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise ZeroMatrix("zero state vector")
-    v = (psi / nrm).reshape(n, m)
-    return v @ v.conj().T
+    return _reduced_density_batch(params.n_small, params.m_large, 1, rng)[0]
 
 
 def sample_difference(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +190,7 @@ def hermitian_eigenvalues(
             vals = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:  # iteration budget exceeded in LAPACK
         raise NoConvergence(str(exc)) from exc
-    return SpectrumSample(eigenvalues=vals, rescaled=False)
+    return SpectrumSample(eigenvalues=vals)
 
 
 def page_entropy_mean(n: int, m: int) -> float:
@@ -193,25 +204,22 @@ def page_entropy_mean(n: int, m: int) -> float:
 
 
 def von_neumann_entropy(eigenvalues: np.ndarray) -> float:
-    """Entropy -sum(l log l) in nats; zero and tiny-negative eigenvalues contribute 0."""
+    """Entropy -sum(l log l) in nats; zero and tiny-negative eigenvalues contribute 0.
+
+    A stack of spectra (any shape) gives the sum of their entropies.
+    """
     lam = np.asarray(eigenvalues, dtype=float)
     lam = lam[lam > 1e-300]
     return float(-np.sum(lam * np.log(lam)))
 
 
-def is_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> bool:
+def is_density_matrix(rho: np.ndarray) -> bool:
     """Check the density-matrix invariants: Hermitian, unit trace, PSD."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_HERM_TOL:
         return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > _DENSITY_TRACE_TOL:
         return False
-    return bool(np.linalg.eigvalsh(rho)[0] >= -psd_tol)
+    return bool(np.linalg.eigvalsh(rho)[0] >= -_DENSITY_PSD_TOL)

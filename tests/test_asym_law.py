@@ -8,7 +8,6 @@ import pytest
 from rmtdiff.asym_law import (
     aed_curve,
     aed_grid,
-    aed_numeric,
     aed_symmetric,
     atom_weight,
     cauchy_roots,
@@ -112,7 +111,7 @@ class TestSymmetricDensity:
         for c in (0.5, 1.0, 1.9):
             for x in (1e-4, -1e-4, 3e-5):
                 assert aed_symmetric(x, c) == pytest.approx(
-                    aed_numeric(x, c), abs=1e-9
+                    aed_curve(np.array([x]), c)[0], abs=1e-9
                 )
 
     def test_edge_vanishing(self):
@@ -186,8 +185,8 @@ class TestSymmetricDensityArrays:
 
 class TestSupportMask:
     def test_zero_just_outside_every_edge(self):
-        # a narrow gap (0.00125, 0.00244): 1.2e-8 below its upper edge the
-        # Richardson remainder of the default eps read 1.4e-7
+        # a narrow gap (0.00125, 0.00244): 1.2e-8 from each edge the discriminant
+        # mask alone decides between exactly 0 and a positive density
         c, eta = 1.9375, 2.0
         intervals = find_support_numeric(c, eta)
         assert len(intervals) == 2
@@ -298,12 +297,12 @@ class TestNumericInversion:
 
     def test_atom_excluded_at_origin(self):
         for c in (2.5, 5.0):
-            assert aed_numeric(0.0, c) == pytest.approx(0.0, abs=1e-10)
+            assert aed_curve(np.array([0.0]), c)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_scalar_matches_curve(self):
         xs = np.linspace(-2.0, 2.0, 21)
         curve = aed_curve(xs, 1.0)
-        scalars = [aed_numeric(float(x), 1.0) for x in xs]
+        scalars = [aed_curve(np.array([x]), 1.0)[0] for x in xs]
         assert np.allclose(curve, scalars, atol=1e-12)
 
 
@@ -466,7 +465,7 @@ class TestDomainValidation:
 
     def test_numeric_density_nan_eta(self):
         with pytest.raises(DomainError):
-            aed_numeric(0.5, 1.0, math.nan)
+            aed_curve(np.array([0.5]), 1.0, math.nan)
 
     def test_grid_nan_c(self):
         with pytest.raises(DomainError):
@@ -480,7 +479,7 @@ class TestDomainValidation:
         "call",
         [
             lambda: aed_symmetric(math.inf, 1.0),
-            lambda: aed_numeric(math.nan, 1.0),
+            lambda: aed_curve(np.array([math.nan]), 1.0),
             lambda: aed_curve(np.array([0.0, math.nan]), 1.0),
             lambda: aed_curve([0.0], 1.0, -1.0),
             lambda: aed_grid(1.0, math.inf),

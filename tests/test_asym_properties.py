@@ -153,3 +153,30 @@ def test_weighted_density_next_to_edges_against_mpmath(c, eta):
     xs = np.array([e + s * 10.0**-k for e in edges for s in (-1.0, 1.0) for k in range(2, 13)])
     want = np.array([_mp_pair_density(x, c, eta) for x in xs])
     assert np.max(np.abs(aed_curve(xs, c, eta) - want)) <= 1e-9
+
+
+def _mp_pair_density_scaled(x: float, c: float, eta: float) -> mpmath.mpf:
+    """``_mp_pair_density`` in 80 digits, solved for y = G sqrt|x|: at tiny |x| the pair stays O(1)."""
+    with mpmath.workdps(80):
+        x, c, eta = mpmath.mpf(x), mpmath.mpf(c), mpmath.mpf(eta)
+        t = 1 / mpmath.sqrt(abs(x))
+        coeffs = [eta * c * c * x, c * eta * (2 - c) + c * (1 - eta) * x, (1 - eta) * (1 - c) - x, 1]
+        scaled = [a * t ** (3 - i) for i, a in enumerate(coeffs)]
+        roots = mpmath.polyroots(scaled, maxsteps=500, extraprec=400)
+        return max(abs(mpmath.im(r * t)) for r in roots) / mpmath.pi
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.2, 2.0, 5.0])
+def test_weighted_density_at_origin_edge_c2(eta):
+    # at c = 2 the support ends at x = 0 on one side (x < 0 for eta < 1), where
+    # two of the h = 1/G roots are O(sqrt|x|): neither may be lost to cancellation
+    mags = [10.0**-k for k in (15, 17, 18, 19, 30, 100, 300)] + [1e-310]
+    xs = np.array([s * m for m in mags for s in (-1.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = aed_curve(xs, 2.0, eta)
+    support = xs < 0.0 if eta < 1.0 else xs > 0.0
+    for x, g in zip(xs[support], got[support]):
+        want = _mp_pair_density_scaled(x, 2.0, eta)
+        assert abs(g - want) <= 1e-12 * want
+    assert np.all(got[~support] == 0.0)

@@ -217,11 +217,11 @@ class TestExitCodes:
             run_cli(["sample", "--n", "3", "--m", "3", "--out", str(tmp_path / "s.csv")] + extra)
         assert exc.value.code == 2
 
-    def test_verify_fast_subprocess_smoke(self):
+    def test_verify_fast_subprocess_smoke(self, src_env):
         # exercised through the console entry point for the exit-code contract
         proc = subprocess.run(
             [sys.executable, "-m", "rmtdiff.cli", "verify", "--level", "fast"],
-            capture_output=True, text=True, timeout=1200,
+            capture_output=True, text=True, timeout=1200, env=src_env,
         )
         lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("AC-")]
         assert len(lines) == 13

@@ -9,7 +9,6 @@ from rmtdiff.montecarlo import (
     difference_spectra,
     l1_distance,
     mean_entropy_mc,
-    mean_purity_mc,
     operator_norm_mc,
     pooled_spectrum,
     trace_distance_mc,
@@ -177,7 +176,7 @@ class TestPooling:
         assert operator_norm_mc(params, 17, workers=4) == norm
 
     @pytest.mark.parametrize(
-        "fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc, mean_entropy_mc, mean_purity_mc]
+        "fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc, mean_entropy_mc]
     )
     def test_zero_samples_raise(self, fn):
         with pytest.raises(ValueError, match="n_samples"):

@@ -92,13 +92,14 @@ class TestReducedDensity:
 
     def test_two_paths_agree_on_purity(self):
         # mean Tr(rho^2) must match between the sampling paths within 3 sigma
-        from rmtdiff.montecarlo import mean_purity_mc
-
         n_samp = 20_000
         pa = EnsembleParams(n_small=3, m_large=6, seed=11)
         pb = EnsembleParams(n_small=3, m_large=6, seed=12)
-        m_g = mean_purity_mc(pa, n_samp, path="ginibre")
-        m_p = mean_purity_mc(pb, n_samp, path="pure-state")
+        rng_a, rng_b = pa.rng(), pb.rng()
+        ginibre = (reduced_density_from_ginibre(sample_ginibre(3, 6, rng_a)) for _ in range(n_samp))
+        pure = (sample_pure_state_reduced(pb, rng_b) for _ in range(n_samp))
+        m_g = sum(np.vdot(rho, rho).real for rho in ginibre) / n_samp
+        m_p = sum(np.vdot(rho, rho).real for rho in pure) / n_samp
         # purity fluctuations are O(1/(NM)); 3 sigma with a generous constant
         assert abs(m_g - m_p) < 3 * 0.2 / math.sqrt(n_samp)
 
@@ -150,7 +151,6 @@ class TestEigenvalues:
     def test_identity(self):
         s = hermitian_eigenvalues(np.eye(3))
         assert np.allclose(s.eigenvalues, 1.0)
-        assert not s.rescaled
 
     def test_diagonal_sorted(self):
         s = hermitian_eigenvalues(np.diag([-0.3, 0.1, 0.2]))
