@@ -171,11 +171,18 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     with p = -a3/h0 and s = (a2 - p)/h0 (Vieta), as q = s/2 +- sqrt(s^2/4 - p)
     with the sign of larger |q| and p/q, so no step subtracts O(1) terms
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.8).
+    Each point's cubic is first solved for h/sigma, with sigma the power of two
+    in (m, 2m], m = max(|a1|, |a2|^(1/2), |a3|^(1/3)), so that its coefficients
+    are exactly scaled to at most 1: w^2 and p3^3 then do not underflow as
+    z -> 0, where at c = 2, eta = 1 all three coefficients scale with z.
     """
     z = np.asarray(z, dtype=complex).ravel()
     roots = np.empty((z.size, 3), dtype=complex)
     for start in range(0, z.size, _SOLVE_BLOCK):
         a3, a2, a1, _ = _cubic_coefficients(z[start : start + _SOLVE_BLOCK, None], c, eta)
+        size = np.maximum(np.maximum(np.abs(a1), np.sqrt(np.abs(a2))), np.cbrt(np.abs(a3)))
+        inv = np.ldexp(1.0, -np.frexp(size)[1])  # 1/sigma; 1 where size is 0
+        a1, a2, a3 = a1 * inv, a2 * inv * inv, a3 * inv * inv * inv
         p3 = (a2 - a1 * a1 / 3.0) / 3.0
         w = -(a1 * (2.0 * a1 * a1 - 9.0 * a2) / 27.0 + a3) / 2.0
         s = np.sqrt(w * w + p3 * p3 * p3)
@@ -189,7 +196,7 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
         r = np.sqrt(half * half - p)
         q = half + np.where((half.conj() * r).real >= 0.0, r, -r)
         h = np.hstack((h0, q, np.where(q == 0.0, 0.0, p / q)))
-        roots[start : start + _SOLVE_BLOCK] = 1.0 / h
+        roots[start : start + _SOLVE_BLOCK] = inv / h
     return roots
 
 

@@ -9,8 +9,9 @@ Subcommands and the options each accepts:
   fig      --id [--out --fast --workers --format]
   verify   [--level --out]
 With --grid, its count is the bin count (a differing --bins exits 2).
---workers is the number of independent random sub-streams: the output
-depends on it, and no threads are started.  RMTDIFF_SEED overrides the
+--workers is the number of independent random sub-streams, not of
+threads: the output bytes depend on (seed, workers) alone, while the draws
+are solved on every core the process may use.  RMTDIFF_SEED overrides the
 master seed (useful in CI).  Exit codes: 0 success, 1 verification
 failure, 2 usage error, 3 numerical or I/O error.
 """

@@ -2,10 +2,15 @@
 
 ``workers`` is the number of independent sub-streams: stream w is the
 counter-based generator (seed, w) of ``sampling``, it draws its share of the
-samples, and the results are joined in stream order.  Output is therefore
-byte-reproducible for a fixed (seed, workers) pair and depends on both.  The
-streams run one after another in the calling thread; the batched BLAS and
-LAPACK calls that do the work already use the cores.
+samples, and the results are joined in stream order.  The streams run one
+after another.  Within each ``_batches`` slice the calling thread draws the
+random numbers and allocates every large buffer; then one thread per core
+(``os.sched_getaffinity``) solves a contiguous range of the draws, with the
+OpenBLAS that numpy loaded held at one thread.  Each draw's products and
+eigensolve are then the same single-threaded LAPACK calls whatever the split,
+so output bytes are fixed by (seed, workers) alone: not by the core count and
+not by ``OPENBLAS_NUM_THREADS``.  Where that OpenBLAS cannot be found, each
+slice is solved by one batched call in the calling thread instead.
 
 ``difference_spectra`` is the one sampling kernel.  It draws only what the
 eigenvalue law of Z = p rho1 - q rho2 needs.  With k = min(N, M),
@@ -38,7 +43,13 @@ diagonal, bottom-block chi^2, bottom-block normals.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +74,55 @@ def _batches(n: int, m: int, n_samples: int) -> list[slice]:
     """Slices covering ``n_samples`` draws; sized from (N, M) alone, never from free memory."""
     step = max(1, _BATCH_ENTRIES // max(n * m, n * n))
     return [slice(i, min(i + step, n_samples)) for i in range(0, n_samples, step)]
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for stem in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(handle, stem.format("get"), None)
+            put = getattr(handle, stem.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_PIN_LOCK = threading.Lock()
+
+
+def _on_cores(b: int, solve) -> None:
+    """Run ``solve(lo, hi)`` over the draws [0, b) split across the cores.
+
+    One contiguous range per core (at most b), the first in the calling
+    thread, with OpenBLAS held at one thread and its count restored after,
+    also on error.  The lock keeps concurrent callers from restoring each
+    other's count.  Without a bundled OpenBLAS this is one ``solve(0, b)``.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        solve(0, b)
+        return
+    get, put = blas
+    allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cores = min(b, allowed or 1)
+    cuts = [b * c // cores for c in range(cores + 1)]
+    with _PIN_LOCK:
+        before = get()
+        put(1)
+        try:
+            with ThreadPoolExecutor(max(cores - 1, 1)) as pool:  # starts threads on submit only
+                futures = [pool.submit(solve, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+                solve(cuts[0], cuts[1])
+                for f in futures:
+                    f.result()
+        finally:
+            put(before)
 
 
 def difference_spectra(
@@ -99,16 +159,28 @@ def difference_spectra(
         y[:, k + j, j] = np.sqrt(rng.chisquare(2 * (n - m - j), (b, r)))
         y[:, k + right[0], right[1]] = rng.standard_normal((b, 2 * right[0].size)).view(complex)
         y *= np.sqrt(q / np.sum(y.view(float) ** 2, axis=(1, 2)))[:, None, None]
-        z = -(y @ y.conj().transpose(0, 2, 1))
         # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i
         w = p / (a2.sum(axis=1) + s2.sum(axis=1))[:, None]
-        z[:, i, i] += w * a2
-        z[:, i[1:], i[1:]] += w * s2
-        off = w * np.sqrt(s2 * a2[:, :-1])
-        z[:, i[1:], i[:-1]] += off
-        z[:, i[:-1], i[1:]] += off
-        out[sl, :d] = np.linalg.eigvalsh(z)
-        out[sl].sort(axis=1)  # places the N - d padded zeros
+        diag, sub, off = w * a2, w * s2, w * np.sqrt(s2 * a2[:, :-1])
+        yc = np.empty_like(y)
+        z = np.empty((b, d, d), dtype=complex)
+        rows = out[sl]
+
+        def solve(lo, hi):
+            np.conjugate(y[lo:hi], out=yc[lo:hi])
+            zs = np.matmul(y[lo:hi], yc[lo:hi].transpose(0, 2, 1), out=z[lo:hi])
+            np.negative(zs, out=zs)
+            # views into each flattened d*d matrix, for i < k: (i, i) sits at
+            # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
+            flat = zs.reshape(hi - lo, d * d)
+            flat[:, : k * (d + 1) : d + 1] += diag[lo:hi]
+            flat[:, d + 1 : k * (d + 1) : d + 1] += sub[lo:hi]
+            flat[:, d : d + (k - 1) * (d + 1) : d + 1] += off[lo:hi]
+            flat[:, 1 : 1 + (k - 1) * (d + 1) : d + 1] += off[lo:hi]
+            rows[lo:hi, :d] = np.linalg.eigvalsh(zs)
+            rows[lo:hi].sort(axis=1)  # places the N - d padded zeros
+
+        _on_cores(b, solve)
     if rescaled:
         out *= n
     return out
@@ -249,5 +321,11 @@ def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
     total = 0.0
     for sl in _batches(n, m, n_samples):
         rho = _reduced_density_batch(n, m, sl.stop - sl.start, rng)
-        total += von_neumann_entropy(np.linalg.eigvalsh(rho))
+        lam = np.empty(rho.shape[:2])
+
+        def solve(lo, hi):
+            lam[lo:hi] = np.linalg.eigvalsh(rho[lo:hi])
+
+        _on_cores(len(rho), solve)
+        total += von_neumann_entropy(lam)
     return total / n_samples

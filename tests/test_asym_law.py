@@ -295,6 +295,13 @@ class TestNumericInversion:
         for x in (xs, -xs):
             assert np.allclose(aed_curve(x, c), aed_symmetric(x, c), rtol=1e-12, atol=0.0)
 
+    def test_tiny_x_at_transition(self):
+        # at c = 2 all three coefficients of the cubic in 1/G scale with x, and
+        # unscaled Cardano lost w^2 and p3^3 to underflow below |x| ~ 1e-157
+        xs = np.array([10.0 ** -k for k in (150, 157, 170, 200, 250, 308)] + [1e-310])
+        for x in (xs, -xs):
+            assert np.allclose(aed_curve(x, 2.0), aed_symmetric(x, 2.0), rtol=1e-12, atol=0.0)
+
     def test_atom_excluded_at_origin(self):
         for c in (2.5, 5.0):
             assert aed_curve(np.array([0.0]), c)[0] == pytest.approx(0.0, abs=1e-10)

@@ -1,8 +1,15 @@
 
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from rmtdiff import montecarlo
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
 from rmtdiff.montecarlo import (
     build_histogram,
@@ -276,6 +283,112 @@ class TestReductions:
     def test_entropy_small_dims(self):
         params = EnsembleParams(n_small=1, m_large=4, seed=15)
         assert mean_entropy_mc(params, 100) == pytest.approx(0.0, abs=1e-12)
+
+
+_HASH_PARAMS = EnsembleParams(n_small=200, m_large=200, seed=5)
+_HASH_CHILD = (
+    "import hashlib\n"
+    "from rmtdiff.montecarlo import difference_spectra\n"
+    "from rmtdiff.sampling import EnsembleParams\n"
+    f"s = difference_spectra({_HASH_PARAMS!r}, 40)\n"
+    "print(hashlib.sha256(s.tobytes()).hexdigest())\n"
+)
+
+
+@pytest.fixture(scope="module")
+def spectra_hash():
+    return hashlib.sha256(difference_spectra(_HASH_PARAMS, 40).tobytes()).hexdigest()
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the bundled OpenBLAS's thread count; its count is restored after the test."""
+    blas = montecarlo._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    before = blas[0]()
+    yield blas
+    blas[1](before)
+
+
+class TestCores:
+    # at (200, 200) the parent's bytes differed between one and two OpenBLAS threads
+    @pytest.mark.parametrize("blas, cores", [("1", None), ("2", None), (None, 1), (None, 2)])
+    def test_bytes_independent_of_blas_threads_and_cores(self, src_env, spectra_hash, blas, cores):
+        env = {k: v for k, v in src_env.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        preexec = None
+        if cores is not None:
+            allowed = sorted(os.sched_getaffinity(0))
+            if len(allowed) < cores:
+                pytest.skip(f"affinity offers {len(allowed)} core(s)")
+            preexec = lambda: os.sched_setaffinity(0, allowed[:cores])  # noqa: E731
+        child = subprocess.run(
+            [sys.executable, "-c", _HASH_CHILD],
+            env=env, preexec_fn=preexec, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == spectra_hash
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: difference_spectra(EnsembleParams(n_small=30, m_large=20, seed=1), 50),
+            lambda: mean_entropy_mc(EnsembleParams(n_small=6, m_large=9, seed=1), 50),
+        ],
+        ids=["difference_spectra", "mean_entropy_mc"],
+    )
+    def test_blas_threads_restored(self, blas_threads, monkeypatch, call):
+        get, put = blas_threads
+        put(2)
+        call()
+        assert get() == 2
+        seen = []
+
+        def failing(a):
+            seen.append(get())
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            call()
+        assert seen and set(seen) == {1}
+        assert get() == 2
+
+    @pytest.mark.parametrize("n, m", [(80, 50), (100, 20)])
+    def test_serial_fallback_same_bytes(self, monkeypatch, n, m):
+        params = EnsembleParams(n_small=n, m_large=m, seed=7)
+        pinned = difference_spectra(params, 300)
+        monkeypatch.setattr(montecarlo, "_openblas_threads", lambda: None)
+        assert np.array_equal(difference_spectra(params, 300), pinned)
+
+    def test_concurrent_callers(self, blas_threads):
+        # more calling threads than cores, switching often: each result equals
+        # the serial one, and the last restore leaves the count as it was
+        get, put = blas_threads
+        put(2)
+        params = [EnsembleParams(n_small=12, m_large=7 + t, seed=t) for t in range(6)]
+        want = [difference_spectra(p, 64) for p in params]
+        got = [None] * len(params)
+
+        def run(t):
+            for _ in range(5):
+                got[t] = difference_spectra(params[t], 64)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(len(params))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert get() == 2
 
 
 class TestCsvRoundTrip:

@@ -160,7 +160,7 @@ class TestEigenvalues:
         rng = make_rng(17)
         a = sample_ginibre(50, 50, rng)
         h = a + a.conj().T
-        s = hermitian_eigenvalues(h, check_residual=True)
+        s = hermitian_eigenvalues(h)
         assert np.sum(s.eigenvalues) == pytest.approx(np.trace(h).real, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
