@@ -145,6 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params(args) -> EnsembleParams:
+    """The ensemble of ``sample`` and ``hist``; a count below 1 is a usage error (exit 2)."""
+    for name in ("n", "m", "samples", "workers"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name} must be >= 1, got {getattr(args, name)}")
     return EnsembleParams(
         n_small=args.n, m_large=args.m, weight_p=args.p, weight_q=args.q,
         seed=int(os.environ.get(_SEED_ENV) or args.seed),

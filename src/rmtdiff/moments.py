@@ -13,7 +13,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .asym_law import _check_domain, aed_curve, aed_symmetric, find_support_numeric, support_points
 from .errors import DomainError, QuadratureFailure
@@ -168,6 +167,8 @@ def operator_norm_asymptotic(c: float, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_legendre  # here, not at module level: scipy costs ~0.3 s to import
+
     return roots_legendre(n)
 
 

@@ -14,11 +14,12 @@ run is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOrder, NoConvergence, NonHermitian, ZeroMatrix
+from .errors import DimensionOrder, DomainError, NoConvergence, NonHermitian, ZeroMatrix
 
 __all__ = [
     "EnsembleParams",
@@ -66,6 +67,12 @@ def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=worker_seed(seed, worker)))
 
 
+def _check_count(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an integer >= 1 (Python or numpy)."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Dimensions, difference weights and master seed of one ensemble.
@@ -82,12 +89,12 @@ class EnsembleParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_small < 1 or self.m_large < 1:
-            raise ValueError("dimensions must be positive integers")
+        _check_count("n_small", self.n_small)
+        _check_count("m_large", self.m_large)
         if not (self.weight_p > 0.0 and self.weight_q > 0.0):
-            raise ValueError("weights must be positive")
+            raise DomainError("weights must be positive")
         if math.isinf(self.dim_ratio) or math.isinf(self.weight_ratio):
-            raise ValueError("derived ratios must be finite")
+            raise DomainError("derived ratios must be finite")
 
     @property
     def dim_ratio(self) -> float:

@@ -182,7 +182,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "extra",
         [["--samples", "0"], ["--workers", "0"], ["--bins", "1"],
-         ["--grid=-3:3:10", "--bins", "20"]],
+         ["--grid=-3:3:10", "--bins", "20"], ["--n", "0"], ["--m", "-2"]],
     )
     def test_bad_hist_value_exits_2_before_sampling(self, extra, tmp_path, monkeypatch):
         from rmtdiff import montecarlo
@@ -216,6 +216,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(["sample", "--n", "3", "--m", "3", "--out", str(tmp_path / "s.csv")] + extra)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("module", ["rmtdiff", "rmtdiff.cli"])
+    def test_import_leaves_scipy_unloaded(self, src_env, module):
+        # scipy takes ~0.3 s to import; only the calls that use it pay for it
+        child = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=src_env,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
 
     def test_verify_fast_subprocess_smoke(self, src_env):
         # exercised through the console entry point for the exit-code contract

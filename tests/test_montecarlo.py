@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from rmtdiff import montecarlo
+from rmtdiff.errors import DomainError
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
 from rmtdiff.montecarlo import (
     build_histogram,
@@ -188,6 +190,26 @@ class TestPooling:
     def test_zero_samples_raise(self, fn):
         with pytest.raises(ValueError, match="n_samples"):
             fn(EnsembleParams(n_small=3, m_large=3, seed=11), 0)
+
+    @pytest.mark.parametrize(
+        "fn", [difference_spectra, pooled_spectrum, trace_distance_mc, operator_norm_mc,
+               mean_entropy_mc]
+    )
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_non_integer_samples_raise(self, fn, count):
+        with pytest.raises(DomainError, match="n_samples"):
+            fn(EnsembleParams(n_small=3, m_large=3, seed=11), count)
+
+    @pytest.mark.parametrize("fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc])
+    @pytest.mark.parametrize("workers", [2.5, 0, -1])
+    def test_bad_workers_raise(self, fn, workers):
+        with pytest.raises(DomainError, match="workers"):
+            fn(EnsembleParams(n_small=3, m_large=3, seed=11), 10, workers=workers)
+
+    def test_numpy_integer_counts(self):
+        params = EnsembleParams(n_small=np.int64(3), m_large=np.int32(4), seed=11)
+        got = pooled_spectrum(params, np.int64(10), workers=np.int64(2))
+        assert np.array_equal(got, pooled_spectrum(EnsembleParams(3, 4, seed=11), 10, workers=2))
 
 
 class TestHistogram:
@@ -389,6 +411,62 @@ class TestCores:
         assert not any(th.is_alive() for th in threads)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert get() == 2
+
+
+class TestBlocks:
+    # N <= M, M < N < 2M, N >= 2M (padded zeros), N = 2, M = 1, q != 1; (100, 20)
+    # at 500 draws spans two _batches slices, the second one shorter
+    SHAPES = [(40, 50, 1.0, 300), (5, 6, 1.0, 300), (13, 7, 0.3, 300), (61, 30, 1.0, 100),
+              (12, 4, 2.0, 300), (100, 20, 1.0, 500), (2, 10, 1.0, 500), (2, 1, 1.0, 300),
+              (3, 1, 0.5, 300), (25, 25, 1.0, 1)]
+
+    @pytest.mark.parametrize("n, m, q, draws", SHAPES)
+    def test_bytes_independent_of_block_and_split(self, monkeypatch, n, m, q, draws):
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=n * m)
+        want = (difference_spectra(params, draws), pooled_spectrum(params, draws, workers=2))
+        # one draw per block, split at every d; one block per core's range, never split
+        for entries, split_min_d in [(1, 1), (10**12, 1), (1, 10**6), (10**12, 10**6)]:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(montecarlo, "_SPLIT_MIN_D", split_min_d)
+            assert np.array_equal(difference_spectra(params, draws), want[0])
+            assert np.array_equal(pooled_spectrum(params, draws, workers=2), want[1])
+
+    def test_peak_memory_is_draws_plus_one_block_set_per_core(self):
+        n, m, draws = 40, 50, 1000
+        d = k = n  # N <= M
+        params = EnsembleParams(n_small=n, m_large=m, seed=3)
+        spans = montecarlo._ranges(draws, d)
+        blk = min(montecarlo._BLOCK_ENTRIES // (d * d), max(hi - lo for lo, hi in spans))
+        block_sets = len(spans) * blk * (2 * d * k + d * d) * 16  # Y, its conjugate and Z
+        drawn = draws * (k * k + 8 * k) * 8  # Y's nonzero half and the per-draw rows, as floats
+        output = draws * n * 8
+        difference_spectra(params, 10)
+        tracemalloc.start()
+        try:
+            difference_spectra(params, draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slice-wide Y, Y^H and Z alone would take draws * (2 d k + d d) * 16 = 76.8 MB
+        assert peak < 1.25 * (block_sets + drawn + output)
+
+    @pytest.mark.parametrize("n, m", [(2, 10), (12, 7), (40, 50)])
+    def test_split_only_from_threshold(self, monkeypatch, n, m):
+        if montecarlo._openblas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        eigvalsh, threads = np.linalg.eigvalsh, set()
+
+        def recording(a):
+            threads.add(threading.get_ident())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        difference_spectra(EnsembleParams(n_small=n, m_large=m, seed=1), 200)
+        assert (len(threads) > 1) == (cores > 1 and min(n, 2 * m) >= montecarlo._SPLIT_MIN_D)
+        threads.clear()
+        mean_entropy_mc(EnsembleParams(n_small=n, m_large=m, seed=1), 50)
+        assert (len(threads) > 1) == (cores > 1 and n >= montecarlo._SPLIT_MIN_D)
 
 
 class TestCsvRoundTrip:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtdiff.errors import DimensionOrder, NonHermitian, ZeroMatrix
+from rmtdiff.errors import DimensionOrder, DomainError, NonHermitian, ZeroMatrix
 from rmtdiff.sampling import (
     EnsembleParams,
     hermitian_eigenvalues,
@@ -30,6 +30,22 @@ class TestEnsembleParams:
             EnsembleParams(n_small=0, m_large=3)
         with pytest.raises(ValueError):
             EnsembleParams(n_small=2, m_large=3, weight_p=0.0)
+
+    @pytest.mark.parametrize(
+        "n, m", [(4.5, 4), (4, 4.0), ("4", 4), (4, None), (0, 3), (np.int64(-1), 3)]
+    )
+    def test_non_integer_or_non_positive_dimensions(self, n, m):
+        with pytest.raises(DomainError, match="n_small|m_large"):
+            EnsembleParams(n_small=n, m_large=m)
+
+    def test_numpy_integers_accepted(self):
+        p = EnsembleParams(n_small=np.int64(4), m_large=np.int32(6))
+        assert p.dim_ratio == pytest.approx(4 / 6)
+
+    @pytest.mark.parametrize("kw", [{"weight_p": 0.0}, {"weight_q": math.nan}, {"weight_p": 1e-320}])
+    def test_bad_weights_are_domain_errors(self, kw):
+        with pytest.raises(DomainError):
+            EnsembleParams(n_small=2, m_large=3, **kw)
 
 
 class TestGinibre:
