@@ -13,7 +13,7 @@ from rmtdiff import (
     aed_grid,
     aed_symmetric,
     atom_weight,
-    cauchy_roots,
+    cauchy_transform,
     r_transform_sum,
     support_points,
 )
@@ -34,7 +34,7 @@ for c in (1.0, 2.5):
 
 # the functional equation linking the transforms, at an arbitrary point
 z = 0.8 + 0.6j
-g = cauchy_roots(z, 1.5).value
+g = cauchy_transform(z, 1.5)
 print(f"\nR(G(z)) + 1/G(z) - z at z={z}: "
       f"{abs(r_transform_sum(g, 1.5) + 1 / g - z):.2e}")
 

@@ -15,7 +15,6 @@ The library covers four layers, each cross-checked against the others:
 
 from .errors import (
     BoundaryPoint,
-    BranchAmbiguity,
     DimensionOrder,
     DomainError,
     NegativeDensityWarning,
@@ -42,8 +41,6 @@ from .sampling import (
     von_neumann_entropy,
 )
 from .specfun import (
-    HypergeometricQuery,
-    gauss_2f1,
     hyp2f1,
     ln_gamma_complex,
 )
@@ -58,12 +55,11 @@ from .finite_law import (
 )
 from .asym_law import (
     AedResult,
-    CauchyEval,
     aed_curve,
     aed_grid,
     aed_symmetric,
     atom_weight,
-    cauchy_roots,
+    cauchy_transform,
     marchenko_pastur,
     r_transform_sum,
     support_points,

@@ -2,10 +2,11 @@
 
 For x = N * lambda and c = N/M fixed, the limiting spectral measure of
 rho1 - rho2 is the free additive convolution of a Marchenko-Pastur law with
-its reflection.  Its Cauchy transform G satisfies a cubic equation, and the
-density is -Im G(x + i0)/pi.  The symmetric case (equal weights) has the
-closed form implemented in ``aed_symmetric``, one NumPy expression for
-scalars and arrays.  The weighted case eta = q/p != 1 (``aed_curve``)
+its reflection.  Its Cauchy transform G satisfies a cubic equation
+(``cauchy_transform`` returns the physical root at Im z > 0, the one of
+smallest Im G), and the density is -Im G(x + i0)/pi.  The symmetric case
+(equal weights) has the closed form implemented in ``aed_symmetric``, one
+NumPy expression for scalars and arrays.  The weighted case eta = q/p != 1 (``aed_curve``)
 solves the cubic at all real query points at once, in closed form
 (Cardano): for real x its coefficients are real, so inside the support
 G(x + i0) is one of a complex-conjugate pair of roots and the density is
@@ -26,14 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchAmbiguity, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "support_points",
     "atom_weight",
     "aed_symmetric",
-    "CauchyEval",
-    "cauchy_roots",
+    "cauchy_transform",
     "aed_curve",
     "marchenko_pastur",
     "r_transform_sum",
@@ -200,49 +200,18 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     return roots
 
 
-@dataclass(frozen=True)
-class CauchyEval:
-    """Three cubic roots at one query point plus the selected physical branch."""
+def cauchy_transform(z: complex, c: float, eta: float = 1.0) -> complex:
+    """Cauchy transform G(z) of the asymptotic law at one point with Im z > 0.
 
-    z: complex
-    roots: np.ndarray
-    selected: int
-
-    @property
-    def value(self) -> complex:
-        return complex(self.roots[self.selected])
-
-
-def cauchy_roots(
-    z: complex, c: float, eta: float = 1.0, *, hint: complex | None = None
-) -> CauchyEval:
-    """Solve the Cauchy-transform cubic and select the physical branch.
-
-    The physical branch has negative imaginary part for Im z > 0 and tends
-    to 1/z at infinity.  When the two most negative imaginary parts agree
-    within 1e-13 the tie is broken by proximity to ``hint`` (a neighboring
-    evaluation); without a hint that situation raises BranchAmbiguity.
+    G is the root of the cubic with the smallest imaginary part: the physical
+    branch has Im G < 0 in the upper half-plane and tends to 1/z at infinity.
     """
     z = complex(z)
     _check_domain(c, eta, abs(z))
     if z.imag <= 0.0:
         raise DomainError("query point must lie in the upper half-plane")
     roots = _solve_cubics(np.array([z]), c, eta)[0]
-    neg = [i for i in range(3) if roots[i].imag < 0.0]
-    if not neg:
-        # fall back to least-positive imaginary part (roundoff at tiny density)
-        sel = int(np.argmin(roots.imag))
-        return CauchyEval(z=z, roots=roots, selected=sel)
-    neg.sort(key=lambda i: roots[i].imag)
-    if len(neg) >= 2 and abs(roots[neg[0]].imag - roots[neg[1]].imag) < 1e-13:
-        if hint is None:
-            raise BranchAmbiguity(
-                f"two branches with Im G within 1e-13 at z = {z}; no neighbor available"
-            )
-        sel = min(neg, key=lambda i: abs(roots[i] - hint))
-    else:
-        sel = neg[0]
-    return CauchyEval(z=z, roots=roots, selected=sel)
+    return complex(roots[np.argmin(roots.imag)])
 
 
 def _support_geometry(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,6 +24,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .acceptance import run_verify
 from .asym_law import aed_grid
 from .errors import RmtDiffError
@@ -144,11 +146,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_counts(args, *names) -> None:
+    """A count option below 1 is a usage error (exit 2), raised before any work."""
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be >= 1, got {value}")
+
+
 def _params(args) -> EnsembleParams:
-    """The ensemble of ``sample`` and ``hist``; a count below 1 is a usage error (exit 2)."""
-    for name in ("n", "m", "samples", "workers"):
-        if getattr(args, name, 1) < 1:
-            raise ValueError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    """The ensemble of ``sample`` and ``hist``, after ``_check_counts``."""
+    _check_counts(args, "n", "m", "samples", "workers")
     return EnsembleParams(
         n_small=args.n, m_large=args.m, weight_p=args.p, weight_q=args.q,
         seed=int(os.environ.get(_SEED_ENV) or args.seed),
@@ -159,15 +167,14 @@ def _cmd_sample(args) -> int:
     params = _params(args)
     spectra = difference_spectra(params, args.samples, rescaled=True)
     out = args.out or "spectra.csv"
-    with open(out, "w") as fh:
-        fh.write("draw,k,x\n")
-        for i, row in enumerate(spectra):
-            for k, v in enumerate(row):
-                fh.write("%d,%d,%.17g\n" % (i, k, v))
-        meta = default_meta(params, args.samples, 0, 1)
-        del meta["bins"]
-        for key, val in meta.items():
-            fh.write(f"# {key}={val}\n")
+    draws, n = spectra.shape
+    meta = default_meta(params, args.samples, 0, 1)
+    del meta["bins"]
+    write_xy_csv(
+        out, "draw,k,x",
+        [np.repeat(np.arange(draws), n), np.tile(np.arange(n), draws), spectra.ravel()],
+        meta=meta,
+    )
     print(f"wrote {out} ({spectra.size} eigenvalues, rescaled x = N*lambda)")
     return 0
 
@@ -191,6 +198,7 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_aed(args) -> int:
+    _check_counts(args, "n", "m")
     if args.c is None:
         if args.n is None or args.m is None:
             print("aed: provide --c or both --n and --m", file=sys.stderr)
@@ -231,6 +239,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    _check_counts(args, "n")
     ctab, dtr, dop, dmix = [], [], [], []
     for c in args.c:
         ctab.append(c)

@@ -29,12 +29,8 @@ class PoleError(RmtDiffError, ZeroDivisionError):
     """Evaluation hit a pole (vanishing denominator) before termination."""
 
 
-class BranchAmbiguity(RmtDiffError):
-    """Two candidate branches are numerically indistinguishable."""
-
-
 class SizeLimit(RmtDiffError):
-    """A combinatorial expansion exceeded its configured term budget."""
+    """A combinatorial expansion exceeded its term budget."""
 
 
 class BoundaryPoint(RmtDiffError, ValueError):

@@ -58,6 +58,9 @@ __all__ = [
 
 BOUNDARY_TOL = 1e-9
 
+# Largest monomial count comb(D + N, N) that ``build_psi_poly`` expands.
+_MAX_PSI_TERMS = 10_000_000
+
 Poly = dict
 
 
@@ -107,7 +110,7 @@ def _exact_eval(table, den: int, point, *, vandermonde: bool = False) -> float:
     return acc / den
 
 
-def _float_table(poly: Poly, den=1):
+def _float_table(poly: Poly, den: int):
     E = np.array(list(poly.keys()), dtype=np.int64).reshape(len(poly), -1)
     C = np.array([c / den for c in poly.values()], dtype=float)
     return E, C
@@ -151,12 +154,9 @@ class OrthantPiecewisePoly:
         nums = {e: c.numerator * (den // c.denominator) for e, c in self.base.items()}
         return nums, _int_table(nums), den
 
-    def evaluate(self, point, *, exact: bool = True) -> float:
-        """Evaluate the smooth prefactor psi at a hyperplane point."""
-        pt = np.abs(np.asarray(point, dtype=float))
-        if exact:
-            return _exact_eval(*self._exact[1:], pt)
-        return _float_eval(*_float_table(self.base), pt)
+    def evaluate(self, point) -> float:
+        """Evaluate the smooth prefactor psi at a hyperplane point, exactly rounded."""
+        return _exact_eval(*self._exact[1:], np.abs(np.asarray(point, dtype=float)))
 
     @property
     def term_count(self) -> int:
@@ -184,7 +184,7 @@ def _bounded_tuples(support, n: int, budget: int):
     )
 
 
-def build_psi_poly(n: int, m: int, *, max_terms: int = 10_000_000) -> OrthantPiecewisePoly:
+def build_psi_poly(n: int, m: int) -> OrthantPiecewisePoly:
     """Expand the diagonal-element density prefactor into monomials.
 
     psi(z) = Gamma(MN)^2/Gamma(M)^N * sum over k in {0..M-1}^N of
@@ -199,16 +199,16 @@ def build_psi_poly(n: int, m: int, *, max_terms: int = 10_000_000) -> OrthantPie
 
     with P = (NM-1)!^2 / (M-1)!^N; zero coefficients are dropped.  Raises
     SizeLimit, before any work, when the monomial count comb(D + N, N)
-    exceeds ``max_terms``.
+    exceeds ``_MAX_PSI_TERMS``.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     D = n * (2 * m - 1) - 1
-    if math.comb(D + n, n) > max_terms:
+    if math.comb(D + n, n) > _MAX_PSI_TERMS:
         raise SizeLimit(f"psi expansion for (n={n}, m={m}) has comb({D + n}, {n})"
-                        f" monomials, more than max_terms={max_terms}")
+                        f" monomials, more than {_MAX_PSI_TERMS}")
     w = laguerre_coefficients(m)
     fact = [math.factorial(t) for t in range(D + 1)]
     # t! u(t), an integer

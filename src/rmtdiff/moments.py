@@ -16,7 +16,7 @@ import numpy as np
 
 from .asym_law import _check_domain, aed_curve, aed_symmetric, find_support_numeric, support_points
 from .errors import DomainError, QuadratureFailure
-from .specfun import hyp2f1, hyp2f1_at_one, ln_gamma_complex
+from .specfun import hyp2f1, ln_gamma_complex
 
 __all__ = [
     "absolute_moment",
@@ -33,12 +33,6 @@ _GL_ORDERS = tuple(2**k for k in range(5, 11))
 _GL_AGREE = 1e-12
 
 
-def _hyp_or_boundary(a, b, cc, x: float) -> complex:
-    if x == 1.0:
-        return hyp2f1_at_one(a, b, cc)
-    return hyp2f1(a, b, cc, x)
-
-
 def _moment_low(z: complex, c: float) -> complex:
     # Gamma(z+1) (2c)^{z/2} / (Gamma(z/2+1) Gamma(z/2+2)) * 2F1(1-z/2, -z/2; z/2+2; c/2)
     lg = (
@@ -47,22 +41,20 @@ def _moment_low(z: complex, c: float) -> complex:
         - ln_gamma_complex(z / 2.0 + 2.0)
         + (z / 2.0) * math.log(2.0 * c)
     )
-    return cmath.exp(lg) * _hyp_or_boundary(
-        1.0 - z / 2.0, -z / 2.0, z / 2.0 + 2.0, c / 2.0
-    )
+    return cmath.exp(lg) * hyp2f1(1.0 - z / 2.0, -z / 2.0, z / 2.0 + 2.0, c / 2.0)
 
 
 def _moment_high(z: complex, c: float) -> complex:
     # 2 c^{z-1} * 2F1(1-z/2, -z; 2; 2/c)
-    return 2.0 * cmath.exp((z - 1.0) * math.log(c)) * _hyp_or_boundary(
-        1.0 - z / 2.0, -z, 2.0, 2.0 / c
-    )
+    return 2.0 * cmath.exp((z - 1.0) * math.log(c)) * hyp2f1(1.0 - z / 2.0, -z, 2.0, 2.0 / c)
 
 
 # Within this distance of c = 2 the hypergeometric argument is so close to 1
 # that the direct series stalls; the moment is analytic in c across the
 # transition, so a one-sided cubic extrapolation from safely convergent
-# anchor points is accurate to ~1e-10 relative over the seam.
+# anchor points stands in for it.  Against 40-digit mpmath its worst relative
+# error over the seam (c within 1e-9 of 2) is 2.0e-11 at z = 1.5, 2.9e-9 at
+# z = 1 and 6.6e-7 at z = 0.5, and it grows as z falls: 2.0e-5 at z = 0.1.
 _SEAM_HALF_WIDTH = 2e-3
 _SEAM_ANCHORS = (2e-3, 4e-3, 6e-3, 8e-3)
 

@@ -1,24 +1,22 @@
 """Self-contained special functions: complex log-gamma, Gauss 2F1, Laguerre-type weights.
 
 Everything here is scalar, pure and stateless.  The hypergeometric evaluator
-only implements the convergent power series |x| < 1 plus exact termination at
-nonpositive-integer numerator parameters; that covers every argument used by
-the eigenvalue laws and moment formulas in this package (arguments c/2, 2/c,
-c/(c-2) with terminating series, and 4a/(1+4a)).
+only implements the convergent power series |x| < 1, Gauss's sum at x = 1,
+and exact termination at nonpositive-integer numerator parameters; that
+covers every argument used by the eigenvalue laws and moment formulas in
+this package (arguments c/2 and 2/c, which reach 1 at c = 2, c/(c-2) with
+terminating series, and 4a/(1+4a)).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, NoConvergence, PoleError
 
 __all__ = [
     "ln_gamma_complex",
-    "HypergeometricQuery",
-    "gauss_2f1",
     "hyp2f1",
     "laguerre_coefficients",
 ]
@@ -77,61 +75,50 @@ def _pochhammer_zero_index(v) -> int | None:
     return int(-fv)
 
 
-@dataclass(frozen=True)
-class HypergeometricQuery:
-    """Parameters (a, b; c_param) and real argument x for a 2F1 evaluation.
-
-    Termination is resolved once at construction: ``terminates_at`` is the
-    index of the last nonzero series term when a or b is a nonpositive
-    integer, else None.  A nonpositive-integer c_param is only legal when the
-    series terminates strictly before the denominator Pochhammer vanishes
-    (the b-before-c ordering needed for the finite-dimension marginal law).
-    """
-
-    a: complex
-    b: complex
-    c_param: complex
-    x: float
-    terminates_at: int | None = field(init=False)
-
-    def __post_init__(self):
-        za = _pochhammer_zero_index(self.a)
-        zb = _pochhammer_zero_index(self.b)
-        if za is not None and zb is not None:
-            term = min(za, zb)
-        elif za is not None:
-            term = za
-        else:
-            term = zb
-        object.__setattr__(self, "terminates_at", term)
-        zc = _pochhammer_zero_index(self.c_param)
-        if zc is not None and (term is None or term > zc):
-            raise PoleError(
-                "2F1 denominator parameter c = %s hits a pole at term %d "
-                "before the series terminates" % (self.c_param, zc + 1)
-            )
-        if term is None and abs(self.x) >= 1.0:
-            raise DomainError(
-                f"non-terminating 2F1 series requires |x| < 1, got x = {self.x}"
-            )
-
-
 eps_rel = 1e-16
 _MAX_TERMS = 100_000
 
 
-def gauss_2f1(q: HypergeometricQuery) -> complex:
-    """Evaluate 2F1(a, b; c; x) by direct power-series summation.
+def hyp2f1(a, b, c, x) -> complex:
+    """Gauss hypergeometric 2F1(a, b; c; x) at real x.
 
-    Terminates exactly when a numerator Pochhammer vanishes; otherwise sums
-    until two consecutive terms fall below 1e-16 of the partial sum.
+    A series that terminates (a or b a nonpositive integer) is summed exactly
+    at any x.  Otherwise the power series is summed for |x| < 1 until two
+    consecutive terms fall below 1e-16 of the partial sum, and x = 1 takes
+    Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), valid for
+    Re(c - a - b) > 0.  A nonpositive-integer c is only legal when the series
+    terminates strictly before the denominator Pochhammer vanishes (the
+    b-before-c ordering needed for the finite-dimension marginal law);
+    otherwise PoleError.  Non-finite x, and every other x, raise DomainError.
     """
-    a, b, c, x = complex(q.a), complex(q.b), complex(q.c_param), q.x
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"2F1 requires a finite argument, got x = {x}")
+    za = _pochhammer_zero_index(a)
+    zb = _pochhammer_zero_index(b)
+    term_at = zb if za is None else za if zb is None else min(za, zb)
+    zc = _pochhammer_zero_index(c)
+    if zc is not None and (term_at is None or term_at > zc):
+        raise PoleError(
+            "2F1 denominator parameter c = %s hits a pole at term %d "
+            "before the series terminates" % (c, zc + 1)
+        )
+    a, b, c = complex(a), complex(b), complex(c)
+    if term_at is None and abs(x) >= 1.0:
+        if x != 1.0:
+            raise DomainError(f"non-terminating 2F1 requires |x| < 1 or x = 1, got x = {x}")
+        s = c - a - b
+        if s.real <= 0.0:
+            raise DomainError("Gauss summation requires Re(c - a - b) > 0")
+        return cmath.exp(
+            ln_gamma_complex(c) + ln_gamma_complex(s)
+            - ln_gamma_complex(c - a) - ln_gamma_complex(c - b)
+        )
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
     for k in range(_MAX_TERMS):
-        if q.terminates_at is not None and k > q.terminates_at:
+        if term_at is not None and k > term_at:
             return total
         num = (a + k) * (b + k)
         if num == 0.0:
@@ -148,31 +135,6 @@ def gauss_2f1(q: HypergeometricQuery) -> complex:
         else:
             small_streak = 0
     raise NoConvergence(f"2F1 series did not converge within {_MAX_TERMS} terms")
-
-
-def hyp2f1(a, b, c, x) -> complex:
-    """Shorthand for gauss_2f1 on an ad-hoc query."""
-    return gauss_2f1(HypergeometricQuery(a, b, c, float(x)))
-
-
-def hyp2f1_at_one(a, b, c) -> complex:
-    """Boundary value 2F1(a, b; c; 1) by Gauss's summation theorem.
-
-    Equals Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), valid for
-    Re(c - a - b) > 0.  This is the classical closed form of the convergent
-    value at x = 1, not an analytic continuation beyond the unit interval.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    s = c - a - b
-    if s.real <= 0.0:
-        raise DomainError("Gauss summation requires Re(c - a - b) > 0")
-    lg = (
-        ln_gamma_complex(c)
-        + ln_gamma_complex(s)
-        - ln_gamma_complex(c - a)
-        - ln_gamma_complex(c - b)
-    )
-    return cmath.exp(lg)
 
 
 def laguerre_coefficients(m_large: int) -> list[int]:

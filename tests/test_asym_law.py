@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from rmtdiff.asym_law import (
     aed_grid,
     aed_symmetric,
     atom_weight,
-    cauchy_roots,
+    cauchy_transform,
     find_support_numeric,
     marchenko_pastur,
     r_transform_sum,
@@ -218,33 +219,30 @@ class TestSupportMask:
 class TestCauchyRoots:
     def test_large_z_asymptote(self):
         z = 1000.0 + 1.0j
-        ev = cauchy_roots(z, 1.0)
-        assert abs(z * ev.value - 1.0) < 1e-2
+        assert abs(z * cauchy_transform(z, 1.0) - 1.0) < 1e-2
 
     def test_residual_small(self):
         for z in (0.5 + 0.3j, 2.0 + 1e-6j, -1.2 + 0.01j):
             for c, eta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.2)):
-                ev = cauchy_roots(z, c, eta)
+                g = cauchy_transform(z, c, eta)
                 a3, a2, a1, a0 = _cubic_coefficients(z, c, eta)
-                g = ev.value
                 res = abs(((a3 * g + a2) * g + a1) * g + a0)
                 scale = sum(abs(v) for v in (a3 * g**3, a2 * g**2, a1 * g, a0))
                 assert res <= 1e-12 * max(scale, 1.0)
 
     def test_selected_negative_imag(self):
         for x in np.linspace(-3.0, 3.0, 11):
-            ev = cauchy_roots(complex(x, 1e-6), 1.0)
-            assert ev.value.imag <= 0.0
+            assert cauchy_transform(complex(x, 1e-6), 1.0).imag <= 0.0
 
     def test_origin_density_c1(self):
-        ev = cauchy_roots(1e-18 + 1e-9j, 1.0)
-        assert -ev.value.imag / math.pi == pytest.approx(1.0 / math.pi, rel=1e-6)
+        g = cauchy_transform(1e-18 + 1e-9j, 1.0)
+        assert -g.imag / math.pi == pytest.approx(1.0 / math.pi, rel=1e-6)
 
     def test_trigonometric_form_matches(self):
         z = 1.0 + 0.5j
         for c in (0.5, 1.0, 2.5, 4.0):
             poly = sorted(
-                (complex(r) for r in cauchy_roots(z, c).roots),
+                (complex(r) for r in law._solve_cubics(np.array([z]), c, 1.0)[0]),
                 key=lambda r: (round(r.real, 9), round(r.imag, 9)),
             )
             trig = sorted(
@@ -256,7 +254,59 @@ class TestCauchyRoots:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cauchy_roots(1.0 - 0.5j, 1.0)
+            cauchy_transform(1.0 - 0.5j, 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def legendre_4000() -> tuple[np.ndarray, np.ndarray]:
+    from scipy.special import roots_legendre
+
+    return roots_legendre(4000)
+
+
+def stieltjes_oracle(zs: np.ndarray, c: float, eta: float) -> np.ndarray:
+    """integral rho(x)/(z - x) dx + atom/z at each z, from the density alone.
+
+    rho is ``aed_curve`` on 4000-node Gauss-Legendre rules in theta over
+    x = lo + (hi - lo) sin^2(theta) on each interval of ``find_support_numeric``,
+    which absorbs the square-root edges; no cubic root is selected.
+    """
+    t, w = legendre_4000()
+    th = 0.25 * math.pi * (t + 1.0)
+    total = atom_weight(c, eta) / zs
+    for lo, hi in find_support_numeric(c, eta):
+        xs = lo + (hi - lo) * np.sin(th) ** 2
+        wx = 0.25 * math.pi * w * (hi - lo) * np.sin(2.0 * th) * aed_curve(xs, c, eta)
+        total = total + (wx / (zs[:, None] - xs)).sum(axis=1)
+    return total
+
+
+class TestPhysicalBranch:
+    """cauchy_transform against the Stieltjes transform of the density it inverts."""
+
+    @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (0.5, 1.0), (3.0, 1.0), (1.0, 0.2),
+                                        (0.5, 2.0), (3.0, 0.5)])
+    def test_across_the_support(self, c, eta):
+        support = find_support_numeric(c, eta)
+        lo, hi = support[0][0], support[-1][1]
+        re = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 9)
+        zs = (re[:, None] + 1j * np.array([1e-2, 0.1, 1.0])).ravel()
+        want = stieltjes_oracle(zs, c, eta)
+        got = np.array([cauchy_transform(z, c, eta) for z in zs])
+        assert np.all(np.abs(got - want) <= 1e-5 * np.abs(want))
+
+    @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (0.5, 1.0), (3.0, 1.0), (1.0, 0.2),
+                                        (0.5, 2.0), (3.0, 0.5), (5.0, 1.0), (4.0, 3.0)])
+    def test_outside_and_in_the_gap(self, c, eta):
+        support = find_support_numeric(c, eta)
+        lo, hi = support[0][0], support[-1][1]
+        re = [lo - 3.0, lo - 0.3, lo - 0.03, hi + 0.03, hi + 0.3, hi + 3.0]
+        for (_, a), (b, _) in zip(support[:-1], support[1:]):
+            re += [a + f * (b - a) for f in (0.25, 0.5, 0.75)]
+        zs = (np.array(re)[:, None] + 1j * np.array([1e-9, 1e-6, 1e-3, 1.0])).ravel()
+        want = stieltjes_oracle(zs, c, eta)
+        got = np.array([cauchy_transform(z, c, eta) for z in zs])
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 class TestNumericInversion:
@@ -373,7 +423,7 @@ class TestRTransform:
     def test_functional_equation(self):
         for c, eta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.2), (2.5, 1.0)):
             for z in (0.3 + 0.8j, -1.1 + 0.2j, 2.0 + 1.5j):
-                g = cauchy_roots(z, c, eta).value
+                g = cauchy_transform(z, c, eta)
                 lhs = r_transform_sum(g, c, eta) + 1.0 / g
                 assert abs(lhs - z) < 1e-10
 
@@ -494,7 +544,7 @@ class TestDomainValidation:
             lambda: atom_weight(3.0, math.nan),
             lambda: find_support_numeric(math.nan, 0.5),
             lambda: find_support_numeric(1.0, 0.0),
-            lambda: cauchy_roots(complex(math.nan, 1.0), 1.0),
+            lambda: cauchy_transform(complex(math.nan, 1.0), 1.0),
         ],
     )
     def test_non_finite_or_non_positive(self, call):

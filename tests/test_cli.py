@@ -99,6 +99,24 @@ class TestOtherCommands:
         body = [ln for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
         assert len(body) == 12
 
+    def test_sample_csv_bytes(self, tmp_path):
+        # written by the earlier hand-rolled writer; %.17g prints the integral
+        # draw and k columns as %d did
+        out = tmp_path / "s.csv"
+        assert run_cli(["sample", "--n", "3", "--m", "4", "--samples", "2", "--seed", "7",
+                        "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "draw,k,x\n"
+            "0,0,-1.9017157585460798\n"
+            "0,1,0.28452881740621799\n"
+            "0,2,1.6171869411398612\n"
+            "1,0,-1.0824399308411701\n"
+            "1,1,0.21439310058496916\n"
+            "1,2,0.86804683025620166\n"
+            "# version=0.1.0\n# n=3\n# m=4\n# p=1\n# q=1\n# seed=7\n# samples=2\n"
+            "# workers=1\n"
+        )
+
     def test_fig_fast(self, tmp_path):
         assert run_cli(["fig", "--id", "fig4b", "--fast", "--out", str(tmp_path),
                         "--workers", "2"]) == 0
@@ -194,6 +212,24 @@ class TestExitCodes:
         out = tmp_path / "h.csv"
         code = run_cli(["hist", "--n", "4", "--m", "4", "--out", str(out)] + extra)
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["aed", "--n", "3", "--m", "0"], ["aed", "--n", "0"], ["aed", "--n", "0", "--m", "3"],
+         ["aed", "--c", "1", "--m", "-1"], ["distance", "--c", "1", "--n", "0"]],
+    )
+    def test_bad_count_exits_2_before_work(self, argv, tmp_path, monkeypatch, capsys):
+        from rmtdiff import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the arguments were checked")
+
+        for name in ("aed_grid", "trace_distance_asymptotic"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "o.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_hist_n1_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):

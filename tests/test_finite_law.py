@@ -108,9 +108,12 @@ class TestBuildPsi:
         with pytest.raises(DimensionOrder):
             build_psi_poly(4, 3)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        from rmtdiff import finite_law
+
+        monkeypatch.setattr(finite_law, "_MAX_PSI_TERMS", 100)
         with pytest.raises(SizeLimit):
-            build_psi_poly(3, 3, max_terms=100)
+            build_psi_poly(3, 3)
 
     def test_csv_dump(self, tmp_path):
         psi = build_psi_poly(2, 2)

@@ -176,7 +176,7 @@ def test_marginal_matches_quad_of_exact_joint_density():
 
 
 def test_size_limit_raises_before_any_work():
-    # comb(399, 5) ~ 8.2e10 monomials, far above the default max_terms
+    # comb(399, 5) ~ 8.2e10 monomials, far above the expansion limit of build_psi_poly
     start = time.perf_counter()
     with pytest.raises(SizeLimit):
         build_psi_poly(5, 40)

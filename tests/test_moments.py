@@ -38,6 +38,34 @@ class TestAbsoluteMoment:
             mid = absolute_moment(z, 2.0)
             assert min(lo, hi) - 1e-6 <= mid <= max(lo, hi) + 1e-6
 
+    def test_even_orders_at_two_are_exact(self):
+        # at c = 2 both branches' series terminate at the boundary argument 1
+        assert absolute_moment(2, 2.0) == pytest.approx(4.0, rel=1e-14, abs=0.0)
+        assert absolute_moment(4, 2.0) == pytest.approx(48.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "c, rel",
+        [(1.999, 1e-6), (1.9995, 1e-6), (1.9999, 1e-6), (2.0001, 1e-6), (2.0005, 1e-6),
+         (2.001, 1e-6), (1.99, 1e-12), (2.01, 1e-12)],
+    )
+    @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 3.7])
+    def test_seam_against_mpmath(self, z, c, rel):
+        # across c = 2 the closed form is extrapolated within 2e-3 of the seam
+        import mpmath
+
+        with mpmath.workdps(40):
+            zm, cm = mpmath.mpf(z), mpmath.mpf(c)
+            if c < 2.0:
+                want = (
+                    mpmath.gamma(zm + 1) * (2 * cm) ** (zm / 2)
+                    / (mpmath.gamma(zm / 2 + 1) * mpmath.gamma(zm / 2 + 2))
+                    * mpmath.hyp2f1(1 - zm / 2, -zm / 2, zm / 2 + 2, cm / 2)
+                )
+            else:
+                want = 2 * cm ** (zm - 1) * mpmath.hyp2f1(1 - zm / 2, -zm, 2, 2 / cm)
+            want = float(want)
+        assert absolute_moment(z, c) == pytest.approx(want, rel=rel, abs=0.0)
+
     def test_complex_order_against_quadrature(self):
         from scipy.integrate import quad
 

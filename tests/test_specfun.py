@@ -1,17 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from rmtdiff.errors import DomainError, PoleError
-from rmtdiff.specfun import (
-    HypergeometricQuery,
-    gauss_2f1,
-    hyp2f1,
-    laguerre_coefficients,
-    ln_gamma_complex,
-)
+from rmtdiff.specfun import hyp2f1, laguerre_coefficients, ln_gamma_complex
 
 
 def ln_gamma(x: float) -> float:
@@ -90,18 +85,40 @@ class TestGauss2F1:
     def test_terminating_beats_pole(self):
         # b = 1-M and c = 2(1-M): stops at k = M-1 before the pole at k = 2M-1
         m = 6
-        q = HypergeometricQuery(1.5 - 2 * m, 1 - m, 2 * (1 - m), -2.0)
-        assert q.terminates_at == m - 1
-        val = gauss_2f1(q)
-        assert math.isfinite(val.real)
+        a, b, c, x = Fraction(3, 2) - 2 * m, 1 - m, 2 * (1 - m), -2
+        want, term = Fraction(1), Fraction(1)
+        for k in range(m - 1):
+            term *= (a + k) * (b + k) * x / ((c + k) * (k + 1))
+            want += term
+        assert hyp2f1(float(a), b, c, float(x)).real == pytest.approx(float(want), rel=1e-13)
 
     def test_pole_before_termination_rejected(self):
         with pytest.raises(PoleError):
-            HypergeometricQuery(0.5, -5, -3, 0.2)
+            hyp2f1(0.5, -5, -3, 0.2)
 
     def test_nonterminating_needs_small_x(self):
+        # outside |x| < 1 only x = 1 with Re(c - a - b) > 0 has a value
+        for x in (1.5, -1.0, -3.0):
+            with pytest.raises(DomainError):
+                hyp2f1(0.5, 0.7, 1.9, x)
+        for c in (1.2, 0.9):  # c - a - b = 0 and < 0: the series diverges at x = 1
+            with pytest.raises(DomainError):
+                hyp2f1(0.5, 0.7, c, 1.0)
+
+    def test_gauss_sum_at_one(self):
+        want = float(mpmath.hyp2f1(0.5, 0.7, 1.9, 1.0))
+        assert hyp2f1(0.5, 0.7, 1.9, 1.0).real == pytest.approx(want, rel=1e-14)
+
+    def test_terminating_at_one_is_summed(self):
+        # 2F1(-1, 2; 1; 1) = 1 - 2 = -1; Gauss's sum needs c - a - b = 0 > 0 and cannot give it
+        assert hyp2f1(-1, 2, 1, 1.0) == -1
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected_at_once(self, x):
+        start = time.perf_counter()
         with pytest.raises(DomainError):
-            HypergeometricQuery(0.5, 0.7, 1.9, 1.0)
+            hyp2f1(0.5, 0.7, 1.9, x)
+        assert time.perf_counter() - start < 0.01
 
     def test_integral_float_parameters_terminate(self):
         # exact float integers must terminate through the zero numerator
