@@ -40,10 +40,7 @@ from .sampling import (
     sample_pure_state_reduced,
     von_neumann_entropy,
 )
-from .specfun import (
-    hyp2f1,
-    ln_gamma_complex,
-)
+from .specfun import hyp2f1
 from .finite_law import (
     OrthantPiecewisePoly,
     build_psi_poly,

@@ -22,6 +22,7 @@ abscissas by p and divides densities by p.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -266,8 +267,7 @@ def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
     Support [(1-sqrt(c))^2, (1+sqrt(c))^2]; the atom max(1 - 1/c, 0) carries
     the rank deficiency when c > 1.
     """
-    if c <= 0.0:
-        raise DomainError("c must be positive")
+    _check_domain(c, x=x)
     atom = max(1.0 - 1.0 / c, 0.0)
     lo = (1.0 - math.sqrt(c)) ** 2
     hi = (1.0 + math.sqrt(c)) ** 2
@@ -279,6 +279,9 @@ def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
 def r_transform_sum(g: complex, c: float, eta: float = 1.0) -> complex:
     """Sum of the two component R-transforms: 1/(1-cg) - eta/(1+eta c g)."""
     g = complex(g)
+    _check_domain(c, eta)
+    if not cmath.isfinite(g):
+        raise DomainError(f"g must be finite, got {g}")
     if 1.0 - c * g == 0.0 or 1.0 + eta * c * g == 0.0:
         raise PoleError("R-transform pole at cg = 1 or eta c g = -1")
     return 1.0 / (1.0 - c * g) - eta / (1.0 + eta * c * g)

@@ -336,8 +336,8 @@ def n2_exact_density(lam: float, m: int) -> float:
     if m < 1:
         raise DomainError("m must be >= 1")
     t = abs(float(lam))
-    if t >= 1.0:
-        raise DomainError("|lambda| must be < 1")
+    if not t < 1.0:
+        raise DomainError(f"|lambda| must be < 1, got {lam!r}")
     if t == 0.0:
         return 0.0
     logs, dlogs = _w_poly_logs(m)

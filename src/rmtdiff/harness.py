@@ -166,20 +166,10 @@ def write_hist(
     return [csv_path, svg_path]
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {k}={v}" for k, v in meta.items()]
-
-
 def write_histogram_csv(path, hist: HistogramResult, theory: np.ndarray, meta: dict) -> None:
     """Rows `bin_lo,bin_hi,empirical,theory` with 17-significant-digit values."""
-    with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi,empirical,theory\n")
-        for lo, hi, emp, th in zip(
-            hist.bin_edges[:-1], hist.bin_edges[1:], hist.normalized_density, theory
-        ):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (lo, hi, emp, th))
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
+    columns = (hist.bin_edges[:-1], hist.bin_edges[1:], hist.normalized_density, theory)
+    write_xy_csv(path, "bin_lo,bin_hi,empirical,theory", columns, meta)
 
 
 def write_xy_csv(path, header: str, columns, meta: dict | None = None) -> None:
@@ -189,9 +179,8 @@ def write_xy_csv(path, header: str, columns, meta: dict | None = None) -> None:
         fh.write(header + "\n")
         for row in zip(*arrays):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
-        if meta:
-            for line in _meta_lines(meta):
-                fh.write(line + "\n")
+        for k, v in (meta or {}).items():
+            fh.write(f"# {k}={v}\n")
 
 
 def default_meta(params: EnsembleParams, samples: int, bins: int, workers: int) -> dict:

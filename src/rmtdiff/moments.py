@@ -16,7 +16,8 @@ import numpy as np
 
 from .asym_law import _check_domain, aed_curve, aed_symmetric, find_support_numeric, support_points
 from .errors import DomainError, QuadratureFailure
-from .specfun import hyp2f1, ln_gamma_complex
+from .sampling import _check_count
+from .specfun import hyp2f1
 
 __all__ = [
     "absolute_moment",
@@ -35,10 +36,12 @@ _GL_AGREE = 1e-12
 
 def _moment_low(z: complex, c: float) -> complex:
     # Gamma(z+1) (2c)^{z/2} / (Gamma(z/2+1) Gamma(z/2+2)) * 2F1(1-z/2, -z/2; z/2+2; c/2)
+    from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
+
     lg = (
-        ln_gamma_complex(z + 1.0)
-        - ln_gamma_complex(z / 2.0 + 1.0)
-        - ln_gamma_complex(z / 2.0 + 2.0)
+        loggamma(z + 1.0)
+        - loggamma(z / 2.0 + 1.0)
+        - loggamma(z / 2.0 + 2.0)
         + (z / 2.0) * math.log(2.0 * c)
     )
     return cmath.exp(lg) * hyp2f1(1.0 - z / 2.0, -z / 2.0, z / 2.0 + 2.0, c / 2.0)
@@ -50,11 +53,13 @@ def _moment_high(z: complex, c: float) -> complex:
 
 
 # Within this distance of c = 2 the hypergeometric argument is so close to 1
-# that the direct series stalls; the moment is analytic in c across the
-# transition, so a one-sided cubic extrapolation from safely convergent
-# anchor points stands in for it.  Against 40-digit mpmath its worst relative
-# error over the seam (c within 1e-9 of 2) is 2.0e-11 at z = 1.5, 2.9e-9 at
-# z = 1 and 6.6e-7 at z = 0.5, and it grows as z falls: 2.0e-5 at z = 0.1.
+# that the direct series stalls, so a one-sided cubic extrapolation from
+# safely convergent anchor points stands in for it.  The moment is not
+# analytic in c across the transition: the low branch's 2F1 has
+# c - a - b = 1 + 3z/2 and so carries a term in (1 - c/2)^(1 + 3z/2), which
+# no polynomial follows, the less so the smaller z.  Against 40-digit mpmath
+# the worst relative error over the seam (c within 1e-9 of 2) is 2.0e-11 at
+# z = 1.5, 2.9e-9 at z = 1 and 6.6e-7 at z = 0.5, and 2.0e-5 at z = 0.1.
 _SEAM_HALF_WIDTH = 2e-3
 _SEAM_ANCHORS = (2e-3, 4e-3, 6e-3, 8e-3)
 
@@ -82,22 +87,16 @@ def absolute_moment(z, c: float):
     """Absolute moment m_z = integral |x|^z of the equal-weight density.
 
     Valid for complex order with Re(z) > 0; the origin point mass contributes
-    nothing there.  Both closed branches are evaluated at c = 2 (through the
-    Gauss boundary value of the hypergeometric) and their mean is returned
-    after an internal consistency check.  Returns a float for real order,
-    complex otherwise.
+    nothing there.  c >= 2 takes the 2F1 in 2/c, which at c = 2 is Gauss's
+    sum; c < 2 takes the 2F1 in c/2.  Within 2e-3 of c = 2, but not at it,
+    non-even orders are extrapolated from the same side.
+    Returns a float for real order, complex otherwise.
     """
     zc = complex(z)
     if not zc.real > 0.0:
         raise DomainError("absolute moment requires Re(z) > 0")
     _check_domain(c)
-    if c == 2.0:
-        lo = _moment_low(zc, c)
-        hi = _moment_high(zc, c)
-        if abs(lo - hi) > 1e-8 * max(abs(lo), abs(hi), 1.0):
-            raise RuntimeError(f"moment branches disagree at c = 2: {lo} vs {hi}")
-        val = 0.5 * (lo + hi)
-    elif abs(c - 2.0) < _SEAM_HALF_WIDTH and not _is_nonneg_even_int(zc):
+    if 0.0 < abs(c - 2.0) < _SEAM_HALF_WIDTH and not _is_nonneg_even_int(zc):
         val = _moment_near_two(zc, c)
     elif c < 2.0:
         val = _moment_low(zc, c)
@@ -109,29 +108,27 @@ def absolute_moment(z, c: float):
 
 
 def even_moment(l: int, c: float) -> float:
-    """Even moment m_{2l} via the terminating-series representation.
+    """Even moment m_{2l} from the free cumulants of the equal-weight law.
 
-    m_{2l} = (2l)!/(l!(l+1)!) (c(2-c))^l 2F1(2l+1, -l; l+2; c/(c-2)); the
-    argument is singular at c = 2 (use ``absolute_moment`` there).  The value
-    is cross-checked against ``absolute_moment(2l, c)`` to 1e-10 relative.
+    The law is the free convolution of Marchenko-Pastur (free Poisson, rate
+    1/c, jump c) with its reflection, so its free cumulants are
+    kappa_k = (1 + (-1)^k) c^(k-1), and the moment-cumulant recursion
+    m_n = sum_k kappa_k [t^(n-k)] M(t)^k, M(t) = sum_j m_j t^j, gives the
+    moments (Nica & Speicher, Lectures on the Combinatorics of Free
+    Probability, 2006).  Every term is nonnegative, so nothing cancels at
+    any c.  Costs O(l^4) operations.
     """
-    if l < 1:
-        raise DomainError("l must be >= 1")
+    _check_count("l", l)
     _check_domain(c)
-    if c == 2.0:
-        raise DomainError("representation singular at c = 2; use absolute_moment")
-    pref = (
-        math.factorial(2 * l)
-        / (math.factorial(l) * math.factorial(l + 1))
-        * (c * (2.0 - c)) ** l
-    )
-    val = pref * hyp2f1(2 * l + 1, -l, l + 2, c / (c - 2.0)).real
-    other = absolute_moment(2 * l, c)
-    if abs(val - other) > 1e-10 * max(abs(val), abs(other)):
-        raise RuntimeError(
-            f"even-moment representations disagree: {val} vs {other} at l={l}, c={c}"
-        )
-    return val
+    m = np.zeros(2 * l + 1)
+    m[0] = 1.0
+    for n in range(2, 2 * l + 1, 2):  # odd cumulants, hence odd moments, vanish
+        power = m[:n]  # M(t)^k up to degree n - 1
+        for k in range(2, n + 1):
+            power = np.convolve(power, m[:n])[:n]
+            if k % 2 == 0:
+                m[n] += 2.0 * c ** (k - 1) * power[n - k]
+    return float(m[-1])
 
 
 def trace_distance_asymptotic(c: float) -> float:

@@ -200,9 +200,12 @@ def page_entropy_mean(n: int, m: int) -> float:
 def von_neumann_entropy(eigenvalues: np.ndarray) -> float:
     """Entropy -sum(l log l) in nats; zero and tiny-negative eigenvalues contribute 0.
 
-    A stack of spectra (any shape) gives the sum of their entropies.
+    A stack of spectra (any shape) gives the sum of their entropies.  A NaN
+    or infinite eigenvalue raises DomainError.
     """
     lam = np.asarray(eigenvalues, dtype=float)
+    if not math.isfinite(lam.sum()):
+        raise DomainError("eigenvalues must be finite")
     lam = lam[lam > 1e-300]
     return float(-np.sum(lam * np.log(lam)))
 

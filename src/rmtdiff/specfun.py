@@ -1,11 +1,10 @@
-"""Self-contained special functions: complex log-gamma, Gauss 2F1, Laguerre-type weights.
+"""Special functions: Gauss 2F1 and Laguerre-type weights.
 
 Everything here is scalar, pure and stateless.  The hypergeometric evaluator
 only implements the convergent power series |x| < 1, Gauss's sum at x = 1,
 and exact termination at nonpositive-integer numerator parameters; that
-covers every argument used by the eigenvalue laws and moment formulas in
-this package (arguments c/2 and 2/c, which reach 1 at c = 2, c/(c-2) with
-terminating series, and 4a/(1+4a)).
+covers the arguments c/2 and 2/c of the moment formulas, which reach 1 at
+c = 2.
 """
 
 from __future__ import annotations
@@ -16,47 +15,9 @@ import math
 from .errors import DomainError, NoConvergence, PoleError
 
 __all__ = [
-    "ln_gamma_complex",
     "hyp2f1",
     "laguerre_coefficients",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy of the
-# resulting log-gamma is ~1e-15 on the half-plane Re(z) > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ln_gamma_complex(z: complex) -> complex:
-    """Principal branch of log Gamma(z) for Re(z) > 0.
-
-    Uses the Lanczos series directly for Re(z) >= 0.5 and one step of the
-    recurrence log Gamma(z) = log Gamma(z+1) - log z below that.  Reflection
-    (Re(z) <= 0) is deliberately not implemented.
-    """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError(f"ln_gamma_complex requires Re(z) > 0, got {z}")
-    if z.real < 0.5:
-        return ln_gamma_complex(z + 1.0) - cmath.log(z)
-    w = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
 def _pochhammer_zero_index(v) -> int | None:
@@ -75,7 +36,7 @@ def _pochhammer_zero_index(v) -> int | None:
     return int(-fv)
 
 
-eps_rel = 1e-16
+_EPS_REL = 1e-16
 _MAX_TERMS = 100_000
 
 
@@ -85,11 +46,11 @@ def hyp2f1(a, b, c, x) -> complex:
     A series that terminates (a or b a nonpositive integer) is summed exactly
     at any x.  Otherwise the power series is summed for |x| < 1 until two
     consecutive terms fall below 1e-16 of the partial sum, and x = 1 takes
-    Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), valid for
-    Re(c - a - b) > 0.  A nonpositive-integer c is only legal when the series
-    terminates strictly before the denominator Pochhammer vanishes (the
-    b-before-c ordering needed for the finite-dimension marginal law);
-    otherwise PoleError.  Non-finite x, and every other x, raise DomainError.
+    Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), taken
+    where Re(c - a - b), Re(c), Re(c - a) and Re(c - b) are all > 0.  A
+    nonpositive-integer c is only legal when the series terminates strictly
+    before the denominator Pochhammer vanishes; otherwise PoleError.
+    Non-finite x, and every other x, raise DomainError.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -108,12 +69,11 @@ def hyp2f1(a, b, c, x) -> complex:
         if x != 1.0:
             raise DomainError(f"non-terminating 2F1 requires |x| < 1 or x = 1, got x = {x}")
         s = c - a - b
-        if s.real <= 0.0:
-            raise DomainError("Gauss summation requires Re(c - a - b) > 0")
-        return cmath.exp(
-            ln_gamma_complex(c) + ln_gamma_complex(s)
-            - ln_gamma_complex(c - a) - ln_gamma_complex(c - b)
-        )
+        if min(s.real, c.real, (c - a).real, (c - b).real) <= 0.0:
+            raise DomainError("Gauss sum needs Re(c - a - b), Re(c), Re(c - a), Re(c - b) > 0")
+        from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
+
+        return cmath.exp(loggamma(c) + loggamma(s) - loggamma(c - a) - loggamma(c - b))
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
@@ -128,7 +88,7 @@ def hyp2f1(a, b, c, x) -> complex:
             raise PoleError(f"2F1 pole: (c)_k vanished at k = {k + 1}")
         term = term * num * x / den
         total += term
-        if abs(term) < eps_rel * abs(total):
+        if abs(term) < _EPS_REL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return total

@@ -545,6 +545,10 @@ class TestDomainValidation:
             lambda: find_support_numeric(math.nan, 0.5),
             lambda: find_support_numeric(1.0, 0.0),
             lambda: cauchy_transform(complex(math.nan, 1.0), 1.0),
+            lambda: marchenko_pastur(math.nan, 1.0),
+            lambda: marchenko_pastur(1.0, math.inf),
+            lambda: r_transform_sum(math.nan, 1.0),
+            lambda: r_transform_sum(0.1, 1.0, math.nan),
         ],
     )
     def test_non_finite_or_non_positive(self, call):

@@ -253,11 +253,20 @@ class TestExitCodes:
             run_cli(["sample", "--n", "3", "--m", "3", "--out", str(tmp_path / "s.csv")] + extra)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("module", ["rmtdiff", "rmtdiff.cli"])
-    def test_import_leaves_scipy_unloaded(self, src_env, module):
+    @pytest.mark.parametrize(
+        "module, then",
+        [
+            ("rmtdiff", ""),
+            ("rmtdiff.cli", ""),
+            ("rmtdiff.moments", "rmtdiff.moments.even_moment(3, 1.0); "),
+        ],
+        ids=["rmtdiff", "rmtdiff.cli", "even_moment"],
+    )
+    def test_import_leaves_scipy_unloaded(self, src_env, module, then):
         # scipy takes ~0.3 s to import; only the calls that use it pay for it
+        code = f"import sys, {module}; {then}print('scipy' in sys.modules)"
         child = subprocess.run(
-            [sys.executable, "-c", f"import sys, {module}; print('scipy' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, timeout=120, env=src_env,
         )
         assert child.returncode == 0, child.stderr

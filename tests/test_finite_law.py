@@ -237,6 +237,11 @@ class TestN2Density:
         with pytest.raises(DomainError):
             n2_exact_density(1.0, 3)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(DomainError):
+            n2_exact_density(lam, 3)
+
 
 class TestMarginal:
     def test_n2_dispatch(self):

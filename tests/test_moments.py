@@ -66,6 +66,16 @@ class TestAbsoluteMoment:
             want = float(want)
         assert absolute_moment(z, c) == pytest.approx(want, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 1.5 + 1j])
+    def test_at_two_against_mpmath(self, z):
+        # c = 2 takes the 2F1 in 2/c = 1 alone, through Gauss's sum
+        import mpmath
+
+        with mpmath.workdps(40):
+            zm = mpmath.mpmathify(z)
+            want = complex(2 * 2 ** (zm - 1) * mpmath.hyp2f1(1 - zm / 2, -zm, 2, 1))
+        assert abs(absolute_moment(z, 2.0) - want) <= 1e-14 * abs(want)
+
     def test_complex_order_against_quadrature(self):
         from scipy.integrate import quad
 
@@ -121,6 +131,8 @@ class TestAbsoluteMoment:
         [
             lambda: absolute_moment(math.nan, 1.0),
             lambda: even_moment(1, math.inf),
+            lambda: even_moment(2.5, 1.0),
+            lambda: even_moment(0, 1.0),
             lambda: trace_distance_asymptotic(math.nan),
             lambda: operator_norm_asymptotic(math.inf, 10),
             lambda: distance_to_mixed_asymptotic(math.nan),
@@ -155,13 +167,18 @@ class TestEvenMoment:
         assert m4 == pytest.approx(q4, rel=1e-6)
 
     def test_terminating_series_hand_value(self):
-        # l = 1: c(2-c) * (1 - c/(c-2)) = 2c for any c
+        # l = 1: m_2 = kappa_2 = 2c for any c
         for c in (0.5, 1.7, 3.0, 10.0):
             assert even_moment(1, c) == pytest.approx(2 * c, rel=1e-12)
 
-    def test_c2_rejected(self):
-        with pytest.raises(DomainError):
-            even_moment(1, 2.0)
+    def test_at_c2(self):
+        assert even_moment(1, 2.0) == pytest.approx(4.0, rel=1e-14, abs=0.0)
+        assert even_moment(2, 2.0) == pytest.approx(48.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 1.9, 1.999, 2.0, 2.001, 3.0, 50.0, 500.0])
+    def test_matches_absolute_moment(self, c):
+        for l in (1, 2, 3, 5, 10, 20):
+            assert even_moment(l, c) == pytest.approx(absolute_moment(2 * l, c), rel=1e-13, abs=0.0)
 
 
 class TestTraceDistance:

@@ -488,3 +488,19 @@ class TestCsvRoundTrip:
         assert np.array_equal(hi, hist.bin_edges[1:])
         assert np.array_equal(emp, hist.normalized_density)
         assert np.array_equal(th, theory)
+
+    def test_bytes(self, tmp_path):
+        # weighted, rank-deficient: the overlay has an atom, so the metadata has its lines
+        params = EnsembleParams(n_small=60, m_large=20, weight_q=0.5, seed=16)
+        hist, overlay, theory = run_hist(params, 20, 20)
+        meta = default_meta(params, 20, 20, 1)
+        meta["atom_threshold"] = "%.17g" % overlay.atom_threshold
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, hist, theory, meta)
+        rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.normalized_density, theory)
+        want = (
+            "bin_lo,bin_hi,empirical,theory\n"
+            + "".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+            + "".join(f"# {k}={v}\n" for k, v in meta.items())
+        )
+        assert path.read_bytes() == want.encode()

@@ -202,3 +202,9 @@ class TestPageFormula:
     def test_entropy_helper(self):
         lam = np.array([0.5, 0.5, 0.0])
         assert von_neumann_entropy(lam) == pytest.approx(math.log(2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_entropy_non_finite_rejected(self, bad):
+        # the > 1e-300 mask would drop a NaN and read 0.3466 for [nan, 0.5]
+        with pytest.raises(DomainError):
+            von_neumann_entropy([bad, 0.5])
