@@ -228,37 +228,26 @@ def _support_geometry(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     return edges, outside
 
 
-def _continuous_density(xs: np.ndarray, c: float, eta: float) -> np.ndarray:
-    """-Im G(x + i0)/pi at the 1-D points xs, continuous part only.
+def aed_curve(xs, c: float, eta: float = 1.0):
+    """Continuous density at xs (scalar or any shape) by Stieltjes inversion on the real axis.
 
-    For real x the cubic has real coefficients, so inside the support G(x + i0)
-    is one of a complex-conjugate pair and the density is the pair's |Im G|/pi,
-    read at x itself.  That is the middle of the three |Im G|: the real
-    root's is rounding only, and for the root that goes to infinity as
-    x -> 0 it can exceed the pair's (at x = 0, where a3 = 0, that root is
-    infinite and counts as 0).  Points outside the support read exactly 0.
-    Equal weights are solved at |x|, because Z and -Z have one law there.
-    """
-    _check_domain(c, eta, xs)
-    if eta == 1.0:
-        xs = np.abs(xs)
-    edges, outside = _support_geometry(c, eta)
-    with np.errstate(all="ignore"):  # the root near infinity as x -> 0
-        roots = _solve_cubics(xs, c, eta)
-    im = np.sort(np.abs(np.where(np.isfinite(roots), roots.imag, 0.0)), axis=1)[:, 1]
-    return np.where(outside[np.searchsorted(edges, xs)], 0.0, im / math.pi)
-
-
-def aed_curve(xs: np.ndarray, c: float, eta: float = 1.0) -> np.ndarray:
-    """Continuous density at every point of xs (any shape), from one batched cubic solve.
-
-    Stieltjes inversion of the cubic on the real axis: inside the support the
-    density is |Im G|/pi of the cubic's complex root pair at x; outside the
-    discriminant edges it is exactly 0.  The origin point mass is not
-    included, so this matches ``aed_symmetric`` for eta = 1.
+    For real x the cubic is real, so inside the support G(x + i0) is one of a
+    complex-conjugate pair and the density is the middle of the three
+    |Im G|/pi: the real root's is rounding only, and the root that goes to
+    infinity as x -> 0 (infinite at x = 0, counted as 0) can exceed the
+    pair's.  Outside the discriminant edges it is exactly 0; the origin atom
+    is excluded, as in ``aed_symmetric``.  Equal weights are solved at |x|.
+    An array keeps its shape; a scalar gives a float.
     """
     xs = np.asarray(xs, dtype=float)
-    return _continuous_density(xs.ravel(), c, eta).reshape(xs.shape)
+    _check_domain(c, eta, xs)
+    flat = np.abs(xs.ravel()) if eta == 1.0 else xs.ravel()
+    edges, outside = _support_geometry(c, eta)
+    with np.errstate(all="ignore"):  # the root near infinity as x -> 0
+        roots = _solve_cubics(flat, c, eta)
+    im = np.sort(np.abs(np.where(np.isfinite(roots), roots.imag, 0.0)), axis=1)[:, 1]
+    out = np.where(outside[np.searchsorted(edges, flat)], 0.0, im / math.pi).reshape(xs.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
@@ -363,6 +352,20 @@ def _support_grid(intervals, lo, hi, count, origin_scale: float):
     return np.unique(np.concatenate(pts))
 
 
+def _support_intervals(c: float, eta: float) -> list[tuple[float, float]]:
+    """Ascending support intervals: the mirror pair of ``support_points`` (meeting at
+    the origin below c = 2) for equal weights, else ``find_support_numeric``."""
+    if eta == 1.0:
+        x_minus, x_plus = support_points(c)
+        return [(-x_plus, -(x_minus or 0.0)), (x_minus or 0.0, x_plus)]
+    return find_support_numeric(c, eta)
+
+
+def _law_density(x, c: float, eta: float):
+    """Continuous density at x: the closed form for equal weights, the cubic otherwise."""
+    return aed_symmetric(x, c) if eta == 1.0 else aed_curve(x, c, eta)
+
+
 def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     """Tabulate the asymptotic density on an edge-aware grid.
 
@@ -378,13 +381,7 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     times denser, without the origin node itself.
     """
     _check_domain(c, eta)
-    x_minus = None
-    if eta == 1.0:
-        x_minus, x_plus = support_points(c)
-        split = x_minus or 0.0
-        intervals = [(-x_plus, -split), (split, x_plus)]
-    else:
-        intervals = find_support_numeric(c, eta)
+    intervals = _support_intervals(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
     if c == 2.0:
         count *= 4
@@ -392,8 +389,8 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     grid = _support_grid(intervals, mid - half, mid + half, count, max(-lo, hi))
     if c == 2.0:
         grid = grid[grid != 0.0]  # density unbounded exactly at the origin
-    dens = aed_symmetric(grid, c) if eta == 1.0 else aed_curve(grid, c, eta)
+    x_minus = support_points(c)[0] if eta == 1.0 else None
     return AedResult(
-        grid=grid, density=dens, atom_weight=atom_weight(c, eta), x_minus=x_minus,
-        x_plus=float(max(-lo, hi)), c=c, eta=eta,
+        grid=grid, density=_law_density(grid, c, eta), atom_weight=atom_weight(c, eta),
+        x_minus=x_minus, x_plus=float(max(-lo, hi)), c=c, eta=eta,
     )

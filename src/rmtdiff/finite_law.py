@@ -18,10 +18,9 @@ Evaluation is exact by default: integer arithmetic over a common
 denominator, rounded once to the nearest float (the differential operator
 amplifies cancellation catastrophically in floating point for the
 binomially large coefficients involved); the N = 3 marginal is integrated
-in those integers too.  A float path serves bulk grids such as fig1; its
-error against the exact path grows fast with M through cancellation:
-at most 1.3e-10 at M = 3, 9.0e-9 at M = 4 and 2.0e-6 at M = 5 over 400
-random interior N = 3 points.
+in those integers too.  A float path serves bulk grids such as fig1, only
+where its rounding bound is at most ``_FLOAT_TOL``: cancellation makes it
+err 1.3e-10 at M = 3, 9.0e-9 at M = 4 and 2.0e-6 at M = 5 (N = 3).
 """
 
 from __future__ import annotations
@@ -60,6 +59,8 @@ BOUNDARY_TOL = 1e-9
 
 # Largest monomial count comb(D + N, N) that ``build_psi_poly`` expands.
 _MAX_PSI_TERMS = 10_000_000
+
+_FLOAT_TOL = 1e-9  # largest rounding bound at which the float path is kept
 
 Poly = dict
 
@@ -243,7 +244,8 @@ def _apply_difference_operator(poly: Poly, n: int) -> Poly:
 @lru_cache(maxsize=16)
 def _law_tables(n: int, m: int):
     """Per orthant, the Vandermonde-differentiated psi piece as integer numerators
-    over psi's common denominator L, and its float table; plus L and prod_p p!."""
+    over psi's common denominator L, and its float table (none where the rounding
+    bound u sum_e |C_e| / prod_p p! exceeds ``_FLOAT_TOL``); plus L and prod_p p!."""
     nums, _, den = build_psi_poly(n, m)._exact
     ints, floats = {}, {}
     for signs in product((1, -1), repeat=n):
@@ -251,7 +253,10 @@ def _law_tables(n: int, m: int):
         q = _apply_difference_operator(piece, n)
         ints[signs] = _int_table(q)
         floats[signs] = _float_table(q, den)
-    return ints, floats, den, math.prod(math.factorial(p) for p in range(1, n + 1))
+    norm = math.prod(math.factorial(p) for p in range(1, n + 1))
+    if max(np.abs(C).sum() for _, C in floats.values()) * 2.0**-53 / norm > _FLOAT_TOL:
+        floats = {}
+    return ints, floats, den, norm
 
 
 def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float:
@@ -264,7 +269,8 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
 
     Points within 1e-9 of an orthant wall (some lambda_i = 0) or of the
     support-region boundary (gamma = 0) are rejected: distributional
-    boundary contributions are out of scope.
+    boundary contributions are out of scope.  ``exact=False`` is exact too
+    except at N = 2, M <= 7 and N = 3, M = 3 (float error bound <= 1e-9).
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (n,):
@@ -282,7 +288,7 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
         raise BoundaryPoint("point is within 1e-9 of the support-region boundary")
     ints, floats, den, norm = _law_tables(n, m)
     signs = tuple(1 if v > 0 else -1 for v in lam)
-    if exact:
+    if exact or not floats:
         val = _exact_eval(ints[signs], den * norm, lam, vandermonde=True)
     else:
         vand = math.prod(lam[j] - lam[i] for i, j in combinations(range(n), 2))

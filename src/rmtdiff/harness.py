@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .asym_law import aed_curve, aed_symmetric, atom_weight, find_support_numeric, support_points
+from .asym_law import _law_density, _support_intervals, atom_weight
 from .finite_law import single_eigenvalue_marginal
 from .montecarlo import HistogramResult, bin_theory_mass, build_histogram, pooled_spectrum
 from .sampling import EnsembleParams
@@ -40,24 +40,14 @@ class TheoryOverlay:
     label: str
 
 
-def _on_arrays(fn):
-    """Lift fn(1-D float array) -> array to any shape, returning a float for a scalar."""
-
-    def density(x):
-        xs = np.asarray(x, dtype=float)
-        out = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
-        return float(out) if out.ndim == 0 else out
-
-    return density
-
-
 def _exact_marginal(n: int, m: int, p: float):
     scale = n * p
 
-    def f(xs: np.ndarray) -> np.ndarray:
-        return single_eigenvalue_marginal(n, m, xs / scale) / scale
+    def density(x):
+        out = single_eigenvalue_marginal(n, m, np.asarray(x, dtype=float) / scale) / scale
+        return float(out) if out.ndim == 0 else out
 
-    return _on_arrays(f)
+    return density
 
 
 def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
@@ -65,42 +55,26 @@ def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
 
     Equal weights at n = 2 or 3 use the exact finite-dimension law (what the
     histogram actually estimates there); anything else falls back to the
-    asymptotic density, numerically inverted when the weights differ.
+    asymptotic density, numerically inverted when the weights differ.  With
+    an origin atom the threshold is half the smallest |support edge|.
     """
     n = params.n_small
     c = params.dim_ratio
     p = params.weight_p
     eta = params.weight_ratio
-    if eta == 1.0:
-        if n in (2, 3) and n <= params.m_large:
-            return TheoryOverlay(
-                density=_exact_marginal(n, params.m_large, p),
-                atom_weight=0.0,
-                atom_threshold=None,
-                label=f"exact n={n}",
-            )
-        atom = atom_weight(c)
-        x_minus, _ = support_points(c)
-        threshold = 0.5 * p * x_minus if (atom > 0.0 and x_minus) else None
-
-        def f(xs: np.ndarray) -> np.ndarray:
-            return aed_symmetric(xs / p, c) / p
-
-        return TheoryOverlay(
-            density=_on_arrays(f), atom_weight=atom, atom_threshold=threshold, label="aed"
-        )
+    if eta == 1.0 and n in (2, 3) and n <= params.m_large:
+        density = _exact_marginal(n, params.m_large, p)
+        return TheoryOverlay(density, atom_weight=0.0, atom_threshold=None, label=f"exact n={n}")
     atom = atom_weight(c, eta)
     threshold = None
     if atom > 0.0:
-        gap = min(abs(v) for ab in find_support_numeric(c, eta) for v in ab)
-        threshold = 0.5 * p * gap
+        threshold = 0.5 * p * min(abs(v) for ab in _support_intervals(c, eta) for v in ab)
 
-    def fw(xs: np.ndarray) -> np.ndarray:
-        return aed_curve(xs / p, c, eta) / p
+    def density(x):
+        return _law_density(np.asarray(x, dtype=float) / p, c, eta) / p
 
-    return TheoryOverlay(
-        density=_on_arrays(fw), atom_weight=atom, atom_threshold=threshold, label="aed-weighted"
-    )
+    label = "aed" if eta == 1.0 else "aed-weighted"
+    return TheoryOverlay(density, atom_weight=atom, atom_threshold=threshold, label=label)
 
 
 def run_hist(

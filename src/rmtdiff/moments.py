@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .asym_law import _check_domain, aed_curve, aed_symmetric, find_support_numeric, support_points
+from .asym_law import _check_domain, _law_density, _support_intervals, support_points
 from .errors import DomainError, QuadratureFailure
 from .sampling import _check_count
 from .specfun import hyp2f1
@@ -83,6 +83,23 @@ def _moment_near_two(z: complex, c: float) -> complex:
     return out
 
 
+def _float_range(fn):
+    """Raise DomainError where a moment leaves the float range, by overflow or a non-finite value."""
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                val = fn(*args, **kwargs)
+            except OverflowError:
+                val = math.inf
+        if not cmath.isfinite(val):
+            raise DomainError(f"{fn.__name__}{args} lies beyond the float range")
+        return val
+
+    return wrapper
+
+
+@_float_range
 def absolute_moment(z, c: float):
     """Absolute moment m_z = integral |x|^z of the equal-weight density.
 
@@ -90,7 +107,7 @@ def absolute_moment(z, c: float):
     nothing there.  c >= 2 takes the 2F1 in 2/c, which at c = 2 is Gauss's
     sum; c < 2 takes the 2F1 in c/2.  Within 2e-3 of c = 2, but not at it,
     non-even orders are extrapolated from the same side.
-    Returns a float for real order, complex otherwise.
+    Returns a float for real order, complex otherwise; DomainError past the float range.
     """
     zc = complex(z)
     if not zc.real > 0.0:
@@ -107,6 +124,7 @@ def absolute_moment(z, c: float):
     return val
 
 
+@_float_range
 def even_moment(l: int, c: float) -> float:
     """Even moment m_{2l} from the free cumulants of the equal-weight law.
 
@@ -116,7 +134,7 @@ def even_moment(l: int, c: float) -> float:
     m_n = sum_k kappa_k [t^(n-k)] M(t)^k, M(t) = sum_j m_j t^j, gives the
     moments (Nica & Speicher, Lectures on the Combinatorics of Free
     Probability, 2006).  Every term is nonnegative, so nothing cancels at
-    any c.  Costs O(l^4) operations.
+    any c.  Costs O(l^4) operations; DomainError past the float range.
     """
     _check_count("l", l)
     _check_domain(c)
@@ -187,49 +205,39 @@ def _mp_quad(f, lo: float, hi: float) -> tuple[float, float]:
 def distance_to_mixed_asymptotic(c: float) -> float:
     """Limiting trace distance between one random state and the mixed state.
 
-    Half the first absolute moment of (x - 1) under the rescaled single-matrix
-    law, atom included, computed by Gauss-Legendre quadrature (``_mp_quad``).
+    Half of E|x - 1| under the rescaled single-matrix law, atom included,
+    which is E(x - 1)_+ as E x = 1.  From c = 4 the continuous support lies
+    at x >= 1, so it is exactly 1 - 1/c; below, ``_mp_quad`` integrates
+    (x - 1) times the density on one sin^2 panel over [1, x_+].
     """
     _check_domain(c)
+    if c >= 4.0:
+        return 1.0 - 1.0 / c
     lo = (1.0 - math.sqrt(c)) ** 2
     hi = (1.0 + math.sqrt(c)) ** 2
-    atom = max(1.0 - 1.0 / c, 0.0)
 
     def integrand(x):
-        return np.abs(x - 1.0) * np.sqrt(np.maximum((x - lo) * (hi - x), 0.0)) / (2.0 * math.pi * c * x)
+        return (x - 1.0) * np.sqrt(np.maximum((x - lo) * (hi - x), 0.0)) / (2.0 * math.pi * c * x)
 
-    pieces = sorted({lo, hi, min(max(1.0, lo), hi)})
-    total = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        total += _mp_quad(integrand, a, b)[0]
-    return 0.5 * (total + atom)
+    return _mp_quad(integrand, 1.0, hi)[0]
 
 
 def _against_density(f, c: float, eta: float) -> tuple[float, float]:
     """(integral, error estimate) of f(x) times the continuous density.
 
-    f and the density are evaluated on all nodes of a panel at once.  The
-    equal-weight density is even: its positive half is integrated and
-    doubled, so f must be even there as well.  A weighted support interval
-    that contains 0 is split there, where |x|^z has its kink.
+    f and the density are evaluated on all nodes of a panel at once.  Support
+    intervals are split at 0, where |x|^z has its kink.  For equal weights
+    only the pieces at x >= 0 are integrated and doubled, so f must be even.
     """
+    pieces = []
+    for lo, hi in _support_intervals(c, eta):
+        pieces += [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
+    fold = 1.0
     if eta == 1.0:
-        x_minus, x_plus = support_points(c)
-        pieces, fold = [(x_minus or 0.0, x_plus)], 2.0
-
-        def density(x):
-            return aed_symmetric(x, c)
-    else:
-        pieces, fold = [], 1.0
-        for lo, hi in find_support_numeric(c, eta):
-            pieces += [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
-
-        def density(x):
-            return aed_curve(x, c, eta)
-
+        pieces, fold = [(lo, hi) for lo, hi in pieces if lo >= 0.0], 2.0  # the density is even
     val = err = 0.0
     for lo, hi in pieces:
-        v, e = _mp_quad(lambda x: f(x) * density(x), lo, hi)
+        v, e = _mp_quad(lambda x: f(x) * _law_density(x, c, eta), lo, hi)
         val += fold * v
         err += fold * e
     return val, err

@@ -362,6 +362,12 @@ class TestNumericInversion:
         scalars = [aed_curve(np.array([x]), 1.0)[0] for x in xs]
         assert np.allclose(curve, scalars, atol=1e-12)
 
+    @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (3.0, 1.0), (3.0, 0.5), (0.7, 2.0)])
+    def test_scalar_gives_float(self, c, eta):
+        got = aed_curve(0.5, c, eta)
+        assert type(got) is float
+        assert got == aed_curve(np.array([0.5]), c, eta)[0]
+
 
 class TestMarchenkoPastur:
     def test_unit_aspect(self):

@@ -142,6 +142,10 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_moment_beyond_float_range_is_3(self, capsys):
+        assert run_cli(["moments", "--c", "1e200", "--z", "6"]) == 3
+        assert "float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

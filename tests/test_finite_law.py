@@ -13,6 +13,7 @@ from rmtdiff.errors import (
     Unsupported,
 )
 from rmtdiff.finite_law import (
+    _law_tables,
     build_psi_poly,
     derivative_principle_selftest,
     joint_eigen_density,
@@ -210,6 +211,36 @@ class TestJointDensity:
         a = joint_eigen_density(lam, 3, 3, exact=True)
         b = joint_eigen_density(lam, 3, 3, exact=False)
         assert b == pytest.approx(a, rel=1e-8)
+
+
+class TestFloatPath:
+    @pytest.mark.parametrize("n, m", [(3, 4), (3, 5), (2, 8)])
+    def test_inaccurate_shapes_evaluate_exactly(self, n, m):
+        # their float rounding bounds (1.3e-7, 2.8e-5, 1.2e-9) exceed 1e-9
+        assert not _law_tables(n, m)[1]
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 12:
+            lam = rng.uniform(-1.0, 1.0, n - 1)
+            lam = np.append(lam, -lam.sum())
+            if np.min(np.abs(lam)) < 1e-3 or abs(1.0 - 0.5 * np.sum(np.abs(lam))) < 1e-3:
+                continue
+            exact = joint_eigen_density(lam, n, m, exact=True)
+            assert joint_eigen_density(lam, n, m, exact=False) == exact
+            checked += 1
+
+    def test_float_path_near_walls_within_tolerance(self):
+        # (3, 3) keeps the float path (bound 4.0e-10), which fig1 uses
+        assert _law_tables(3, 3)[1]
+        worst = 0.0
+        for d in (1e-8, 1e-6, 1e-4, 1e-2):
+            for t in np.linspace(0.02, 0.98, 25):
+                wall = (t, d - t, -d)  # |lambda_3| = d from an orthant wall
+                edge = (t * (1 - d), (1 - t) * (1 - d), -(1 - d))  # gamma = d
+                for lam in (wall, edge, tuple(-v for v in wall), tuple(-v for v in edge)):
+                    exact = joint_eigen_density(lam, 3, 3, exact=True)
+                    worst = max(worst, abs(joint_eigen_density(lam, 3, 3, exact=False) - exact))
+        assert worst <= 1e-9
 
 
 class TestN2Density:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,61 @@ class TestDistanceToMixed:
         )
         want = 0.5 * (v + max(1 - 1 / c, 0.0))
         assert distance_to_mixed_asymptotic(c) == pytest.approx(want, rel=1e-6)
+
+
+class TestDistanceToMixedAccuracy:
+    @staticmethod
+    def _mpmath(c: float) -> float:
+        """E(x - 1)_+ under the rescaled Marchenko-Pastur law, by 40-digit tanh-sinh quadrature."""
+        import mpmath as mp
+
+        with mp.workdps(40):
+            c = mp.mpf(c)
+            lo, hi = (1 - mp.sqrt(c)) ** 2, (1 + mp.sqrt(c)) ** 2
+            a = max(lo, mp.mpf(1))
+            return float(mp.quad(
+                lambda x: (x - 1) * mp.sqrt((x - lo) * (hi - x)) / (2 * mp.pi * c * x), [a, hi]
+            ))
+
+    @pytest.mark.parametrize(
+        "c, rel", [(1e-8, 1e-11), (1e-3, 1e-14), (0.5, 1e-14), (1.0, 1e-14), (3.99, 1e-14)]
+    )
+    def test_below_four_against_mpmath(self, c, rel):
+        assert distance_to_mixed_asymptotic(c) == pytest.approx(self._mpmath(c), rel=rel)
+
+    @pytest.mark.parametrize("c", [4.0, 5.0, 1e15])
+    def test_from_four_up_is_one_minus_inverse_c(self, c):
+        got = distance_to_mixed_asymptotic(c)
+        assert got == 1.0 - 1.0 / c
+        assert got == pytest.approx(self._mpmath(c), rel=1e-15)
+
+    def test_huge_c(self):
+        # lo and hi round together at c = 1e300; the value is 1 - 1e-300
+        assert distance_to_mixed_asymptotic(1e300) == 1.0
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: absolute_moment(6, 1e200),
+            lambda: absolute_moment(800.0, 1.0),
+            lambda: even_moment(3, 1e200),
+            lambda: even_moment(150, 50.0),
+            lambda: even_moment(300, 1.0),
+        ],
+        ids=["abs-6-1e200", "abs-800-1", "even-3-1e200", "even-150-50", "even-300-1"],
+    )
+    def test_beyond_float_range_raises(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range"):
+                call()
+
+    def test_in_range_neighbours_stay_finite(self):
+        assert absolute_moment(6, 1e40) == pytest.approx(2.0 * 1e200, rel=1e-6)
+        assert math.isfinite(even_moment(100, 1.0))
+        assert math.isfinite(absolute_moment(300.0, 1.0))
 
 
 class TestQuadratureOracle:

@@ -286,6 +286,29 @@ class TestTheoryOverlay:
         assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
         assert isinstance(overlay.density(0.5), float)
 
+    def test_equal_weights_overlay_the_closed_form(self):
+        from rmtdiff.asym_law import aed_symmetric, support_points
+
+        params = EnsembleParams(100, 20, weight_p=0.7, weight_q=0.7, seed=0)
+        p, c = params.weight_p, params.dim_ratio
+        overlay = theory_overlay(params)
+        xs = np.linspace(-4.0, 4.0, 60).reshape(12, 5)
+        assert overlay.label == "aed"
+        assert np.array_equal(overlay.density(xs), aed_symmetric(xs / p, c) / p)
+        assert overlay.atom_threshold == 0.5 * p * support_points(c)[0]
+
+    def test_weighted_overlay_the_cubic(self):
+        from rmtdiff.asym_law import aed_curve, find_support_numeric
+
+        params = EnsembleParams(60, 20, weight_p=0.8, weight_q=0.4, seed=0)
+        p, c, eta = params.weight_p, params.dim_ratio, params.weight_ratio
+        overlay = theory_overlay(params)
+        xs = np.linspace(-2.0, 3.0, 60).reshape(12, 5)
+        assert overlay.label == "aed-weighted"
+        assert np.array_equal(overlay.density(xs), aed_curve(xs / p, c, eta) / p)
+        edge = min(abs(v) for ab in find_support_numeric(c, eta) for v in ab)
+        assert overlay.atom_threshold == 0.5 * p * edge
+
 
 class TestReductions:
     def test_trace_distance_parallel_consistency(self):
