@@ -35,7 +35,6 @@ from .sampling import (
     make_rng,
     page_entropy_mean,
     reduced_density_from_ginibre,
-    sample_difference,
     sample_ginibre,
     sample_pure_state_reduced,
     von_neumann_entropy,

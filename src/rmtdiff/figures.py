@@ -62,11 +62,11 @@ def _emit_fig1(out_dir: str, fast: bool, svg: bool) -> list[str]:
     k = 61 if fast else 121
     axis = np.linspace(-1.02, 1.02, k)
     z = np.zeros((k, k))
-    for j, l2 in enumerate(axis):
-        for i, l1 in enumerate(axis):
-            l3 = -l1 - l2
-            lam = np.array([l1, l2, l3])
-            if np.min(np.abs(lam)) < 1e-9 or region_gamma(lam) < 1e-9:
+    ls = axis.tolist()
+    for j, l2 in enumerate(ls):
+        for i, l1 in enumerate(ls):
+            lam = (l1, l2, -l1 - l2)
+            if min(map(abs, lam)) < 1e-9 or region_gamma(lam) < 1e-9:
                 continue
             z[j, i] = max(joint_eigen_density(lam, 3, 3, exact=False), 0.0)
     csv_path = os.path.join(out_dir, "fig1.csv")

@@ -19,8 +19,12 @@ denominator, rounded once to the nearest float (the differential operator
 amplifies cancellation catastrophically in floating point for the
 binomially large coefficients involved); the N = 3 marginal is integrated
 in those integers too.  A float path serves bulk grids such as fig1, only
-where its rounding bound is at most ``_FLOAT_TOL``: cancellation makes it
-err 1.3e-10 at M = 3, 9.0e-9 at M = 4 and 2.0e-6 at M = 5 (N = 3).
+where its rounding bound is at most ``_FLOAT_TOL``: N = 2 up to M = 7 and
+N = 3 at M = 3 (cancellation would make it err 9.0e-9 at M = 4 and 2.0e-6
+at M = 5).  There each orthant's piece is one dense array of correctly
+rounded coefficients, and a point costs a power table and one
+matrix-vector product per variable; against the exact path it errs at most
+5.2e-11 over 400 random N = 3, M = 3 points and 6.9e-11 at N = 2, M = 7.
 """
 
 from __future__ import annotations
@@ -65,9 +69,24 @@ _FLOAT_TOL = 1e-9  # largest rounding bound at which the float path is kept
 Poly = dict
 
 
+def _finite_floats(lambdas) -> list[float]:
+    """The entries of ``lambdas`` as Python floats; DomainError for NaN or inf."""
+    xs = np.asarray(lambdas, dtype=float).ravel().tolist()
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"eigenvalues must be finite, got {xs}")
+    return xs
+
+
+def _gamma(xs: list[float]) -> float:
+    """``region_gamma`` of finite Python floats."""
+    return 1.0 - 0.5 * sum(map(abs, xs))
+
+
 def region_gamma(lambdas) -> float:
-    """gamma = 1 - (1/2) sum |z_i|; positive exactly on the interior of the support region."""
-    return 1.0 - 0.5 * float(np.sum(np.abs(np.asarray(lambdas, dtype=float))))
+    """gamma = 1 - (1/2) sum |z_i|; positive exactly on the interior of the support region.
+
+    Raises DomainError for a NaN or infinite entry."""
+    return _gamma(_finite_floats(lambdas))
 
 
 def _sign_factor(signs, exponents) -> int:
@@ -111,23 +130,23 @@ def _exact_eval(table, den: int, point, *, vandermonde: bool = False) -> float:
     return acc / den
 
 
-def _float_table(poly: Poly, den: int):
-    E = np.array(list(poly.keys()), dtype=np.int64).reshape(len(poly), -1)
-    C = np.array([c / den for c in poly.values()], dtype=float)
-    return E, C
+def _dense_table(poly: Poly, den: int) -> np.ndarray:
+    """The polynomial as a dense array of shape (top + 1,) * n, entry e = c_e / den."""
+    top = max(max(e) for e in poly)
+    table = np.zeros((top + 1,) * len(next(iter(poly))))
+    for e, c in poly.items():
+        table[e] = c / den
+    return table
 
 
-def _float_eval(E: np.ndarray, C: np.ndarray, point) -> float:
-    """sum_e C_e prod_i point_i^e_i from a cumprod power table and gathers."""
-    pt = np.asarray(point, dtype=float)
-    top = int(E.max(initial=0))
-    pw = np.ones((len(pt), top + 1))
-    pw[:, 1:] = np.cumprod(np.repeat(pt[:, None], top, axis=1), axis=1)
-    mono = np.take(pw[0], E[:, 0])
-    for i in range(1, E.shape[1]):
-        mono *= np.take(pw[i], E[:, i])
-    mono *= C
-    return float(mono.sum())
+def _float_eval(table: np.ndarray, point: np.ndarray) -> float:
+    """sum_e table[e] prod_i point_i^e_i: one matrix-vector product per variable,
+    last first, each on a 2-d view (one BLAS call, not one per leading index)."""
+    k = table.shape[0]
+    acc = table
+    for row in point[::-1, None] ** np.arange(k, dtype=float):
+        acc = acc.reshape(-1, k) @ row
+    return float(acc[0])
 
 
 @dataclass(frozen=True)
@@ -156,8 +175,10 @@ class OrthantPiecewisePoly:
         return nums, _int_table(nums), den
 
     def evaluate(self, point) -> float:
-        """Evaluate the smooth prefactor psi at a hyperplane point, exactly rounded."""
-        return _exact_eval(*self._exact[1:], np.abs(np.asarray(point, dtype=float)))
+        """Evaluate the smooth prefactor psi at a hyperplane point, exactly rounded.
+
+        Raises DomainError for a NaN or infinite coordinate."""
+        return _exact_eval(*self._exact[1:], [abs(v) for v in _finite_floats(point)])
 
     @property
     def term_count(self) -> int:
@@ -244,18 +265,21 @@ def _apply_difference_operator(poly: Poly, n: int) -> Poly:
 @lru_cache(maxsize=16)
 def _law_tables(n: int, m: int):
     """Per orthant, the Vandermonde-differentiated psi piece as integer numerators
-    over psi's common denominator L, and its float table (none where the rounding
-    bound u sum_e |C_e| / prod_p p! exceeds ``_FLOAT_TOL``); plus L and prod_p p!."""
+    over psi's common denominator L, and its ``_dense_table`` (none where the
+    rounding bound u sum_e |C_e| / prod_p p! exceeds ``_FLOAT_TOL``); plus L and
+    prod_p p!."""
     nums, _, den = build_psi_poly(n, m)._exact
-    ints, floats = {}, {}
-    for signs in product((1, -1), repeat=n):
-        piece = {e: c * _sign_factor(signs, e) for e, c in nums.items()}
-        q = _apply_difference_operator(piece, n)
-        ints[signs] = _int_table(q)
-        floats[signs] = _float_table(q, den)
     norm = math.prod(math.factorial(p) for p in range(1, n + 1))
-    if max(np.abs(C).sum() for _, C in floats.values()) * 2.0**-53 / norm > _FLOAT_TOL:
-        floats = {}
+    pieces = {
+        signs: _apply_difference_operator(
+            {e: c * _sign_factor(signs, e) for e, c in nums.items()}, n)
+        for signs in product((1, -1), repeat=n)
+    }
+    ints = {signs: _int_table(q) for signs, q in pieces.items()}
+    bound = max(sum(map(abs, q.values())) for q in pieces.values()) / den * 2.0**-53 / norm
+    floats = {}
+    if bound <= _FLOAT_TOL:
+        floats = {signs: _dense_table(q, den) for signs, q in pieces.items()}
     return ints, floats, den, norm
 
 
@@ -269,30 +293,32 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
 
     Points within 1e-9 of an orthant wall (some lambda_i = 0) or of the
     support-region boundary (gamma = 0) are rejected: distributional
-    boundary contributions are out of scope.  ``exact=False`` is exact too
-    except at N = 2, M <= 7 and N = 3, M = 3 (float error bound <= 1e-9).
+    boundary contributions are out of scope.  A NaN or infinite entry raises
+    DomainError.  ``exact=False`` is exact too except at N = 2, M <= 7 and
+    N = 3, M = 3 (float error bound <= 1e-9).
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues, got shape {lam.shape}")
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
-    if abs(float(lam.sum())) > 1e-12:
+    xs = _finite_floats(lam)
+    if abs(sum(xs)) > 1e-12:
         raise ValueError("eigenvalues must sum to zero (within 1e-12)")
-    if float(np.min(np.abs(lam))) <= BOUNDARY_TOL:
+    if min(map(abs, xs)) <= BOUNDARY_TOL:
         raise BoundaryPoint("a coordinate is within 1e-9 of an orthant wall")
-    gam = region_gamma(lam)
+    gam = _gamma(xs)
     if gam <= BOUNDARY_TOL:
         if gam <= -BOUNDARY_TOL:
             return 0.0  # outside the support region entirely
         raise BoundaryPoint("point is within 1e-9 of the support-region boundary")
     ints, floats, den, norm = _law_tables(n, m)
-    signs = tuple(1 if v > 0 else -1 for v in lam)
+    signs = tuple(1 if v > 0 else -1 for v in xs)
     if exact or not floats:
-        val = _exact_eval(ints[signs], den * norm, lam, vandermonde=True)
+        val = _exact_eval(ints[signs], den * norm, xs, vandermonde=True)
     else:
-        vand = math.prod(lam[j] - lam[i] for i, j in combinations(range(n), 2))
-        val = vand * _float_eval(*floats[signs], lam) / norm
+        vand = math.prod(xs[j] - xs[i] for i, j in combinations(range(n), 2))
+        val = vand * _float_eval(floats[signs], lam) / norm
     if val < -1e-9:
         msg = f"joint density evaluated to {val:.3e} < 0 at {lam}"
         warnings.warn(msg, NegativeDensityWarning, stacklevel=2)

@@ -126,27 +126,36 @@ def absolute_moment(z, c: float):
 
 @_float_range
 def even_moment(l: int, c: float) -> float:
-    """Even moment m_{2l} from the free cumulants of the equal-weight law.
+    """Even moment m_{2l} of the equal-weight law, in closed form.
 
     The law is the free convolution of Marchenko-Pastur (free Poisson, rate
     1/c, jump c) with its reflection, so its free cumulants are
-    kappa_k = (1 + (-1)^k) c^(k-1), and the moment-cumulant recursion
-    m_n = sum_k kappa_k [t^(n-k)] M(t)^k, M(t) = sum_j m_j t^j, gives the
-    moments (Nica & Speicher, Lectures on the Combinatorics of Free
-    Probability, 2006).  Every term is nonnegative, so nothing cancels at
-    any c.  Costs O(l^4) operations; DomainError past the float range.
+    kappa_k = (1 + (-1)^k) c^(k-1), and Lagrange inversion of
+    f = t (1 + sum_k kappa_k f^k) gives (Nica & Speicher, Lectures on the
+    Combinatorics of Free Probability, 2006)
+
+        m_2l = (1/(2l+1)) sum_{j=1..l} C(2l+1, j) C(l-1, j-1) 2^j c^(2l-j),
+
+    l positive terms, so nothing cancels at any c.  The terms are held as
+    mantissa and power-of-two exponent (t_1 = 2 c^(2l-1), then the ratio
+    (2l+1-j)(l-j) / (j(j+1)) * 2/c), so none overflows before the one
+    final scaling, which raises DomainError past the float range.  O(l).
     """
     _check_count("l", l)
     _check_domain(c)
-    m = np.zeros(2 * l + 1)
-    m[0] = 1.0
-    for n in range(2, 2 * l + 1, 2):  # odd cumulants, hence odd moments, vanish
-        power = m[:n]  # M(t)^k up to degree n - 1
-        for k in range(2, n + 1):
-            power = np.convolve(power, m[:n])[:n]
-            if k % 2 == 0:
-                m[n] += 2.0 * c ** (k - 1) * power[n - k]
-    return float(m[-1])
+    fc, ec = math.frexp(c)  # c = fc 2^ec exactly
+    log_fc = math.log2(fc)
+    a, ea = 0.5, 1  # C(2l+1, j) C(l-1, j-1) / (2l+1) = a 2^ea, 1 at j = 1
+    mants, exps = [], []
+    for j in range(1, l + 1):
+        y = (2 * l - j) * log_fc  # fc^(2l-j) = 2^y
+        k = math.floor(y)
+        mants.append(a * 2.0 ** (y - k))
+        exps.append(ea + j + ec * (2 * l - j) + k)
+        a, e = math.frexp(a * ((2 * l + 1 - j) * (l - j)) / (j * (j + 1)))
+        ea += e
+    top = max(exps)
+    return math.ldexp(math.fsum(math.ldexp(f, e - top) for f, e in zip(mants, exps)), top)
 
 
 def trace_distance_asymptotic(c: float) -> float:

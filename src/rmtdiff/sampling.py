@@ -1,4 +1,4 @@
-"""Random reduced density matrices, weighted differences, and spectra.
+"""Random reduced density matrices, their parameters, and spectra.
 
 Partial-tracing a uniformly random bipartite pure state gives a random
 density matrix; the same law is obtained by normalizing G G^H of a complex
@@ -28,7 +28,6 @@ __all__ = [
     "sample_ginibre",
     "reduced_density_from_ginibre",
     "sample_pure_state_reduced",
-    "sample_difference",
     "hermitian_eigenvalues",
     "page_entropy_mean",
     "von_neumann_entropy",
@@ -160,14 +159,6 @@ def sample_pure_state_reduced(
     but computed along an independent code path for cross-validation.
     """
     return _reduced_density_batch(params.n_small, params.m_large, 1, rng)[0]
-
-
-def sample_difference(params: EnsembleParams, rng: np.random.Generator) -> np.ndarray:
-    """One draw of weight_p * rho1 - weight_q * rho2 with independent rho1, rho2."""
-    n, m = params.n_small, params.m_large
-    r1 = reduced_density_from_ginibre(sample_ginibre(n, m, rng))
-    r2 = reduced_density_from_ginibre(sample_ginibre(n, m, rng))
-    return params.weight_p * r1 - params.weight_q * r2
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> SpectrumSample:

@@ -18,6 +18,7 @@ from rmtdiff.finite_law import (
     derivative_principle_selftest,
     joint_eigen_density,
     n2_exact_density,
+    region_gamma,
     single_eigenvalue_marginal,
     w_poly,
 )
@@ -241,6 +242,81 @@ class TestFloatPath:
                     exact = joint_eigen_density(lam, 3, 3, exact=True)
                     worst = max(worst, abs(joint_eigen_density(lam, 3, 3, exact=False) - exact))
         assert worst <= 1e-9
+
+
+class TestFloatPathShapes:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_n2_float_within_tolerance_of_exact(self, m):
+        assert _law_tables(2, m)[1]  # N = 2 keeps the float path up to M = 7
+        ts = [1e-8 * (1 + 1e-3), 2e-8, 1e-6, 1.0 - 2e-8, 1.0 - 1e-8 * (1 + 1e-3)]
+        ts += list(np.linspace(0.01, 0.99, 49))
+        worst = 0.0
+        for t in ts:
+            for lam in ((t, -t), (-t, t)):
+                exact = joint_eigen_density(lam, 2, m, exact=True)
+                worst = max(worst, abs(joint_eigen_density(lam, 2, m, exact=False) - exact))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("n, m, point", [(2, 5, (0.37, -0.37)), (3, 3, (0.21, -0.34, 0.13)),
+                                             (3, 4, (-0.21, 0.34, -0.13))])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_container_type_does_not_matter(self, n, m, point, exact):
+        want = joint_eigen_density(np.array(point), n, m, exact=exact)
+        assert joint_eigen_density(list(point), n, m, exact=exact) == want
+        assert joint_eigen_density(tuple(point), n, m, exact=exact) == want
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize(
+        "n, m, lam, error, match",
+        [
+            (3, 3, (0.1, -0.1), ValueError, "expected 3 eigenvalues"),
+            (3, 3, ((0.1, -0.1, 0.0),), ValueError, "expected 3 eigenvalues"),
+            (3, 2, (0.1, 0.2, -0.3), DimensionOrder, "requires n <= m"),
+            (3, 3, (0.2, -0.1, 0.1), ValueError, "sum to zero"),
+            (3, 3, (0.3, -0.3 + 1e-13, -1e-13), BoundaryPoint, "orthant wall"),
+            (2, 5, (1.0 - 1e-10, -1.0 + 1e-10), BoundaryPoint, "support-region boundary"),
+        ],
+    )
+    def test_guards(self, n, m, lam, error, match, exact):
+        with pytest.raises(error, match=match):
+            joint_eigen_density(lam, n, m, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_outside_region_is_zero(self, exact):
+        assert joint_eigen_density((0.9, 0.4, -1.3), 3, 3, exact=exact) == 0.0
+        assert joint_eigen_density((1.5, -1.5), 2, 5, exact=exact) == 0.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize(
+        "n, m, lam",
+        [
+            (2, 5, (0.1, math.nan)),
+            (2, 5, (math.inf, -math.inf)),
+            (3, 3, (0.1, math.nan, -0.1)),
+            (3, 3, (0.1, math.inf, -math.inf)),
+            (3, 3, (math.nan, math.nan, math.nan)),
+        ],
+    )
+    def test_joint_density_raises(self, n, m, lam, exact):
+        with pytest.raises(DomainError, match="finite"):
+            joint_eigen_density(lam, n, m, exact=exact)
+
+    @pytest.mark.parametrize("lam", [(math.nan, 0.1), (0.1, math.inf), (-math.inf, 0.2, 0.3)])
+    def test_region_gamma_raises(self, lam):
+        with pytest.raises(DomainError, match="finite"):
+            region_gamma(lam)
+
+    @pytest.mark.parametrize("lam", [(0.1, math.nan), (math.inf, -math.inf)])
+    def test_psi_evaluate_raises(self, lam):
+        with pytest.raises(DomainError, match="finite"):
+            build_psi_poly(2, 3).evaluate(lam)
+
+    def test_region_gamma_of_finite_points(self):
+        assert region_gamma((0.25, -0.5, 0.25)) == 0.5
+        assert region_gamma(np.array([[0.5, -0.5]])) == 0.5
+        assert region_gamma([]) == 1.0
 
 
 class TestN2Density:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -180,6 +181,30 @@ class TestEvenMoment:
     def test_matches_absolute_moment(self, c):
         for l in (1, 2, 3, 5, 10, 20):
             assert even_moment(l, c) == pytest.approx(absolute_moment(2 * l, c), rel=1e-13, abs=0.0)
+
+
+class TestEvenMomentLagrangeSum:
+    @pytest.mark.parametrize("c", [1e-3, 0.3, 1.0, 2.0, 7.5, 500.0])
+    @pytest.mark.parametrize("l", [1, 2, 7, 40, 150])
+    def test_matches_exact_rational_sum(self, l, c):
+        # m_2l = (1/(2l+1)) sum_j C(2l+1, j) C(l-1, j-1) 2^j c^(2l-j), summed in Fractions
+        cf = Fraction(c)
+        exact = sum(
+            math.comb(2 * l + 1, j) * math.comb(l - 1, j - 1) * 2**j * cf ** (2 * l - j)
+            for j in range(1, l + 1)
+        ) / (2 * l + 1)
+        try:
+            want = float(exact)
+        except OverflowError:
+            with pytest.raises(DomainError, match="float range"):
+                even_moment(l, c)
+            return
+        assert even_moment(l, c) == pytest.approx(want, rel=2e-14, abs=0.0)
+
+    def test_underflow_reads_zero(self):
+        # m_2l(1e-3) falls like x_plus^(2l), x_plus = 0.0895: below the float range it is 0.0
+        assert even_moment(100, 1e-3) > 0.0
+        assert even_moment(20_000, 1e-3) == 0.0
 
 
 class TestTraceDistance:

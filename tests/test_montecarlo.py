@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from conftest import sample_difference
 from rmtdiff import montecarlo
 from rmtdiff.errors import DomainError
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
@@ -22,7 +23,7 @@ from rmtdiff.montecarlo import (
     pooled_spectrum,
     trace_distance_mc,
 )
-from rmtdiff.sampling import EnsembleParams, hermitian_eigenvalues, make_rng, sample_difference
+from rmtdiff.sampling import EnsembleParams, hermitian_eigenvalues, make_rng
 
 
 class TestSpectra:
@@ -104,7 +105,7 @@ class TestReducedKernel:
         "n,m,q", [(3, 5, 1.0), (7, 3, 1.0), (12, 4, 2.0), (8, 10, 0.5), (3, 1, 1.0)]
     )
     def test_law_matches_ginibre_route(self, n, m, q):
-        # the kernel's spectrum law against full Ginibre draws of sampling.sample_difference
+        # the kernel's spectrum law against full Ginibre draws of the conftest oracle
         params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=31)
         draws = 3000
         kernel = difference_spectra(params, draws, rescaled=False)

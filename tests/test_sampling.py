@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_difference
 from rmtdiff.errors import DimensionOrder, DomainError, NonHermitian, ZeroMatrix
 from rmtdiff.sampling import (
     EnsembleParams,
@@ -11,7 +12,6 @@ from rmtdiff.sampling import (
     make_rng,
     page_entropy_mean,
     reduced_density_from_ginibre,
-    sample_difference,
     sample_ginibre,
     sample_pure_state_reduced,
     von_neumann_entropy,
