@@ -5,18 +5,23 @@ counter-based generator (seed, w) of ``sampling``, it draws its share of the
 samples, and the results are joined in stream order.  The streams run one
 after another.  Within each ``_batches`` slice the calling thread draws the
 random numbers in stream order and keeps only those draws (the nonzero
-entries of Y below) and the per-draw scalars of T.  Then one thread per core
-(``os.sched_getaffinity``) works through a contiguous range of the draws in
-blocks of ``_BLOCK_ENTRIES // d^2`` draws: it fills the block's Y, normalises
-it, forms Z and writes its eigenvalues, with the OpenBLAS that numpy loaded
-held at one thread.  The calling thread allocates one block buffer set per
-core, so memory is the slice's draws plus one block set per core, not a
-slice-wide Y, Y^H and Z.  Each draw's products and eigensolve are the same
-single-threaded LAPACK calls whatever the split and the block, so output
-bytes are fixed by (seed, workers) alone: not by the core count and not by
-``OPENBLAS_NUM_THREADS``.  Matrices below ``_SPLIT_MIN_D`` are not split:
-one core solves them.  Where that OpenBLAS cannot be found, the calling
-thread works through the whole slice, block by block.
+entries of Y below) and the per-draw scalars of T.  The slice's last stream
+(the complex normals of the bottom block, or below the diagonal when N <= M)
+is drawn in blocks of ``_BLOCK_ENTRIES // d^2`` draws, each straight into its
+rows of the slice's array; consecutive draws give the numbers one call would.  As soon as a block
+is drawn, a thread on another core (``os.sched_getaffinity``) may take it: it
+fills the block's Y, normalises it, forms Z and writes its eigenvalues, with
+the OpenBLAS that numpy loaded held at one thread.  After its last draw the
+calling thread solves blocks too, so the draws of later blocks overlap the
+solves of earlier ones.  Each thread works in its own block buffer set,
+allocated by the calling thread, so memory is the slice's draws plus one
+block set per core, not a slice-wide Y, Y^H and Z.  Each draw's products and
+eigensolve are the same single-threaded LAPACK calls whatever thread takes
+its block, so output bytes are fixed by (seed, workers) alone: not by the
+core count, the thread timing or ``OPENBLAS_NUM_THREADS``.  Matrices below
+``_SPLIT_MIN_D`` are not split: one core solves them.  Where that OpenBLAS
+cannot be found, the calling thread works through the whole slice, block by
+block.
 
 ``difference_spectra`` is the one sampling kernel.  It draws only what the
 eigenvalue law of Z = p rho1 - q rho2 needs.  With k = min(N, M),
@@ -52,9 +57,9 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -127,30 +132,93 @@ def _ranges(b: int, d: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _on_cores(tasks) -> None:
-    """Run the callables ``tasks``, one thread each, the first in the calling thread.
+@contextmanager
+def _one_blas_thread():
+    """Hold the bundled OpenBLAS at one thread, and restore its count after, also on error.
 
-    OpenBLAS is held at one thread and its count restored after, also on
-    error.  The lock keeps concurrent callers from restoring each other's
-    count.  Without a bundled OpenBLAS the tasks run one after another.
+    The lock keeps concurrent callers from restoring each other's count.
+    Without a bundled OpenBLAS nothing is held.
     """
     blas = _openblas_threads()
     if blas is None:
-        for task in tasks:
-            task()
+        yield
         return
     get, put = blas
     with _PIN_LOCK:
         before = get()
         put(1)
         try:
-            with ThreadPoolExecutor(max(len(tasks) - 1, 1)) as pool:  # starts threads on submit only
-                futures = [pool.submit(task) for task in tasks[1:]]
-                tasks[0]()
-                for f in futures:
-                    f.result()
+            yield
         finally:
             put(before)
+
+
+def _on_cores(solve, blocks: int, cores: int, draw=None) -> None:
+    """Call ``solve(block, core)`` for each block < ``blocks`` on ``cores`` threads, core 0 the caller.
+
+    ``draw(block)``, if given, runs in the calling thread for block = 0, 1,
+    ... in order, and a block is solved only after its draw; without
+    ``draw`` every block is ready once the threads are started.  The other
+    threads take the next block from a shared front index and sleep while it
+    is not ready.  After its last draw the calling thread takes blocks from
+    the back, the last drawn first, whose draws are still in cache, and
+    leaves the first ``cores - 1`` blocks to the others: a thread that only
+    gets the interpreter lock late still solves a block.  When a draw or a
+    solve raises, no block is taken after it, the waiting threads wake,
+    every thread is joined and the first exception is raised.  OpenBLAS is
+    held at one thread throughout.
+    """
+    cond = threading.Condition()
+    ready = 0  # blocks drawn so far
+    front, back = 0, blocks  # the blocks not yet taken
+    errors: list[BaseException] = []
+
+    def take(core):
+        nonlocal front, back
+        with cond:
+            while not errors and front == ready < back:
+                cond.wait()
+            if errors or front == back or (core == 0 and back < cores):
+                return None
+            if core:
+                front += 1
+                return front - 1
+            back -= 1
+            return back
+
+    def run(core):
+        try:
+            while (block := take(core)) is not None:
+                solve(block, core)
+        except BaseException as exc:  # raised again by the calling thread
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+
+    with _one_blas_thread():
+        threads = []
+        try:
+            for core in range(1, cores):
+                thread = threading.Thread(target=run, args=(core,))
+                thread.start()
+                threads.append(thread)
+            for block in range(blocks):
+                if errors:
+                    break
+                if draw is not None:
+                    draw(block)
+                with cond:
+                    ready = block + 1
+                    cond.notify_all()
+        except BaseException as exc:  # raised again below, once every thread is joined
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+        run(0)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def difference_spectra(
@@ -188,42 +256,50 @@ def difference_spectra(
     ]
     for sl in slices:
         b = sl.stop - sl.start
+        lower = np.empty((b, below[0].size), dtype=complex)
+        upper = np.empty((b, right[0].size), dtype=complex)
+        # the last stream is drawn block by block, each block solved once it is drawn;
+        # with r = 0 the bottom block is empty and draws nothing
+        last = upper if r else lower
         a2 = rng.chisquare(2 * (big - i), (b, k))
         s2 = rng.chisquare(2 * (k - 1 - i[:-1]), (b, k - 1))
         top = np.sqrt(rng.chisquare(2 * (m - i), (b, k)))
-        lower = rng.standard_normal((b, 2 * below[0].size)).view(complex)
+        if r:
+            rng.standard_normal(out=lower.view(float))
         bottom = np.sqrt(rng.chisquare(2 * (n - m - j), (b, r)))
-        upper = rng.standard_normal((b, 2 * right[0].size)).view(complex)
         # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i
         w = p / (a2.sum(axis=1) + s2.sum(axis=1))[:, None]
         diag, sub, off = w * a2, w * s2, w * np.sqrt(s2 * a2[:, :-1])
         rows = out[sl]
 
-        def solve(lo, hi, buf):
-            for s in range(lo, hi, blk):
-                e = min(s + blk, hi)
-                y, yc, z = (x[: e - s] for x in buf)
-                # entries outside the pattern stay the zeros the buffer was made with
-                y[:, i, i] = top[s:e]
-                y[:, below[0], below[1]] = lower[s:e]
-                y[:, k + j, j] = bottom[s:e]
-                y[:, k + right[0], right[1]] = upper[s:e]
-                sq = np.square(y.view(float), out=yc.view(float))
-                y *= np.sqrt(q / sq.sum(axis=(1, 2)))[:, None, None]
-                np.conjugate(y, out=yc)
-                np.matmul(y, yc.transpose(0, 2, 1), out=z)
-                np.negative(z, out=z)
-                # views into each flattened d*d matrix, for i < k: (i, i) sits at
-                # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
-                flat = z.reshape(e - s, d * d)
-                flat[:, : k * (d + 1) : d + 1] += diag[s:e]
-                flat[:, d + 1 : k * (d + 1) : d + 1] += sub[s:e]
-                flat[:, d : d + (k - 1) * (d + 1) : d + 1] += off[s:e]
-                flat[:, 1 : 1 + (k - 1) * (d + 1) : d + 1] += off[s:e]
-                rows[s:e, :d] = np.linalg.eigvalsh(z)
-                rows[s:e].sort(axis=1)  # places the N - d padded zeros
+        def draw(block):
+            rng.standard_normal(out=last[block * blk : (block + 1) * blk].view(float))
 
-        _on_cores([partial(solve, lo, hi, buf) for (lo, hi), buf in zip(_ranges(b, d), buffers)])
+        def solve(block, core):
+            s = block * blk
+            e = min(s + blk, b)
+            y, yc, z = (x[: e - s] for x in buffers[core])
+            # entries outside the pattern stay the zeros the buffer was made with
+            y[:, i, i] = top[s:e]
+            y[:, below[0], below[1]] = lower[s:e]
+            y[:, k + j, j] = bottom[s:e]
+            y[:, k + right[0], right[1]] = upper[s:e]
+            sq = np.square(y.view(float), out=yc.view(float))
+            y *= np.sqrt(q / sq.sum(axis=(1, 2)))[:, None, None]
+            np.conjugate(y, out=yc)
+            np.matmul(y, yc.transpose(0, 2, 1), out=z)
+            np.negative(z, out=z)
+            # views into each flattened d*d matrix, for i < k: (i, i) sits at
+            # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
+            flat = z.reshape(e - s, d * d)
+            flat[:, : k * (d + 1) : d + 1] += diag[s:e]
+            flat[:, d + 1 : k * (d + 1) : d + 1] += sub[s:e]
+            flat[:, d : d + (k - 1) * (d + 1) : d + 1] += off[s:e]
+            flat[:, 1 : 1 + (k - 1) * (d + 1) : d + 1] += off[s:e]
+            rows[s:e, :d] = np.linalg.eigvalsh(z)
+            rows[s:e].sort(axis=1)  # places the N - d padded zeros
+
+        _on_cores(solve, -(-b // blk), len(_ranges(b, d)), draw)
     if rescaled:
         out *= n
     return out
@@ -367,9 +443,12 @@ def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
         rho = _reduced_density_batch(n, m, sl.stop - sl.start, rng)
         lam = np.empty(rho.shape[:2])
 
-        def solve(lo, hi):
+        spans = _ranges(len(rho), n)
+
+        def solve(block, core):
+            lo, hi = spans[block]
             lam[lo:hi] = np.linalg.eigvalsh(rho[lo:hi])
 
-        _on_cores([partial(solve, lo, hi) for lo, hi in _ranges(len(rho), n)])
+        _on_cores(solve, len(spans), len(spans))
         total += von_neumann_entropy(lam)
     return total / n_samples

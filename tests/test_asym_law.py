@@ -572,3 +572,90 @@ class TestBatchedKernel:
                 want = np.roots(_cubic_coefficients(z, c, eta))
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-10 * scale
+
+
+def _discriminant_by_class(c: float, eta: float):
+    """The discriminant by ``numpy.polynomial.Polynomial`` algebra, the reference bits."""
+    a3, a2, a1, _ = _cubic_coefficients(np.polynomial.Polynomial([0.0, 1.0]), c, eta)
+    return 18.0 * a3 * a2 * a1 - 4.0 * a2**3 + a2**2 * a1**2 - 4.0 * a3 * a1**3 - 27.0 * a3**2
+
+
+class TestDiscriminant:
+    # eta = 1 and c = 2 drop the degree of the cubic's coefficients
+    RATIONAL = [("1/2", "1"), ("2", "1"), ("2", "1/3"), ("3", "5/2"), ("7/4", "3/5"),
+                ("1", "2"), ("5", "1"), ("1/8", "4")]
+
+    @pytest.mark.parametrize("c, eta", RATIONAL)
+    def test_matches_sympy(self, c, eta):
+        sympy = pytest.importorskip("sympy")
+        z, g = sympy.symbols("z g")
+        cr, er = sympy.Rational(c), sympy.Rational(eta)
+        # R(G) + 1/G = z with R(g) = 1/(1 - c g) - eta/(1 + eta c g), denominators cleared
+        cubic = sympy.Poly(sympy.numer(sympy.together(1 / (1 - cr * g) - er / (1 + er * cr * g) + 1 / g - z)), g)
+        a0 = cubic.all_coeffs()[-1]
+        assert a0.is_number and a0 != 0  # so a0 = 1, as in _cubic_coefficients, after dividing
+        want = sympy.Poly(sympy.discriminant(cubic.as_expr() / a0, g), z).all_coeffs()[::-1]
+        got, _ = law._discriminant(float(cr), float(er))
+        assert len(got) == len(want)
+        scale = max(abs(float(w)) for w in want)
+        assert np.allclose(got, [float(w) for w in want], rtol=0.0, atol=1e-13 * scale)
+
+    def test_bits_of_the_polynomial_class(self):
+        rng = np.random.default_rng(11)
+        cs = np.concatenate([[1e-3, 0.5, 1.0, 2.0, 2.0 - 1e-12, 2.0 + 1e-12, 3.0, 1e4], 10 ** rng.uniform(-3, 3, 40)])
+        etas = np.concatenate([[1.0, 1.0 + 2e-16, 0.5, 2.0, 1e-3], 10 ** rng.uniform(-2, 2, 10)])
+        for c in cs:
+            for eta in etas:
+                want = _discriminant_by_class(float(c), float(eta))
+                got, edges = law._discriminant(float(c), float(eta))
+                assert got.tobytes() == want.coef.tobytes()
+                roots = want.roots()
+                real = np.unique(roots.real[np.abs(roots.imag) <= 1e-7 * np.max(np.abs(roots))])
+                assert edges.tobytes() == real.tobytes()
+                mid = 0.5 * (edges[:-1] + edges[1:])
+                assert np.array_equal(
+                    np.polynomial.polynomial.polyval(mid, got) >= 0.0, want(mid) >= 0.0
+                )
+
+
+class TestLargeC:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: aed_symmetric(1.0, c),
+            lambda c: aed_symmetric(np.array([1.0, 2.0]), c),
+            lambda c: aed_curve(1.0, c),
+            lambda c: aed_curve(np.array([1.0]), c, 0.5),
+            lambda c: aed_grid(c),
+            lambda c: aed_grid(c, 2.0),
+        ],
+        ids=["symmetric", "symmetric-array", "curve", "curve-weighted", "grid", "grid-weighted"],
+    )
+    def test_past_the_limit_raises(self, call):
+        for c in (law._C_MAX * (1.0 + 2e-16), 1e8, 1e14, 1e300):
+            with pytest.raises(DomainError, match="exceeds"):
+                call(c)
+
+    def test_at_the_limit_within_1e9(self):
+        from rmtdiff.moments import continuous_mass
+
+        c = law._C_MAX
+        assert aed_symmetric(c, c) > 0.0
+        for eta in (1.0, 0.9, 5.0):
+            assert abs(continuous_mass(c, eta) * c / 2.0 - 1.0) < 1e-9
+
+    def test_quadrature_routes_raise(self):
+        from rmtdiff.moments import continuous_mass, moment_via_quadrature
+
+        for call in (lambda: continuous_mass(1e8), lambda: continuous_mass(1e8, 0.5),
+                     lambda: moment_via_quadrature(1.0, 1e14)):
+            with pytest.raises(DomainError, match="exceeds"):
+                call()
+
+    def test_closed_forms_unaffected(self):
+        from rmtdiff.moments import distance_to_mixed_asymptotic, operator_norm_asymptotic
+
+        assert support_points(1e14)[1] > 1e14
+        assert atom_weight(1e14) == 1.0 - 2e-14
+        assert operator_norm_asymptotic(1e8, 1) == pytest.approx(1e8, rel=1e-3)
+        assert distance_to_mixed_asymptotic(1e300) == 1.0

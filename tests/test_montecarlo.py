@@ -1,10 +1,12 @@
 
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,3 +530,161 @@ class TestCsvRoundTrip:
             + "".join(f"# {k}={v}\n" for k, v in meta.items())
         )
         assert path.read_bytes() == want.encode()
+
+
+def _blas_config():
+    """The configuration string of numpy's bundled scipy-openblas, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_", None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
+
+
+# sha256 of difference_spectra before its last stream was drawn block by block;
+# LAPACK's bits depend on the build and the CPU kernel, hence the recorded set-up
+_PINNED_SETUP = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64")
+_PINNED = {
+    (200, 200, 1.0, 40): "73ca40a43fa487ecb46c4f7f74100d45bac3fd71ca23ecf19056e2a7958d2a25",
+    (40, 50, 1.0, 300): "9aa7ba7fe46558764909b66605d26b131e276426c90c381bee0af1127406cc3a",
+    (5, 6, 1.0, 300): "bd1046fa993a7033f51d04f58e1738afc3aa90ca02358694712ae411fe14b3f9",
+    (13, 7, 0.3, 300): "9e87925b1b7397094816bb043a0ac984ec0a58f198b2924bcd502e816afecbb5",
+    (61, 30, 1.0, 100): "f41d8fe545d5dc299ae642633f0a1bdf129069cd559edfee0702cc1a7ad8ce48",
+    (12, 4, 2.0, 300): "7da1727a2a504195a4e5c2e917e49e417fa737461d2c4cbcbf44c6958dd4b080",
+    (100, 20, 1.0, 500): "fad1342f9e9dbf5616997350f9f4d6229b853b15bab4189a5347b6baba6d355d",
+    (2, 10, 1.0, 500): "2aa13fba7155007a16ab6b2c74bd00dd7c82a138ce9c7e5eeb64b529db06ff72",
+    (2, 1, 1.0, 300): "f063543e145821e40b951546abbcc8a58ff0343b87f507b1a09a58caf24bc44c",
+    (3, 1, 0.5, 300): "87141cc605b46763d154ddae81e977e85d8520b2410de12ee00df3c7e23fef8a",
+    (25, 25, 1.0, 1): "e68ad57897421d42742eaee0e89617afb6a573a4550c2929aa5998cfa6f2c4b0",
+}
+
+# Runs one failing difference_spectra call: argv[1] is "draw" (the second block's
+# draw raises) or "solve" (eigvalsh raises in a thread other than the caller).
+_FAILURE_CHILD = """
+import sys, threading, time
+import numpy as np
+from rmtdiff import montecarlo
+from rmtdiff.sampling import EnsembleParams
+
+case = sys.argv[1]
+params = EnsembleParams(n_small=40, m_large=50, seed=9)  # N <= M: the last stream is `lower`
+get, put = montecarlo._openblas_threads()
+put(2)
+raised = []
+
+
+class FailingRng:
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def chisquare(self, *args, **kwargs):
+        return self.rng.chisquare(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        if self.normal_calls == 2:
+            time.sleep(0.5)  # the other threads have solved block 0 and wait for block 1
+            raised.append(RuntimeError("second block's draw failed"))
+            raise raised[-1]
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+eigvalsh = np.linalg.eigvalsh
+
+
+def failing_eigvalsh(a):
+    if threading.current_thread() is not threading.main_thread():
+        raised.append(np.linalg.LinAlgError("eigvalsh failed in a worker"))
+        raise raised[-1]
+    return eigvalsh(a)
+
+
+if case == "solve":
+    np.linalg.eigvalsh = failing_eigvalsh
+threads_before = threading.active_count()
+try:
+    montecarlo.difference_spectra(params, 300, FailingRng(params.rng()) if case == "draw" else None)
+except Exception as exc:
+    print("original", len(raised) == 1 and exc is raised[0])
+else:
+    print("original", False)
+print("threads", threading.active_count() - threads_before)
+print("blas", get())
+print("cores", len(montecarlo._ranges(300, 40)))
+"""
+
+
+class TestOverlap:
+    def test_split_draws_equal_one_call(self):
+        # the premise of the block-wise last stream: chunked draws into one
+        # array are the stream a single call gives, bit for bit
+        want = make_rng(5, 3).standard_normal((97, 2 * 13))
+        got = np.empty((97, 13), dtype=complex)
+        rng = make_rng(5, 3)
+        for lo, hi in [(0, 1), (1, 1), (1, 30), (30, 31), (31, 80), (80, 97)]:
+            rng.standard_normal(out=got[lo:hi].view(float))
+        assert got.view(float).tobytes() == want.tobytes()
+        assert rng.standard_normal() == make_rng(5, 3).standard_normal(97 * 26 + 1)[-1]
+
+    @pytest.mark.parametrize("n, m, q, draws", list(_PINNED))
+    def test_bytes_pinned(self, n, m, q, draws):
+        if (np.__version__, _blas_config()) != _PINNED_SETUP:
+            pytest.skip("hashes recorded with numpy 2.4.6 and its bundled OpenBLAS on SkylakeX")
+        seed = 5 if (n, m) == (200, 200) else n * m
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=seed)
+        assert hashlib.sha256(difference_spectra(params, draws).tobytes()).hexdigest() == _PINNED[n, m, q, draws]
+
+    @pytest.mark.parametrize("case", ["draw", "solve"])
+    def test_failure_propagates_and_cleans_up(self, src_env, case):
+        if montecarlo._openblas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        # a child interpreter, so that a deadlock fails the test instead of hanging the suite
+        child = subprocess.run(
+            [sys.executable, "-c", _FAILURE_CHILD, case],
+            env=src_env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        lines = dict(ln.split(" ", 1) for ln in child.stdout.splitlines())
+        if case == "solve" and lines["cores"] == "1":
+            pytest.skip("one core: no worker thread to fail")
+        assert lines["original"] == "True"
+        assert lines["threads"] == "0"
+        assert lines["blas"] == "2"
+
+    def test_every_block_once_after_its_draw(self):
+        # more threads than cores, switching often: each block is drawn once, in
+        # order, and solved once after its draw, never by two threads on one
+        # core's buffers at a time
+        blocks, cores = 40, 5
+        drawn, solved, busy, bad = [], [], [False] * cores, []
+
+        def draw(block):
+            drawn.append(block)
+
+        def solve(block, core):
+            if busy[core] or block not in drawn:
+                bad.append((block, core))
+            busy[core] = True
+            solved.append(block)
+            busy[core] = False
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for ready_at_start in (False, True):
+                drawn[:] = range(blocks) if ready_at_start else []
+                solved.clear()
+                thread = threading.Thread(
+                    target=montecarlo._on_cores,
+                    args=(solve, blocks, cores, None if ready_at_start else draw),
+                )
+                thread.start()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                assert drawn == list(range(blocks))
+                assert sorted(solved) == list(range(blocks))
+                assert not bad
+        finally:
+            sys.setswitchinterval(interval)
