@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .sampling import _check_count
 
 __all__ = [
     "support_points",
@@ -361,9 +362,10 @@ def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     Found. Comput. Math. 2008).  A gap between consecutive roots is support
     if at its midpoint the discriminant is negative (a complex pair), the
     rule ``aed_curve`` masks with.  Kept gaps meeting at a double root are
-    merged.
+    merged.  c above ``_C_MAX`` = 1e7 raises ``DomainError``.
     """
     _check_domain(c, eta)
+    _check_density_c(c)
     edges, outside = _support_geometry(c, eta)
     keep = ~outside[1:-1]
     intervals: list[tuple[float, float]] = []
@@ -451,6 +453,7 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     """
     _check_domain(c, eta)
     _check_density_c(c)
+    _check_count("count", count)
     intervals = _support_intervals(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
     if c == 2.0:

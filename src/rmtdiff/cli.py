@@ -198,7 +198,7 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_aed(args) -> int:
-    _check_counts(args, "n", "m")
+    _check_counts(args, "n", "m", "count")
     if args.c is None:
         if args.n is None or args.m is None:
             print("aed: provide --c or both --n and --m", file=sys.stderr)

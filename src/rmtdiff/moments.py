@@ -110,8 +110,8 @@ def absolute_moment(z, c: float):
     Returns a float for real order, complex otherwise; DomainError past the float range.
     """
     zc = complex(z)
-    if not zc.real > 0.0:
-        raise DomainError("absolute moment requires Re(z) > 0")
+    if not (zc.real > 0.0 and cmath.isfinite(zc)):
+        raise DomainError(f"absolute moment requires a finite z with Re(z) > 0, got {z!r}")
     _check_domain(c)
     if 0.0 < abs(c - 2.0) < _SEAM_HALF_WIDTH and not _is_nonneg_even_int(zc):
         val = _moment_near_two(zc, c)
@@ -266,8 +266,8 @@ def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
     estimate (the gap between the last two Gauss-Legendre orders) exceeds
     1e-7 of the result.
     """
-    if not z > 0.0:
-        raise DomainError("z must be positive")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"z must be finite and positive, got {z!r}")
     _check_domain(c, eta)
     val, err = _against_density(lambda x: np.abs(x) ** z, c, eta)
     if err > 1e-7 * max(1.0, abs(val)):

@@ -21,7 +21,8 @@ its block, so output bytes are fixed by (seed, workers) alone: not by the
 core count, the thread timing or ``OPENBLAS_NUM_THREADS``.  Matrices below
 ``_SPLIT_MIN_D`` are not split: one core solves them.  Where that OpenBLAS
 cannot be found, the calling thread works through the whole slice, block by
-block.
+block.  ``difference_spectra`` is the only function that splits its draws
+over cores; ``mean_entropy_mc`` solves each slice on the calling thread.
 
 ``difference_spectra`` is the one sampling kernel.  It draws only what the
 eigenvalue law of Z = p rho1 - q rho2 needs.  With k = min(N, M),
@@ -107,8 +108,8 @@ def _openblas_threads():
 _PIN_LOCK = threading.Lock()
 
 # Matrices below this dimension are solved by one core.  On two cores a split
-# of d < 12 saved at most 13 % of the wall time of difference_spectra and 2 %
-# of mean_entropy_mc's, for 45-90 % more CPU.
+# of d < 12 saved at most 13 % of the wall time of difference_spectra, for
+# 45-90 % more CPU.
 _SPLIT_MIN_D = 12
 
 # Entries of one block's d x d matrices; a block holds _BLOCK_ENTRIES // d^2
@@ -118,18 +119,16 @@ _SPLIT_MIN_D = 12
 _BLOCK_ENTRIES = 2**17
 
 
-def _ranges(b: int, d: int) -> list[tuple[int, int]]:
-    """Contiguous ranges of the draws [0, b), one per core that solves them.
+def _cores(b: int, d: int) -> int:
+    """The number of cores that solve b draws of d x d matrices.
 
-    One range when d < ``_SPLIT_MIN_D`` or without a bundled OpenBLAS,
-    otherwise one per allowed core (``os.sched_getaffinity``), at most b.
+    One when d < ``_SPLIT_MIN_D`` or without a bundled OpenBLAS, otherwise
+    one per allowed core (``os.sched_getaffinity``), at most b.
     """
-    cores = 1
-    if d >= _SPLIT_MIN_D and _openblas_threads() is not None:
-        allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        cores = min(b, allowed or 1)
-    cuts = [b * c // cores for c in range(cores + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
+    if d < _SPLIT_MIN_D or _openblas_threads() is None:
+        return 1
+    allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(b, allowed or 1)
 
 
 @contextmanager
@@ -153,16 +152,15 @@ def _one_blas_thread():
             put(before)
 
 
-def _on_cores(solve, blocks: int, cores: int, draw=None) -> None:
+def _on_cores(solve, blocks: int, cores: int, draw) -> None:
     """Call ``solve(block, core)`` for each block < ``blocks`` on ``cores`` threads, core 0 the caller.
 
-    ``draw(block)``, if given, runs in the calling thread for block = 0, 1,
-    ... in order, and a block is solved only after its draw; without
-    ``draw`` every block is ready once the threads are started.  The other
-    threads take the next block from a shared front index and sleep while it
-    is not ready.  After its last draw the calling thread takes blocks from
-    the back, the last drawn first, whose draws are still in cache, and
-    leaves the first ``cores - 1`` blocks to the others: a thread that only
+    ``draw(block)`` runs in the calling thread for block = 0, 1, ... in
+    order, and a block is solved only after its draw.  The other threads take
+    the next block from a shared front index and sleep while it is not
+    drawn.  After its last draw the calling thread takes blocks from the
+    back, the last drawn first, whose draws are still in cache, and leaves
+    the first ``cores - 1`` blocks to the others: a thread that only
     gets the interpreter lock late still solves a block.  When a draw or a
     solve raises, no block is taken after it, the waiting threads wake,
     every thread is joined and the first exception is raised.  OpenBLAS is
@@ -205,8 +203,7 @@ def _on_cores(solve, blocks: int, cores: int, draw=None) -> None:
             for block in range(blocks):
                 if errors:
                     break
-                if draw is not None:
-                    draw(block)
+                draw(block)
                 with cond:
                     ready = block + 1
                     cond.notify_all()
@@ -247,12 +244,12 @@ def difference_spectra(
     slices = _batches(n, m, n_samples)
     # one block buffer set per core, allocated here: a worker thread's own
     # allocations stay in its glibc arena after they are freed
-    spans = _ranges(slices[0].stop, d)
-    blk = min(max(1, _BLOCK_ENTRIES // (d * d)), max(hi - lo for lo, hi in spans))
+    cores = _cores(slices[0].stop, d)
+    blk = min(max(1, _BLOCK_ENTRIES // (d * d)), -(-slices[0].stop // cores))
     buffers = [
         (np.zeros((blk, d, k), dtype=complex), np.empty((blk, d, k), dtype=complex),
          np.empty((blk, d, d), dtype=complex))
-        for _ in spans
+        for _ in range(cores)
     ]
     for sl in slices:
         b = sl.stop - sl.start
@@ -299,7 +296,7 @@ def difference_spectra(
             rows[s:e, :d] = np.linalg.eigvalsh(z)
             rows[s:e].sort(axis=1)  # places the N - d padded zeros
 
-        _on_cores(solve, -(-b // blk), len(_ranges(b, d)), draw)
+        _on_cores(solve, -(-b // blk), _cores(b, d), draw)
     if rescaled:
         out *= n
     return out
@@ -432,7 +429,9 @@ def operator_norm_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1
 def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
     """Mean von Neumann entropy (nats) of reduced density matrices drawn on stream (seed, 0).
 
-    Not blocked like ``difference_spectra``: the sizes it serves (AC-13's are
+    Each ``_batches`` slice is solved by one ``eigvalsh`` call on the calling
+    thread, with OpenBLAS held at one thread.  Not blocked or split across
+    cores like ``difference_spectra``: the sizes it serves (AC-13's are
     2 x 2) keep its slices small.
     """
     _check_count("n_samples", n_samples)
@@ -441,14 +440,7 @@ def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
     total = 0.0
     for sl in _batches(n, m, n_samples):
         rho = _reduced_density_batch(n, m, sl.stop - sl.start, rng)
-        lam = np.empty(rho.shape[:2])
-
-        spans = _ranges(len(rho), n)
-
-        def solve(block, core):
-            lo, hi = spans[block]
-            lam[lo:hi] = np.linalg.eigvalsh(rho[lo:hi])
-
-        _on_cores(solve, len(spans), len(spans))
+        with _one_blas_thread():
+            lam = np.linalg.eigvalsh(rho)
         total += von_neumann_entropy(lam)
     return total / n_samples

@@ -90,8 +90,10 @@ class EnsembleParams:
     def __post_init__(self):
         _check_count("n_small", self.n_small)
         _check_count("m_large", self.m_large)
-        if not (self.weight_p > 0.0 and self.weight_q > 0.0):
-            raise DomainError("weights must be positive")
+        if not (0.0 < self.weight_p < math.inf and 0.0 < self.weight_q < math.inf):
+            raise DomainError(
+                f"weights must be finite and positive, got {self.weight_p!r}, {self.weight_q!r}"
+            )
         if math.isinf(self.dim_ratio) or math.isinf(self.weight_ratio):
             raise DomainError("derived ratios must be finite")
 
@@ -129,6 +131,8 @@ def reduced_density_from_ginibre(g: np.ndarray) -> np.ndarray:
     """G G^H normalized to unit trace: a fixed-trace Wishart density matrix."""
     s = g @ g.conj().T
     tr = float(np.trace(s).real)
+    if not math.isfinite(tr):
+        raise DomainError("Tr(G G^H) is not finite; the input matrix must be finite")
     if tr <= 0.0:
         raise ZeroMatrix("Tr(G G^H) vanished; degenerate input matrix")
     return s / tr
@@ -164,11 +168,15 @@ def sample_pure_state_reduced(
 def hermitian_eigenvalues(h: np.ndarray) -> SpectrumSample:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    Raises NonHermitian when the max entrywise deviation from h^H exceeds
-    1e-10, and NoConvergence when LAPACK does not converge.
+    Raises DomainError for a NaN or infinite entry, NonHermitian when the max
+    entrywise deviation from h^H exceeds 1e-10, and NoConvergence when
+    LAPACK does not converge.
     """
     h = np.asarray(h)
     dev = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
+    # a non-finite entry makes its own deviation non-finite
+    if not math.isfinite(dev) and not np.isfinite(h).all():
+        raise DomainError("matrix entries must be finite")
     if dev > HERMITIAN_TOL:
         raise NonHermitian(f"max |h - h^H| = {dev:.3e} exceeds {HERMITIAN_TOL}")
     try:

@@ -50,11 +50,13 @@ def hyp2f1(a, b, c, x) -> complex:
     where Re(c - a - b), Re(c), Re(c - a) and Re(c - b) are all > 0.  A
     nonpositive-integer c is only legal when the series terminates strictly
     before the denominator Pochhammer vanishes; otherwise PoleError.
-    Non-finite x, and every other x, raise DomainError.
+    Non-finite parameters or x, and every other x, raise DomainError.
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"2F1 requires a finite argument, got x = {x}")
+    if not all(cmath.isfinite(complex(v)) for v in (a, b, c)):
+        raise DomainError(f"2F1 requires finite parameters, got a, b, c = {a}, {b}, {c}")
     za = _pochhammer_zero_index(a)
     zb = _pochhammer_zero_index(b)
     term_at = zb if za is None else za if zb is None else min(za, zb)

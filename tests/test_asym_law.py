@@ -534,6 +534,11 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             aed_grid(math.nan)
 
+    @pytest.mark.parametrize("count", [0, -5, 2.5])
+    def test_grid_count_not_a_positive_integer(self, count):
+        with pytest.raises(DomainError, match="count"):
+            aed_grid(1.0, count=count)
+
     def test_support_points_inf_c(self):
         with pytest.raises(DomainError):
             support_points(math.inf)
@@ -643,6 +648,13 @@ class TestLargeC:
         assert aed_symmetric(c, c) > 0.0
         for eta in (1.0, 0.9, 5.0):
             assert abs(continuous_mass(c, eta) * c / 2.0 - 1.0) < 1e-9
+
+    def test_support_numeric(self):
+        # at eta = 2 the parent returned [] at 1e17 and raised LinAlgError at 1e60
+        assert len(find_support_numeric(law._C_MAX, 2.0)) == 2
+        for c in (1e8, 1e17, 1e60):
+            with pytest.raises(DomainError, match="exceeds"):
+                find_support_numeric(c, 2.0)
 
     def test_quadrature_routes_raise(self):
         from rmtdiff.moments import continuous_mass, moment_via_quadrature

@@ -236,6 +236,20 @@ class TestExitCodes:
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_aed_count_below_one_exits_2_before_work(self, count, tmp_path, monkeypatch, capsys):
+        # --count 0 used to write a 1902-node grid and exit 0
+        from rmtdiff import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the arguments were checked")
+
+        monkeypatch.setattr(cli, "aed_grid", no_work)
+        out = tmp_path / "o.csv"
+        assert run_cli(["aed", "--c", "1", "--count", count, "--out", str(out)]) == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hist_n1_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
         from rmtdiff import montecarlo
 

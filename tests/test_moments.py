@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 import warnings
 
@@ -145,6 +146,23 @@ class TestAbsoluteMoment:
     def test_non_finite_input(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: absolute_moment(math.inf, 1.0),
+            lambda: absolute_moment(complex(1.0, math.nan), 1.0),
+            lambda: absolute_moment(complex(1.0, math.inf), 3.0),
+            lambda: moment_via_quadrature(math.inf, 1.0),
+            lambda: moment_via_quadrature(math.inf, 1.0, 0.5),
+        ],
+    )
+    def test_non_finite_order_rejected_at_once(self, call):
+        # the parent summed 100 000 series terms, or returned inf from quadrature
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="finite"):
+            call()
+        assert time.perf_counter() - start < 0.01
 
     def test_monotone_power_means(self):
         for c in (0.5, 2.5):

@@ -25,7 +25,13 @@ from rmtdiff.montecarlo import (
     pooled_spectrum,
     trace_distance_mc,
 )
-from rmtdiff.sampling import EnsembleParams, hermitian_eigenvalues, make_rng
+from rmtdiff.sampling import (
+    EnsembleParams,
+    _reduced_density_batch,
+    hermitian_eigenvalues,
+    make_rng,
+    von_neumann_entropy,
+)
 
 
 class TestSpectra:
@@ -332,6 +338,31 @@ class TestReductions:
         params = EnsembleParams(n_small=1, m_large=4, seed=15)
         assert mean_entropy_mc(params, 100) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n, m", [(2, 2), (6, 9), (12, 7)])
+    def test_entropy_one_solve_per_slice(self, monkeypatch, n, m):
+        # mean_entropy_mc is this loop: one eigvalsh call per _batches slice, on
+        # the calling thread, and the same bytes
+        draws = 60
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 17 * max(n * m, n * n))
+        slices = montecarlo._batches(n, m, draws)
+        assert len(slices) >= 3
+        params = EnsembleParams(n_small=n, m_large=m, seed=5)
+        eigvalsh, rng, want = np.linalg.eigvalsh, params.rng(), 0.0
+        for sl in slices:
+            rho = _reduced_density_batch(n, m, sl.stop - sl.start, rng)
+            with montecarlo._one_blas_thread():
+                want += von_neumann_entropy(eigvalsh(rho))
+        calls = []
+
+        def recording(a):
+            calls.append((threading.get_ident(), len(a)))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        got = mean_entropy_mc(params, draws)
+        assert got.hex() == (want / draws).hex()
+        assert calls == [(threading.get_ident(), sl.stop - sl.start) for sl in slices]
+
 
 _HASH_PARAMS = EnsembleParams(n_small=200, m_large=200, seed=5)
 _HASH_CHILD = (
@@ -461,9 +492,9 @@ class TestBlocks:
         n, m, draws = 40, 50, 1000
         d = k = n  # N <= M
         params = EnsembleParams(n_small=n, m_large=m, seed=3)
-        spans = montecarlo._ranges(draws, d)
-        blk = min(montecarlo._BLOCK_ENTRIES // (d * d), max(hi - lo for lo, hi in spans))
-        block_sets = len(spans) * blk * (2 * d * k + d * d) * 16  # Y, its conjugate and Z
+        cores = montecarlo._cores(draws, d)
+        blk = min(montecarlo._BLOCK_ENTRIES // (d * d), -(-draws // cores))
+        block_sets = cores * blk * (2 * d * k + d * d) * 16  # Y, its conjugate and Z
         drawn = draws * (k * k + 8 * k) * 8  # Y's nonzero half and the per-draw rows, as floats
         output = draws * n * 8
         difference_spectra(params, 10)
@@ -492,7 +523,7 @@ class TestBlocks:
         assert (len(threads) > 1) == (cores > 1 and min(n, 2 * m) >= montecarlo._SPLIT_MIN_D)
         threads.clear()
         mean_entropy_mc(EnsembleParams(n_small=n, m_large=m, seed=1), 50)
-        assert (len(threads) > 1) == (cores > 1 and n >= montecarlo._SPLIT_MIN_D)
+        assert threads == {threading.get_ident()}
 
 
 class TestCsvRoundTrip:
@@ -612,7 +643,7 @@ else:
     print("original", False)
 print("threads", threading.active_count() - threads_before)
 print("blas", get())
-print("cores", len(montecarlo._ranges(300, 40)))
+print("cores", montecarlo._cores(300, 40))
 """
 
 
@@ -673,18 +704,12 @@ class TestOverlap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for ready_at_start in (False, True):
-                drawn[:] = range(blocks) if ready_at_start else []
-                solved.clear()
-                thread = threading.Thread(
-                    target=montecarlo._on_cores,
-                    args=(solve, blocks, cores, None if ready_at_start else draw),
-                )
-                thread.start()
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-                assert drawn == list(range(blocks))
-                assert sorted(solved) == list(range(blocks))
-                assert not bad
+            thread = threading.Thread(target=montecarlo._on_cores, args=(solve, blocks, cores, draw))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert drawn == list(range(blocks))
+            assert sorted(solved) == list(range(blocks))
+            assert not bad
         finally:
             sys.setswitchinterval(interval)

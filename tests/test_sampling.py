@@ -47,6 +47,12 @@ class TestEnsembleParams:
         with pytest.raises(DomainError):
             EnsembleParams(n_small=2, m_large=3, **kw)
 
+    # inf / inf is NaN and so passed the ratio check
+    @pytest.mark.parametrize("p, q", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_weights_rejected(self, p, q):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            EnsembleParams(n_small=2, m_large=3, weight_p=p, weight_q=q)
+
 
 class TestGinibre:
     def test_shape(self):
@@ -88,6 +94,13 @@ class TestReducedDensity:
     def test_zero_matrix_raises(self):
         with pytest.raises(ZeroMatrix):
             reduced_density_from_ginibre(np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_input_rejected(self, bad):
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
+            reduced_density_from_ginibre(g)
 
     @pytest.mark.parametrize("path", ["ginibre", "pure"])
     def test_density_matrix_invariants(self, path):
@@ -182,6 +195,19 @@ class TestEigenvalues:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(0, 0): math.nan}, {(1, 1): math.inf}, {(0, 1): -math.inf},
+         {(0, 1): math.inf, (1, 0): math.inf}, {(1, 0): complex(0.5, math.nan)}],
+    )
+    def test_non_finite_rejected(self, entries):
+        # [[nan, 0], [0, 1]] gave [0., -0.]
+        h = np.eye(2, dtype=complex)
+        for at, value in entries.items():
+            h[at] = value
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
+            hermitian_eigenvalues(h)
 
 
 class TestPageFormula:

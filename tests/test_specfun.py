@@ -69,6 +69,17 @@ class TestGauss2F1:
             hyp2f1(0.5, 0.7, 1.9, x)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [(math.inf, 1, 2), (1, -math.inf, 2), (1.5, 1, math.nan), (complex(1.0, math.nan), 1, 2)],
+    )
+    def test_non_finite_parameters_rejected_at_once(self, a, b, c):
+        # inf summed 100 000 terms before NoConvergence; c = nan raised a bare ValueError
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="finite parameters"):
+            hyp2f1(a, b, c, 0.5)
+        assert time.perf_counter() - start < 0.01
+
     def test_integral_float_parameters_terminate(self):
         # exact float integers must terminate through the zero numerator
         assert hyp2f1(3.0, -2.0, 4.0, 5.0).real == pytest.approx(
