@@ -14,9 +14,11 @@ that pair's |Im G|/pi, with no step off the real axis.  The support edges
 are the real roots of the cubic's discriminant, a quartic in z
 (``find_support_numeric``); the density reads exactly 0 outside them.  The
 origin atom is max(1 - 2/c, 0) for every eta because rank Z = min(N, 2M).
-Both densities lose about c u relative accuracy (u the unit roundoff), so
-they raise ``DomainError`` above c = 1e7, and so does every route through
-them (``aed_grid``, ``moments.continuous_mass``, ``moment_via_quadrature``).
+Both densities lose about c u relative accuracy (u the unit roundoff) at
+large c, and their quadrature mass drifts from 1 at small c, so they raise
+``DomainError`` above c = 1e7 and below c = 3e-10, and so does every route
+through them (``aed_grid``, ``find_support_numeric``,
+``moments.continuous_mass``, ``moment_via_quadrature``).
 
 Conventions: the weighted density is expressed in units of the normalized
 difference rho1 - eta*rho2.  Rescaling back to p*rho1 - q*rho2 multiplies
@@ -61,6 +63,9 @@ _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3.0)
 # of the continuous part is off by at most 4.7e-10 at c = 1e7 (eta from 0.2
 # to 5), 1.8e-9 at 2.2e7 (eta = 5) and 1.4e-9 at 1e8 (eta = 1).
 _C_MAX = 1e7
+# Smallest such c: from c = 3e-10 up the quadrature mass is within 5.2e-10 of 1
+# (eta from 0.05 to 20); it is off by 1.2e-9 at 2.5e-10 and 1.9e-9 at 1e-10.
+_C_MIN = 3e-10
 
 
 def _check_domain(c: float, eta: float = 1.0, x=0.0) -> None:
@@ -74,9 +79,11 @@ def _check_domain(c: float, eta: float = 1.0, x=0.0) -> None:
 
 
 def _check_density_c(c: float) -> None:
-    """Raise DomainError past ``_C_MAX``, where the densities would lose more than 1e-9."""
+    """Raise DomainError outside [``_C_MIN``, ``_C_MAX``], where the densities lose more than 1e-9."""
     if c > _C_MAX:
         raise DomainError(f"c = {c!r} exceeds {_C_MAX:g}, past which the density loses accuracy")
+    if c < _C_MIN:
+        raise DomainError(f"c = {c!r} is below {_C_MIN:g}, under which the density loses accuracy")
 
 
 def support_points(c: float) -> tuple[float | None, float]:
@@ -126,7 +133,7 @@ def aed_symmetric(x, c: float):
     change it.  At c = 2 the value follows (6 sqrt(3)/|x|)^(1/3)/(4 pi) down
     to the smallest subnormal |x|, and is inf at x = 0.  An array
     keeps its shape; a scalar gives a float, bit for bit the array's entry.
-    c above ``_C_MAX`` = 1e7 raises ``DomainError``.
+    c outside [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7] raises ``DomainError``.
     """
     ax = np.abs(np.asarray(x, dtype=float))
     _check_domain(c, 1.0, ax)
@@ -164,18 +171,19 @@ def atom_weight(c: float, eta: float = 1.0) -> float:
     return max(1.0 - 2.0 / c, 0.0)
 
 
-def _cubic_coefficients(z: complex, c: float, eta: float) -> tuple[complex, ...]:
-    """Coefficients (a3, a2, a1, a0) of the Cauchy-transform cubic in G.
+def _cubic_coefficients(c: float, eta: float) -> np.ndarray:
+    """Coefficients (a3, a2, a1, a0) of the Cauchy-transform cubic in G, as a (4, 2) table
+    of rows (u, v) with a_k = u_k + v_k z.
 
     Obtained by clearing denominators in R(G) + 1/G = z with
     R(g) = 1/(1-cg) - eta/(1+eta c g).
     """
-    return (
-        eta * c * c * z,
-        c * eta * (2.0 - c) + c * (1.0 - eta) * z,
-        (1.0 - eta) * (1.0 - c) - z,
-        1.0 + 0.0j,
-    )
+    return np.array([
+        (0.0, eta * c * c),
+        (c * eta * (2.0 - c), c * (1.0 - eta)),
+        ((1.0 - eta) * (1.0 - c), -1.0),
+        (1.0, 0.0),
+    ])
 
 
 def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
@@ -197,8 +205,10 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex).ravel()
     roots = np.empty((z.size, 3), dtype=complex)
+    table = _cubic_coefficients(c, eta)[:3]
     for start in range(0, z.size, _SOLVE_BLOCK):
-        a3, a2, a1, _ = _cubic_coefficients(z[start : start + _SOLVE_BLOCK, None], c, eta)
+        zb = z[start : start + _SOLVE_BLOCK, None]
+        a3, a2, a1 = (u + v * zb for u, v in table)
         size = np.maximum(np.maximum(np.abs(a1), np.sqrt(np.abs(a2))), np.cbrt(np.abs(a3)))
         inv = np.ldexp(1.0, -np.frexp(size)[1])  # 1/sigma; 1 where size is 0
         a1, a2, a3 = a1 * inv, a2 * inv * inv, a3 * inv * inv * inv
@@ -256,8 +266,8 @@ def aed_curve(xs, c: float, eta: float = 1.0):
     infinity as x -> 0 (infinite at x = 0, counted as 0) can exceed the
     pair's.  Outside the discriminant edges it is exactly 0; the origin atom
     is excluded, as in ``aed_symmetric``.  Equal weights are solved at |x|.
-    An array keeps its shape; a scalar gives a float.  c above ``_C_MAX``
-    = 1e7 raises ``DomainError``.
+    An array keeps its shape; a scalar gives a float.  c outside
+    [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7] raises ``DomainError``.
     """
     xs = np.asarray(xs, dtype=float)
     _check_domain(c, eta, xs)
@@ -297,59 +307,29 @@ def r_transform_sum(g: complex, c: float, eta: float = 1.0) -> complex:
     return 1.0 / (1.0 - c * g) - eta / (1.0 + eta * c * g)
 
 
-# Polynomial arithmetic on coefficient arrays, lowest power first, that gives the
-# bits of numpy.polynomial.Polynomial's operators at a fraction of their cost.
-
-
-def _poly_trim(a: np.ndarray) -> np.ndarray:
-    """Coefficients without their trailing zeros, at least one kept (numpy's ``trimseq``)."""
-    end = len(a)
-    while end > 1 and a[end - 1] == 0.0:
-        end -= 1
-    return a[:end]
-
-
-def _poly_mul(a, b) -> np.ndarray:
-    return _poly_trim(np.convolve(a, b))
-
-
-def _poly_pow(a: np.ndarray, n: int) -> np.ndarray:
-    out = a
-    for _ in range(n - 1):
-        out = np.convolve(out, a)
-    return _poly_trim(out)
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray, sign: float = 1.0) -> np.ndarray:
-    """a + sign b, the shorter added into the longer (numpy's ``polyadd`` and ``polysub``)."""
-    if len(a) > len(b):
-        out = a.copy()
-        out[: len(b)] += sign * b
-    else:
-        out = b.copy() if sign > 0.0 else -b
-        out[: len(a)] += a
-    return _poly_trim(out)
-
-
 def _discriminant(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, lowest first, of the Cauchy cubic's discriminant as a quartic in z,
     and its sorted real roots.
 
-    The operations and their order are those of the expression
-    18 a3 a2 a1 - 4 a2^3 + a2^2 a1^2 - 4 a3 a1^3 - 27 a3^2 in
-    ``numpy.polynomial.Polynomial``, so the coefficients are the same bits;
-    trailing zeros are trimmed after each step, as that class does, because
-    the degree of a2 and a1 drops at eta = 1 and at c = 2.
+    18 a3 a2 a1 - 4 a2^3 + a2^2 a1^2 - 4 a3 a1^3 - 27 a3^2 is built from the
+    linear rows of ``_cubic_coefficients`` with the products and sums of
+    ``numpy.polynomial.Polynomial``, in its order, so the coefficients are the
+    same values; the trailing zeros that class trims after each step are
+    trimmed once at the end.
     """
-    z = np.array([0.0, 1.0])
-    a3 = _poly_mul([eta * c * c], z)
-    a2 = _poly_add(np.array([c * eta * (2.0 - c)]), _poly_mul([c * (1.0 - eta)], z))
-    a1 = _poly_add(np.array([(1.0 - eta) * (1.0 - c)]), z, -1.0)
-    disc = _poly_mul(_poly_mul(_poly_mul([18.0], a3), a2), a1)
-    disc = _poly_add(disc, _poly_mul([4.0], _poly_pow(a2, 3)), -1.0)
-    disc = _poly_add(disc, _poly_mul(_poly_pow(a2, 2), _poly_pow(a1, 2)))
-    disc = _poly_add(disc, _poly_mul(_poly_mul([4.0], a3), _poly_pow(a1, 3)), -1.0)
-    disc = _poly_add(disc, _poly_mul([27.0], _poly_pow(a3, 2)), -1.0)
+    a3, a2, a1, _ = _cubic_coefficients(c, eta)
+    a1_2, a2_2 = np.convolve(a1, a1), np.convolve(a2, a2)
+    terms = (
+        np.convolve(np.convolve(18.0 * a3, a2), a1),
+        -4.0 * np.convolve(a2_2, a2),
+        np.convolve(a2_2, a1_2),
+        -np.convolve(4.0 * a3, np.convolve(a1_2, a1)),
+        -27.0 * np.convolve(a3, a3),
+    )
+    disc = np.zeros(5)
+    for t in terms:
+        disc[: len(t)] += t
+    disc = np.trim_zeros(disc, "b")
     roots = np.polynomial.polynomial.polyroots(disc)
     return disc, np.unique(roots.real[np.abs(roots.imag) <= 1e-7 * np.max(np.abs(roots))])
 
@@ -362,7 +342,7 @@ def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     Found. Comput. Math. 2008).  A gap between consecutive roots is support
     if at its midpoint the discriminant is negative (a complex pair), the
     rule ``aed_curve`` masks with.  Kept gaps meeting at a double root are
-    merged.  c above ``_C_MAX`` = 1e7 raises ``DomainError``.
+    merged.  c outside [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7] raises ``DomainError``.
     """
     _check_domain(c, eta)
     _check_density_c(c)
@@ -425,7 +405,9 @@ def _support_grid(intervals, lo, hi, count, origin_scale: float):
 
 def _support_intervals(c: float, eta: float) -> list[tuple[float, float]]:
     """Ascending support intervals: the mirror pair of ``support_points`` (meeting at
-    the origin below c = 2) for equal weights, else ``find_support_numeric``."""
+    the origin below c = 2) for equal weights, else ``find_support_numeric``.  c outside
+    [``_C_MIN``, ``_C_MAX``] raises ``DomainError``."""
+    _check_density_c(c)
     if eta == 1.0:
         x_minus, x_plus = support_points(c)
         return [(-x_plus, -(x_minus or 0.0)), (x_minus or 0.0, x_plus)]
@@ -452,7 +434,6 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     times denser, without the origin node itself.
     """
     _check_domain(c, eta)
-    _check_density_c(c)
     _check_count("count", count)
     intervals = _support_intervals(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]

@@ -46,6 +46,7 @@ from .errors import (
     SizeLimit,
     Unsupported,
 )
+from .sampling import _check_count
 from .specfun import laguerre_coefficients
 
 __all__ = [
@@ -223,8 +224,8 @@ def build_psi_poly(n: int, m: int) -> OrthantPiecewisePoly:
     SizeLimit, before any work, when the monomial count comb(D + N, N)
     exceeds ``_MAX_PSI_TERMS``.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_count("n", n)
+    _check_count("m", m)
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     D = n * (2 * m - 1) - 1
@@ -297,6 +298,8 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
     DomainError.  ``exact=False`` is exact too except at N = 2, M <= 7 and
     N = 3, M = 3 (float error bound <= 1e-9).
     """
+    _check_count("n", n)
+    _check_count("m", m)
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (n,):
         raise ValueError(f"expected {n} eigenvalues, got shape {lam.shape}")
@@ -332,8 +335,7 @@ def w_poly(m: int) -> list[Fraction]:
     marginal density is expressed; Python big integers keep it exact for
     any M.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _check_count("m", m)
     mm = m - 1
     return [
         Fraction(
@@ -365,8 +367,7 @@ def n2_exact_density(lam: float, m: int) -> float:
     evaluated in log space (stable for any M; the factorial ratios never
     overflow).  Even in lambda; vanishes at 0 by eigenvalue repulsion.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _check_count("m", m)
     t = abs(float(lam))
     if not t < 1.0:
         raise DomainError(f"|lambda| must be < 1, got {lam!r}")
@@ -432,6 +433,8 @@ def single_eigenvalue_marginal(n: int, m: int, points) -> np.ndarray:
     at 0 is the polynomial's constant term.  Both give 0.0 for |lambda| >= 1
     and raise DomainError for a non-finite point.  Larger n is out of scope.
     """
+    _check_count("n", n)
+    _check_count("m", m)
     if n not in (2, 3):
         raise Unsupported("marginal density implemented for n in {2, 3} only")
     ts = np.abs(np.asarray(points, dtype=float))

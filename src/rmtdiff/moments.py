@@ -158,25 +158,43 @@ def even_moment(l: int, c: float) -> float:
     return math.ldexp(math.fsum(math.ldexp(f, e - top) for f, e in zip(mants, exps)), top)
 
 
+def _asin_excess(s: float) -> float:
+    """h(s) = (asin s - s sqrt(1 - s^2)) / s^3 for 0 < s <= 1.
+
+    Below s = 0.1, where the difference cancels, the series
+    2 sum_k C(2k, k) 4^-k s^(2k) / (2k + 3) of d/ds (asin s - s sqrt(1 - s^2))
+    = 2 s^2 / sqrt(1 - s^2), integrated term by term; 12 terms reach the unit
+    roundoff there.
+    """
+    if s >= 0.1:
+        return (math.asin(s) - s * math.sqrt(1.0 - s * s)) / s**3
+    total, term = 0.0, 2.0
+    for k in range(12):
+        total += term / (2 * k + 3)
+        term *= (2 * k + 1) / (2 * k + 2) * s * s
+    return total
+
+
 def trace_distance_asymptotic(c: float) -> float:
     """Limiting trace distance between the two random states.
 
     (1/(2 pi c)) [(c+1) sqrt((2-c)c) + (4c-2) arcsin(sqrt(c/2))] for c <= 2,
-    1 - 1/(2c) above.  Equals absolute_moment(1, c) / 2.
+    1 - 1/(2c) above.  Equals absolute_moment(1, c) / 2.  The bracket cancels
+    to O(c^(3/2)) at small c, so with s = sqrt(c/2) it is taken as
+    s (4 sqrt(1 - s^2) + 8 asin(s)/s - 2 h(s)) / (4 pi), h from ``_asin_excess``,
+    which keeps full relative precision down to the smallest c.
     """
     _check_domain(c)
     if c > 2.0:
         return 1.0 - 0.5 / c
-    return (
-        (c + 1.0) * math.sqrt((2.0 - c) * c)
-        + (4.0 * c - 2.0) * math.asin(math.sqrt(c / 2.0))
-    ) / (2.0 * math.pi * c)
+    s = math.sqrt(0.5 * c)
+    bracket = 4.0 * math.sqrt(1.0 - s * s) + 8.0 * math.asin(s) / s - 2.0 * _asin_excess(s)
+    return s * bracket / (4.0 * math.pi)
 
 
 def operator_norm_asymptotic(c: float, n: int) -> float:
     """Limiting operator norm of the difference: x_plus(c) / n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_count("n", n)
     _, x_plus = support_points(c)
     return x_plus / n
 
@@ -217,18 +235,21 @@ def distance_to_mixed_asymptotic(c: float) -> float:
     Half of E|x - 1| under the rescaled single-matrix law, atom included,
     which is E(x - 1)_+ as E x = 1.  From c = 4 the continuous support lies
     at x >= 1, so it is exactly 1 - 1/c; below, ``_mp_quad`` integrates
-    (x - 1) times the density on one sin^2 panel over [1, x_+].
+    (x - 1) times the density over [1, x_+] in t = (x - 1)/sqrt(c), on
+    [0, 2 + sqrt(c)], so the panel keeps its width as c -> 0:
+
+        sqrt(c) int t sqrt((t + 2 - sqrt c)(2 + sqrt c - t)) / (2 pi (1 + sqrt(c) t)) dt.
     """
     _check_domain(c)
     if c >= 4.0:
         return 1.0 - 1.0 / c
-    lo = (1.0 - math.sqrt(c)) ** 2
-    hi = (1.0 + math.sqrt(c)) ** 2
+    r = math.sqrt(c)
 
-    def integrand(x):
-        return (x - 1.0) * np.sqrt(np.maximum((x - lo) * (hi - x), 0.0)) / (2.0 * math.pi * c * x)
+    def integrand(t):
+        edges = np.maximum((t + 2.0 - r) * (2.0 + r - t), 0.0)
+        return t * np.sqrt(edges) / (2.0 * math.pi * (1.0 + r * t))
 
-    return _mp_quad(integrand, 1.0, hi)[0]
+    return r * _mp_quad(integrand, 0.0, 2.0 + r)[0]
 
 
 def _against_density(f, c: float, eta: float) -> tuple[float, float]:

@@ -13,6 +13,7 @@ import cmath
 import math
 
 from .errors import DomainError, NoConvergence, PoleError
+from .sampling import _check_count
 
 __all__ = [
     "hyp2f1",
@@ -101,8 +102,7 @@ def hyp2f1(a, b, c, x) -> complex:
 
 def laguerre_coefficients(m_large: int) -> list[int]:
     """Integer coefficients (2(M-1)-k)! / (k! (M-1-k)!) for k = 0..M-1."""
-    if m_large < 1:
-        raise DomainError("m_large must be >= 1")
+    _check_count("m_large", m_large)
     mm = m_large - 1
     return [
         math.factorial(2 * mm - k) // (math.factorial(k) * math.factorial(mm - k))

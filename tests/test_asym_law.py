@@ -225,7 +225,7 @@ class TestCauchyRoots:
         for z in (0.5 + 0.3j, 2.0 + 1e-6j, -1.2 + 0.01j):
             for c, eta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.2)):
                 g = cauchy_transform(z, c, eta)
-                a3, a2, a1, a0 = _cubic_coefficients(z, c, eta)
+                a3, a2, a1, a0 = _cubic_coefficients(c, eta) @ (1.0, z)
                 res = abs(((a3 * g + a2) * g + a1) * g + a0)
                 scale = sum(abs(v) for v in (a3 * g**3, a2 * g**2, a1 * g, a0))
                 assert res <= 1e-12 * max(scale, 1.0)
@@ -574,14 +574,14 @@ class TestBatchedKernel:
         for c, eta in ((1.0, 1.0), (3.0, 0.5), (0.4, 4.0)):
             batched = law._solve_cubics(zs, c, eta)
             for z, got in zip(zs, batched):
-                want = np.roots(_cubic_coefficients(z, c, eta))
+                want = np.roots(_cubic_coefficients(c, eta) @ (1.0, z))
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(want))) < 1e-10 * scale
 
 
 def _discriminant_by_class(c: float, eta: float):
     """The discriminant by ``numpy.polynomial.Polynomial`` algebra, the reference bits."""
-    a3, a2, a1, _ = _cubic_coefficients(np.polynomial.Polynomial([0.0, 1.0]), c, eta)
+    a3, a2, a1 = (np.polynomial.Polynomial(row) for row in _cubic_coefficients(c, eta)[:3])
     return 18.0 * a3 * a2 * a1 - 4.0 * a2**3 + a2**2 * a1**2 - 4.0 * a3 * a1**3 - 27.0 * a3**2
 
 
@@ -613,7 +613,7 @@ class TestDiscriminant:
             for eta in etas:
                 want = _discriminant_by_class(float(c), float(eta))
                 got, edges = law._discriminant(float(c), float(eta))
-                assert got.tobytes() == want.coef.tobytes()
+                assert len(got) == len(want.coef) and np.array_equal(got, want.coef)
                 roots = want.roots()
                 real = np.unique(roots.real[np.abs(roots.imag) <= 1e-7 * np.max(np.abs(roots))])
                 assert edges.tobytes() == real.tobytes()
@@ -671,3 +671,54 @@ class TestLargeC:
         assert atom_weight(1e14) == 1.0 - 2e-14
         assert operator_norm_asymptotic(1e8, 1) == pytest.approx(1e8, rel=1e-3)
         assert distance_to_mixed_asymptotic(1e300) == 1.0
+
+
+def _small_c_routes():
+    from rmtdiff.moments import continuous_mass, moment_via_quadrature
+
+    return [
+        lambda c: aed_symmetric(1e-6, c),
+        lambda c: aed_symmetric(np.array([0.0, 1e-6]), c),
+        lambda c: aed_curve(1e-6, c),
+        lambda c: aed_curve(np.array([1e-6]), c, 0.5),
+        lambda c: aed_grid(c),
+        lambda c: aed_grid(c, 2.0),
+        lambda c: find_support_numeric(c, 2.0),
+        lambda c: continuous_mass(c),
+        lambda c: continuous_mass(c, 0.2),
+        lambda c: moment_via_quadrature(1.3, c),
+        lambda c: moment_via_quadrature(1.3, c, 5.0),
+    ]
+
+
+class TestSmallC:
+    # unchecked, aed_grid(1e-19) had mass 0, weighted grids raised IndexError at
+    # c <= 1e-17 and the mass at eta = 0.2, c = 1e-55 was off by 7e14
+    @pytest.mark.parametrize(
+        "call",
+        _small_c_routes(),
+        ids=["symmetric", "symmetric-array", "curve", "curve-weighted", "grid", "grid-weighted",
+             "support-numeric", "mass", "mass-weighted", "moment", "moment-weighted"],
+    )
+    def test_below_the_limit_raises(self, call):
+        for c in (law._C_MIN * (1.0 - 2e-16), 1e-11, 1e-19, 1e-55, 5e-324):
+            with pytest.raises(DomainError, match="below"):
+                call(c)
+
+    def test_at_the_limit_within_1e9(self):
+        from rmtdiff.moments import continuous_mass
+
+        c = law._C_MIN
+        assert aed_symmetric(0.0, c) == pytest.approx(1.0 / (math.pi * math.sqrt(c * (2.0 - c))))
+        for eta in (1.0, 0.05, 0.2, 5.0, 20.0):
+            assert abs(continuous_mass(c, eta) - 1.0) < 1e-9
+            res = aed_grid(c, eta)
+            assert res.atom_weight + res.trapezoid_mass() == pytest.approx(1.0, abs=5e-6)
+        assert len(find_support_numeric(c, 2.0)) == 1
+
+    def test_closed_forms_unaffected(self):
+        from rmtdiff.moments import distance_to_mixed_asymptotic, trace_distance_asymptotic
+
+        assert atom_weight(1e-20) == 0.0
+        assert trace_distance_asymptotic(1e-300) > 0.0
+        assert distance_to_mixed_asymptotic(1e-300) > 0.0

@@ -52,7 +52,7 @@ def test_cubic_roots_match_np_roots(c, eta, rel, shrink, im):
     # infinite one, so each root is matched in whichever of the two is nearer
     _, span = _span(c, eta)
     z = complex(1.2 * rel * span * shrink, im * shrink)
-    coef = asym_law._cubic_coefficients(z, c, eta)
+    coef = asym_law._cubic_coefficients(c, eta) @ (1.0, z)
     got = asym_law._solve_cubics(np.array([z]), c, eta)[0]
     in_g, in_h = np.roots(coef), 1.0 / np.roots(coef[::-1])
 

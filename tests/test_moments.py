@@ -250,6 +250,48 @@ class TestTraceDistance:
             )
 
 
+def _trace_distance_mpmath(c: float):
+    import mpmath
+
+    with mpmath.workdps(30):
+        cm = mpmath.mpf(c)
+        return 4 * mpmath.sqrt(2 * cm) / (3 * mpmath.pi) * mpmath.hyp2f1(0.5, -0.5, 2.5, cm / 2)
+
+
+def _distance_to_mixed_mpmath(c: float):
+    """Half of E|x - 1| under Marchenko-Pastur, 30 digits: (x - 1) times the density on
+    [1, x_+], in x - 1 = (x_+ - 1) sin^2(theta) so that no step rounds 1 + O(sqrt c).
+    The integrand is divided by sqrt(c), as mpmath's error target is absolute."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(mpmath.mpf(c))
+        span = 2 * r + r * r  # x_+ - 1
+        gap = 2 * r - r * r  # 1 - x_-
+
+        def f(th):
+            d = span * mpmath.sin(th) ** 2  # x - 1
+            w = mpmath.sqrt((d + gap) * span) * mpmath.cos(th)  # sqrt((x - x_-)(x_+ - x))
+            return d * w / (2 * mpmath.pi * r**3 * (1 + d)) * span * mpmath.sin(2 * th)
+
+        return r * mpmath.quad(f, [0, mpmath.pi / 2])
+
+
+class TestDistancesSmallC:
+    # (c+1) sqrt((2-c)c) cancels against 2 asin(sqrt(c/2)) (relative error 1.0 at c = 1e-20),
+    # and a panel over [1, x_+] in x errs 1.2e-7 there and collapses below c ~ 1e-32
+    def test_trace_distance_against_mpmath(self):
+        for c in np.geomspace(1e-300, 2.0, 41):
+            want = _trace_distance_mpmath(float(c))
+            assert abs(trace_distance_asymptotic(float(c)) - want) <= 1e-14 * want
+        assert trace_distance_asymptotic(2.0) == 0.75
+
+    def test_distance_to_mixed_against_mpmath(self):
+        for c in np.geomspace(1e-300, 3.99, 41):
+            want = _distance_to_mixed_mpmath(float(c))
+            assert abs(distance_to_mixed_asymptotic(float(c)) - want) <= 1e-14 * want
+
+
 class TestOperatorNorm:
     def test_matches_support_edge(self):
         _, xp = support_points(1.0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,40 @@ class TestEnsembleParams:
     def test_infinite_weights_rejected(self, p, q):
         with pytest.raises(DomainError, match="weights must be finite"):
             EnsembleParams(n_small=2, m_large=3, weight_p=p, weight_q=q)
+
+
+def _counted_calls():
+    from rmtdiff.finite_law import (
+        build_psi_poly, joint_eigen_density, n2_exact_density, single_eigenvalue_marginal, w_poly,
+    )
+    from rmtdiff.moments import operator_norm_asymptotic
+    from rmtdiff.specfun import laguerre_coefficients
+
+    return {
+        "operator_norm_asymptotic": lambda v: operator_norm_asymptotic(1.0, v),
+        "page_entropy_mean-n": lambda v: page_entropy_mean(v, 4),
+        "page_entropy_mean-m": lambda v: page_entropy_mean(1, v),
+        "sample_ginibre-rows": lambda v: sample_ginibre(v, 2, make_rng(0)),
+        "sample_ginibre-cols": lambda v: sample_ginibre(2, v, make_rng(0)),
+        "laguerre_coefficients": laguerre_coefficients,
+        "w_poly": w_poly,
+        "n2_exact_density": lambda v: n2_exact_density(0.1, v),
+        "build_psi_poly-n": lambda v: build_psi_poly(v, 3),
+        "build_psi_poly-m": lambda v: build_psi_poly(1, v),
+        "joint_eigen_density-n": lambda v: joint_eigen_density((0.1, -0.1), v, 3),
+        "joint_eigen_density-m": lambda v: joint_eigen_density((0.1, -0.1), 2, v),
+        "single_eigenvalue_marginal-n": lambda v: single_eigenvalue_marginal(v, 3, [0.1]),
+        "single_eigenvalue_marginal-m": lambda v: single_eigenvalue_marginal(2, v, [0.1]),
+    }
+
+
+# a float or non-finite dimension must neither pass (operator_norm_asymptotic(1.0, nan)
+# read nan) nor reach range or math.comb, which raise a bare TypeError
+@pytest.mark.parametrize("value", [0, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("call", list(_counted_calls().values()), ids=list(_counted_calls()))
+def test_dimension_not_a_positive_integer(call, value):
+    with pytest.raises(DomainError, match="must be an integer >= 1"):
+        call(value)
 
 
 class TestGinibre:
@@ -208,6 +243,26 @@ class TestEigenvalues:
             h[at] = value
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
             hermitian_eigenvalues(h)
+
+
+# inf input must print no numpy RuntimeWarning from the deviation or the Gram product,
+# and [[nan, 0], [0, 1]] is no density matrix
+@pytest.mark.parametrize(
+    "entries",
+    [{(0, 0): math.nan}, {(0, 0): math.inf}, {(1, 1): -math.inf}, {(0, 1): math.inf},
+     {(0, 1): math.inf, (1, 0): math.inf}],
+)
+def test_non_finite_matrix_quiet(entries):
+    m = np.diag([0.0, 1.0]).astype(complex)
+    for at, value in entries.items():
+        m[at] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_density_matrix(m) is False
+        with pytest.raises(DomainError, match="finite"):
+            hermitian_eigenvalues(m)
+        with pytest.raises(DomainError, match="finite"):
+            reduced_density_from_ginibre(m)
 
 
 class TestPageFormula:
