@@ -347,7 +347,7 @@ def w_poly(m: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=64)
-def _w_poly_logs(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _w_log_coefficients(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     ws = w_poly(m)
     logs = tuple(math.log(w.numerator) - math.log(w.denominator) for w in ws)
     dlogs = tuple(math.log(k) + logs[k] for k in range(1, m))
@@ -373,7 +373,7 @@ def n2_exact_density(lam: float, m: int) -> float:
         raise DomainError(f"|lambda| must be < 1, got {lam!r}")
     if t == 0.0:
         return 0.0
-    logs, dlogs = _w_poly_logs(m)
+    logs, dlogs = _w_log_coefficients(m)
     ln_alpha = math.log(t) - 2.0 * math.log1p(-t)
     lnW = _logsumexp([logs[k] + k * ln_alpha for k in range(m)])
     if m > 1:
