@@ -89,15 +89,17 @@ def _check_density_c(c: float) -> None:
 def support_points(c: float) -> tuple[float | None, float]:
     """Support endpoints (x_minus, x_plus) of the continuous density.
 
-    x_plus = (1/4) (sqrt(4c+1) + 3)^{3/2} (sqrt(4c+1) - 1)^{1/2} always;
-    the inner edge x_minus exists only for c > 2 (it is 0 at c = 2 and the
-    corresponding square is negative below that).
+    x_plus = (1/4) (s + 3)^{3/2} (s - 1)^{1/2} always, s = sqrt(4c+1);
+    the inner edge x_minus = (1/4) (s - 3)^{3/2} (s + 1)^{1/2} exists only
+    for c > 2 (it is 0 at c = 2 and the corresponding square is negative
+    below that).  s - 1 is taken as 4c/(s + 1) and s - 3 as 4(c - 2)/(s + 3),
+    which cancel nothing as c -> 0 or c -> 2.
     """
     _check_domain(c)
     s = math.sqrt(4.0 * c + 1.0)
-    x_plus = 0.25 * (s + 3.0) ** 1.5 * (s - 1.0) ** 0.5
+    x_plus = 0.25 * (s + 3.0) ** 1.5 * (4.0 * c / (s + 1.0)) ** 0.5
     if c >= 2.0:
-        x_minus = 0.25 * (s - 3.0) ** 1.5 * (s + 1.0) ** 0.5
+        x_minus = 0.25 * (4.0 * (c - 2.0) / (s + 3.0)) ** 1.5 * (s + 1.0) ** 0.5
         return x_minus, x_plus
     return None, x_plus
 

@@ -2,31 +2,29 @@
 
 ``workers`` is the number of independent sub-streams: stream w is the
 counter-based generator (seed, w) of ``sampling``, it draws its share of the
-samples, and the results are joined in stream order.  The streams run one
-after another.  Within each ``_batches`` slice the calling thread draws the
-random numbers in stream order and keeps only those draws (the nonzero
-entries of Y below) and the per-draw scalars of T.  The slice's last stream
-(the complex normals of the bottom block, or below the diagonal when N <= M)
-is drawn in blocks of ``_BLOCK_ENTRIES // d^2`` draws, each straight into its
-rows of the slice's array; consecutive draws give the numbers one call would.  As soon as a block
-is drawn, a thread on another core (``os.sched_getaffinity``) may take it: it
-fills the block's Y, normalises it, forms Z and writes its eigenvalues, with
-the OpenBLAS that numpy loaded held at one thread.  After its last draw the
-calling thread solves blocks too, so the draws of later blocks overlap the
-solves of earlier ones.  Each thread works in its own block buffer set,
-allocated by the calling thread, so memory is the slice's draws plus one
-block set per core, not a slice-wide Y, Y^H and Z.  Each draw's products and
+samples, and the results are joined in stream order.  Each stream is cut into
+``_batches`` slices and each slice into blocks of ``_BLOCK_ENTRIES // d^2``
+draws, and all blocks of one request go through one ``_on_cores`` pass.  The
+calling thread draws in stream order: stream by stream, slice by slice, the
+slice's earlier streams (chi-square rows, and the normals below the diagonal
+when N > M), then each block's last stream (the normals of the bottom block,
+or below the diagonal when N <= M).  Each stream is drawn in pieces that
+belong to one block; consecutive draws give the numbers one call would.  A
+thread on another core (``os.sched_getaffinity``) takes the oldest drawn
+block: it fills the block's Y, normalises it, forms Z and writes its
+eigenvalues, with the OpenBLAS that numpy loaded held at one thread.  While
+as many drawn blocks wait as there are cores, the calling thread solves the
+oldest instead of drawing on.  A block's draws are dropped once it is solved
+and each thread reuses its own block buffers, so memory is one slice's draws
+plus a few blocks, not a slice-wide Y, Y^H and Z.  Each draw's products and
 eigensolve are the same single-threaded LAPACK calls whatever thread takes
 its block, so output bytes are fixed by (seed, workers) alone: not by the
-core count, the thread timing or ``OPENBLAS_NUM_THREADS``.  Matrices below
-``_SPLIT_MIN_D`` are not split: one core solves them.  Where that OpenBLAS
-cannot be found, the calling thread works through the whole slice, block by
-block.  ``difference_spectra`` is the only function that splits its draws
-over cores; ``mean_entropy_mc`` solves each slice on the calling thread.
+core count, the thread timing or ``OPENBLAS_NUM_THREADS``.  One core solves
+matrices below ``_SPLIT_MIN_D`` and everything where that OpenBLAS is absent.
 
-``difference_spectra`` is the one sampling kernel.  It draws only what the
-eigenvalue law of Z = p rho1 - q rho2 needs.  With k = min(N, M),
-K = max(N, M), r = min(N - k, k) and d = k + r = min(N, 2M):
+``_spectra``, behind ``difference_spectra``, is the one sampling kernel.  It
+draws only what the eigenvalue law of Z = p rho1 - q rho2 needs.  With
+k = min(N, M), K = max(N, M), r = min(N - k, k) and d = k + r = min(N, 2M):
 
 * rho1 is drawn as T/t1 (+) 0 with T = B B^T, B the k x k real lower
   bidiagonal Laguerre factor of Dumitriu and Edelman (J. Math. Phys. 43,
@@ -156,33 +154,28 @@ def _on_cores(solve, blocks: int, cores: int, draw) -> None:
     """Call ``solve(block, core)`` for each block < ``blocks`` on ``cores`` threads, core 0 the caller.
 
     ``draw(block)`` runs in the calling thread for block = 0, 1, ... in
-    order, and a block is solved only after its draw.  The other threads take
-    the next block from a shared front index and sleep while it is not
-    drawn.  After its last draw the calling thread takes blocks from the
-    back, the last drawn first, whose draws are still in cache, and leaves
-    the first ``cores - 1`` blocks to the others: a thread that only
-    gets the interpreter lock late still solves a block.  When a draw or a
-    solve raises, no block is taken after it, the waiting threads wake,
-    every thread is joined and the first exception is raised.  OpenBLAS is
-    held at one thread throughout.
+    order.  Every thread takes the oldest drawn block not yet taken; the
+    others sleep while there is none.  While ``cores`` drawn blocks are
+    untaken the calling thread solves the oldest instead of drawing, so at
+    most 2 cores - 1 blocks are drawn and not yet solved.  When a draw or a
+    solve raises, no block is taken after it, the waiting threads wake, every
+    thread is joined and the first exception is raised.  OpenBLAS is held at
+    one thread throughout.
     """
     cond = threading.Condition()
-    ready = 0  # blocks drawn so far
-    front, back = 0, blocks  # the blocks not yet taken
+    ready = taken = 0  # blocks drawn, blocks taken
     errors: list[BaseException] = []
 
     def take(core):
-        nonlocal front, back
+        nonlocal taken
         with cond:
-            while not errors and front == ready < back:
+            while core and not errors and taken == ready < blocks:
                 cond.wait()
-            if errors or front == back or (core == 0 and back < cores):
+            # while it still draws, the calling thread only takes from a full window
+            if errors or taken == ready or (not core and ready - taken < cores and ready < blocks):
                 return None
-            if core:
-                front += 1
-                return front - 1
-            back -= 1
-            return back
+            taken += 1
+            return taken - 1
 
     def run(core):
         try:
@@ -201,6 +194,7 @@ def _on_cores(solve, blocks: int, cores: int, draw) -> None:
                 thread.start()
                 threads.append(thread)
             for block in range(blocks):
+                run(0)
                 if errors:
                     break
                 draw(block)
@@ -218,21 +212,12 @@ def _on_cores(solve, blocks: int, cores: int, draw) -> None:
         raise errors[0]
 
 
-def difference_spectra(
-    params: EnsembleParams,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-    *,
-    rescaled: bool = True,
-) -> np.ndarray:
-    """(n_samples, N) ascending eigenvalues of independent difference draws.
+def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
+    """(draws, N) raw ascending eigenvalues of the (rng, count) ``streams``, rows in stream order.
 
     Every shape takes the min(N, 2M) solve of the module docstring; the
     other max(N - 2M, 0) eigenvalues of each row are exact zeros.
     """
-    _check_count("n_samples", n_samples)
-    if rng is None:
-        rng = params.rng()
     n, m = params.n_small, params.m_large
     p, q = params.weight_p, params.weight_q
     k, big = min(n, m), max(n, m)
@@ -240,65 +225,82 @@ def difference_spectra(
     d = k + r
     i, j = np.arange(k), np.arange(r)
     below, right = np.tril_indices(k, -1), np.triu_indices(r, 1, k)
-    out = np.zeros((n_samples, n))
-    slices = _batches(n, m, n_samples)
+    out = np.zeros((sum(count for _, count in streams), n))
+    # the first stream's first slice is the longest
+    longest = _batches(n, m, streams[0][1])[0].stop
+    cores = _cores(longest, d)
+    blk = min(max(1, _BLOCK_ENTRIES // (d * d)), -(-longest // cores))
+    # per block: its stream, its rows of out and, at a slice's first, the slice's block sizes
+    plan, row = [], 0
+    for rng, count in streams:
+        for sl in _batches(n, m, count):
+            rows = np.split(out[row:][sl], range(blk, sl.stop - sl.start, blk))
+            plan += [(rng, v, None if t else [len(x) for x in rows]) for t, v in enumerate(rows)]
+        row += count
     # one block buffer set per core, allocated here: a worker thread's own
     # allocations stay in its glibc arena after they are freed
-    cores = _cores(slices[0].stop, d)
-    blk = min(max(1, _BLOCK_ENTRIES // (d * d)), -(-slices[0].stop // cores))
-    buffers = [
-        (np.zeros((blk, d, k), dtype=complex), np.empty((blk, d, k), dtype=complex),
-         np.empty((blk, d, d), dtype=complex))
-        for _ in range(cores)
-    ]
-    for sl in slices:
-        b = sl.stop - sl.start
-        lower = np.empty((b, below[0].size), dtype=complex)
-        upper = np.empty((b, right[0].size), dtype=complex)
-        # the last stream is drawn block by block, each block solved once it is drawn;
-        # with r = 0 the bottom block is empty and draws nothing
-        last = upper if r else lower
-        a2 = rng.chisquare(2 * (big - i), (b, k))
-        s2 = rng.chisquare(2 * (k - 1 - i[:-1]), (b, k - 1))
-        top = np.sqrt(rng.chisquare(2 * (m - i), (b, k)))
-        if r:
-            rng.standard_normal(out=lower.view(float))
-        bottom = np.sqrt(rng.chisquare(2 * (n - m - j), (b, r)))
-        # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i
+    buffers = [(np.zeros((blk, d, k), dtype=complex), np.empty((blk, d, k), dtype=complex),
+                np.empty((blk, d, d), dtype=complex)) for _ in range(cores)]
+    drawn = {}  # block -> its rows of out and its own draws, dropped once it is solved
+
+    def draw(block):
+        rng, rows, sizes = plan[block]
+        if sizes:  # the slice's earlier streams, in order, each in pieces of one block
+            dfs = (2 * (big - i), 2 * (k - 1 - i[:-1]), 2 * (m - i))
+            pieces = [[rng.chisquare(df, (size, df.size)) for size in sizes] for df in dfs]
+            pieces.append([rng.standard_normal((size, 2 * below[0].size if r else 0)).view(complex)
+                           for size in sizes])
+            pieces.append([rng.chisquare(2 * (n - m - j), (size, r)) for size in sizes])
+            drawn.update(enumerate(zip(*pieces), block))
+        a2, s2, t2, lower, b2 = drawn[block]
+        # the last stream: the bottom block's normals, or with r = 0 those below the diagonal
+        last = rng.standard_normal((len(rows), 2 * (right if r else below)[0].size)).view(complex)
+        lower, upper = (lower, last) if r else (last, lower)
+        drawn[block] = (rows, a2, s2, t2, lower, b2, upper)
+
+    def solve(block, core):
+        rows, a2, s2, t2, lower, b2, upper = drawn.pop(block)
+        # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i;
+        # ahead of the products, as numpy's sums ran 10x slower right after the complex matmul
         w = p / (a2.sum(axis=1) + s2.sum(axis=1))[:, None]
         diag, sub, off = w * a2, w * s2, w * np.sqrt(s2 * a2[:, :-1])
-        rows = out[sl]
+        y, yc, z = (x[: len(rows)] for x in buffers[core])
+        # entries outside the pattern stay the zeros the buffer was made with
+        y[:, i, i] = np.sqrt(t2)
+        y[:, below[0], below[1]] = lower
+        y[:, k + j, j] = np.sqrt(b2)
+        y[:, k + right[0], right[1]] = upper
+        sq = np.square(y.view(float), out=yc.view(float))
+        y *= np.sqrt(q / sq.sum(axis=(1, 2)))[:, None, None]
+        np.conjugate(y, out=yc)
+        np.matmul(y, yc.transpose(0, 2, 1), out=z)
+        np.negative(z, out=z)
+        # views into each flattened d*d matrix, for i < k: (i, i) sits at
+        # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
+        flat = z.reshape(len(rows), d * d)
+        flat[:, : k * (d + 1) : d + 1] += diag
+        flat[:, d + 1 : k * (d + 1) : d + 1] += sub
+        flat[:, d : d + (k - 1) * (d + 1) : d + 1] += off
+        flat[:, 1 : 1 + (k - 1) * (d + 1) : d + 1] += off
+        rows[:, :d] = np.linalg.eigvalsh(z)
+        rows.sort(axis=1)  # places the N - d padded zeros
 
-        def draw(block):
-            rng.standard_normal(out=last[block * blk : (block + 1) * blk].view(float))
+    _on_cores(solve, len(plan), cores, draw)
+    return out
 
-        def solve(block, core):
-            s = block * blk
-            e = min(s + blk, b)
-            y, yc, z = (x[: e - s] for x in buffers[core])
-            # entries outside the pattern stay the zeros the buffer was made with
-            y[:, i, i] = top[s:e]
-            y[:, below[0], below[1]] = lower[s:e]
-            y[:, k + j, j] = bottom[s:e]
-            y[:, k + right[0], right[1]] = upper[s:e]
-            sq = np.square(y.view(float), out=yc.view(float))
-            y *= np.sqrt(q / sq.sum(axis=(1, 2)))[:, None, None]
-            np.conjugate(y, out=yc)
-            np.matmul(y, yc.transpose(0, 2, 1), out=z)
-            np.negative(z, out=z)
-            # views into each flattened d*d matrix, for i < k: (i, i) sits at
-            # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
-            flat = z.reshape(e - s, d * d)
-            flat[:, : k * (d + 1) : d + 1] += diag[s:e]
-            flat[:, d + 1 : k * (d + 1) : d + 1] += sub[s:e]
-            flat[:, d : d + (k - 1) * (d + 1) : d + 1] += off[s:e]
-            flat[:, 1 : 1 + (k - 1) * (d + 1) : d + 1] += off[s:e]
-            rows[s:e, :d] = np.linalg.eigvalsh(z)
-            rows[s:e].sort(axis=1)  # places the N - d padded zeros
 
-        _on_cores(solve, -(-b // blk), _cores(b, d), draw)
+def difference_spectra(
+    params: EnsembleParams,
+    n_samples: int,
+    rng: np.random.Generator | None = None,
+    *,
+    rescaled: bool = True,
+) -> np.ndarray:
+    """(n_samples, N) ascending eigenvalues of independent difference draws on one stream."""
+    _check_count("n_samples", n_samples)
+    out = _spectra(params, [(params.rng() if rng is None else rng, n_samples)])
     if rescaled:
-        out *= n
+        out *= params.n_small
     return out
 
 
@@ -311,10 +313,9 @@ def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> li
     _check_count("n_samples", n_samples)
     _check_count("workers", workers)
     base, extra = divmod(n_samples, workers)
-    return [
-        reduce(difference_spectra(params, base + (w < extra), params.rng(w), rescaled=False))
-        for w in range(min(workers, n_samples))
-    ]
+    counts = [base + (w < extra) for w in range(min(workers, n_samples))]
+    out = _spectra(params, [(params.rng(w), count) for w, count in enumerate(counts)])
+    return [reduce(s) for s in np.split(out, np.cumsum(counts)[:-1])]
 
 
 def pooled_spectrum(
@@ -430,9 +431,8 @@ def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
     """Mean von Neumann entropy (nats) of reduced density matrices drawn on stream (seed, 0).
 
     Each ``_batches`` slice is solved by one ``eigvalsh`` call on the calling
-    thread, with OpenBLAS held at one thread.  Not blocked or split across
-    cores like ``difference_spectra``: the sizes it serves (AC-13's are
-    2 x 2) keep its slices small.
+    thread, with OpenBLAS held at one thread, not blocked or split across
+    cores: the sizes it serves (AC-13's are 2 x 2) keep its slices small.
     """
     _check_count("n_samples", n_samples)
     rng = params.rng()

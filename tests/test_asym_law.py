@@ -72,6 +72,19 @@ class TestSupportPoints:
         xm3, _ = support_points(3.0)
         assert xm3 == pytest.approx(0.2528175418836, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "c, edge",
+        [(c, 1) for c in (1e-6, 1e-10, 1e-13, 1e-16, 1e-20)]
+        + [(2.0 + e, 0) for e in (1e-12, 1e-9, 1e-6)],
+    )
+    def test_edges_near_zero_and_two_against_mpmath(self, c, edge):
+        # s - 1 and s - 3 cancel as c -> 0 and c -> 2 when taken as differences
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            s = mpmath.sqrt(4 * mpmath.mpf(c) + 1)
+            want = [(s - 3) ** 1.5 * (s + 1) ** 0.5 / 4, (s + 3) ** 1.5 * (s - 1) ** 0.5 / 4][edge]
+            assert abs(support_points(c)[edge] / want - 1) < 1e-14
+
 
 class TestAtomWeight:
     def test_below_transition(self):

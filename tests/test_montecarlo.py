@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -192,6 +193,27 @@ class TestPooling:
         assert trace_distance_mc(params, 17, workers=4) == trace
         norm = sum(float(np.sum(np.max(np.abs(s), axis=1))) for s in streams) / 17
         assert operator_norm_mc(params, 17, workers=4) == norm
+
+    @pytest.mark.parametrize("n, m, q", [(13, 7, 0.3), (40, 50, 1.0)])
+    def test_one_pass_over_all_streams(self, monkeypatch, n, m, q):
+        # 10 draws a slice: each of the streams of 34, 33 and 33 draws spans 4 slices
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 10 * max(n * m, n * n))
+        params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=22)
+        on_cores, calls = montecarlo._on_cores, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return on_cores(*args)
+
+        monkeypatch.setattr(montecarlo, "_on_cores", counting)
+        pooled = pooled_spectrum(params, 100, workers=3, rescaled=False)
+        assert len(calls) == 1
+        streams = [
+            difference_spectra(params, count, make_rng(params.seed, w), rescaled=False)
+            for w, count in enumerate((34, 33, 33))
+        ]
+        assert all(len(montecarlo._batches(n, m, s.shape[0])) == 4 for s in streams)
+        assert np.array_equal(pooled, np.concatenate([s.ravel() for s in streams]))
 
     @pytest.mark.parametrize(
         "fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc, mean_entropy_mc]
@@ -507,20 +529,51 @@ class TestBlocks:
         # the slice-wide Y, Y^H and Z alone would take draws * (2 d k + d d) * 16 = 76.8 MB
         assert peak < 1.25 * (block_sets + drawn + output)
 
+    def test_peak_memory_is_a_window_of_blocks(self):
+        n, m = 40, 50
+        d = k = n  # N <= M: the last stream is the k (k - 1) / 2 normals below the diagonal
+        params = EnsembleParams(n_small=n, m_large=m, seed=3)
+        cores = montecarlo._cores(1000, d)
+        blk = min(montecarlo._BLOCK_ENTRIES // (d * d), -(-1000 // cores))
+        block_sets = cores * blk * (2 * d * k + d * d) * 16  # Y, its conjugate and Z
+        normals = 2 * cores * blk * k * (k - 1) // 2 * 16
+        assert len(montecarlo._batches(n, m, 6000)) == 3
+        difference_spectra(params, 10)
+        peaks = {}
+        for draws in (1000, 6000):
+            tracemalloc.start()
+            try:
+                difference_spectra(params, draws)
+                peaks[draws] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        rows = 1000 * 3 * k * 8  # the chi-square rows a^2, s^2 and top^2 of each draw
+        output = 1000 * n * 8
+        assert peaks[1000] < 1.25 * (block_sets + normals + rows + output)
+        # a slice's draws go as its blocks are solved: three slices cost about one
+        assert peaks[6000] < 1.25 * peaks[1000]
+
     @pytest.mark.parametrize("n, m", [(2, 10), (12, 7), (40, 50)])
     def test_split_only_from_threshold(self, monkeypatch, n, m):
         if montecarlo._openblas_threads() is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        eigvalsh, threads = np.linalg.eigvalsh, set()
+        splits = cores > 1 and min(n, 2 * m) >= montecarlo._SPLIT_MIN_D
+        eigvalsh, threads, elsewhere = np.linalg.eigvalsh, set(), threading.Event()
 
         def recording(a):
             threads.add(threading.get_ident())
+            if threading.get_ident() != threading.main_thread().ident:
+                elsewhere.set()
+            elif splits:
+                # the caller solves only from a full window, so a block is left
+                # for a worker however late the machine's load lets it wake
+                elsewhere.wait(timeout=30)
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         difference_spectra(EnsembleParams(n_small=n, m_large=m, seed=1), 200)
-        assert (len(threads) > 1) == (cores > 1 and min(n, 2 * m) >= montecarlo._SPLIT_MIN_D)
+        assert (len(threads) > 1) == splits
         threads.clear()
         mean_entropy_mc(EnsembleParams(n_small=n, m_large=m, seed=1), 50)
         assert threads == {threading.get_ident()}
@@ -589,6 +642,15 @@ _PINNED = {
     (2, 1, 1.0, 300): "f063543e145821e40b951546abbcc8a58ff0343b87f507b1a09a58caf24bc44c",
     (3, 1, 0.5, 300): "87141cc605b46763d154ddae81e977e85d8520b2410de12ee00df3c7e23fef8a",
     (25, 25, 1.0, 1): "e68ad57897421d42742eaee0e89617afb6a573a4550c2929aa5998cfa6f2c4b0",
+}
+
+# sha256 of pooled_spectrum(seed = N M) before one pass took every stream's
+# blocks, as it is and with _BATCH_ENTRIES giving each stream 4 or 5 slices
+_POOLED_PINNED = {
+    (100, 20, 500, 3, None): "e150e14b6de192f3cb256884763eac69ff97c3a5ade6186fe86f8883d4c2866f",
+    (100, 20, 500, 3, 400_000): "fccbb04826292a1d625cd43436ad0849ea642954b6866e5c13093192048330c3",
+    (40, 50, 300, 2, None): "620b4d6bb34d48417c51533e2704ed8356beb2bac0a7bd6c0a735144f2592c7e",
+    (40, 50, 300, 2, 80_000): "be91be1df9c620c7ba4f7ad8562325ceda9c6e94956ecedacba56d9c10f5e14e",
 }
 
 # Runs one failing difference_spectra call: argv[1] is "draw" (the second block's
@@ -667,6 +729,15 @@ class TestOverlap:
         params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=seed)
         assert hashlib.sha256(difference_spectra(params, draws).tobytes()).hexdigest() == _PINNED[n, m, q, draws]
 
+    @pytest.mark.parametrize("n, m, draws, workers, entries", list(_POOLED_PINNED))
+    def test_pooled_bytes_pinned(self, monkeypatch, n, m, draws, workers, entries):
+        if (np.__version__, _blas_config()) != _PINNED_SETUP:
+            pytest.skip("hashes recorded with numpy 2.4.6 and its bundled OpenBLAS on SkylakeX")
+        if entries is not None:
+            monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", entries)
+        got = pooled_spectrum(EnsembleParams(n_small=n, m_large=m, seed=n * m), draws, workers=workers)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == _POOLED_PINNED[n, m, draws, workers, entries]
+
     @pytest.mark.parametrize("case", ["draw", "solve"])
     def test_failure_propagates_and_cleans_up(self, src_env, case):
         if montecarlo._openblas_threads() is None:
@@ -689,15 +760,17 @@ class TestOverlap:
         # order, and solved once after its draw, never by two threads on one
         # core's buffers at a time
         blocks, cores = 40, 5
-        drawn, solved, busy, bad = [], [], [False] * cores, []
+        drawn, solved, busy, bad, unsolved = [], [], [False] * cores, [], []
 
         def draw(block):
+            unsolved.append(block - len(solved))
             drawn.append(block)
 
         def solve(block, core):
             if busy[core] or block not in drawn:
                 bad.append((block, core))
             busy[core] = True
+            time.sleep(1e-4)  # the other threads stay busy while the caller could draw on
             solved.append(block)
             busy[core] = False
 
@@ -711,5 +784,8 @@ class TestOverlap:
             assert drawn == list(range(blocks))
             assert sorted(solved) == list(range(blocks))
             assert not bad
+            # no draw starts while `cores` drawn blocks are untaken: at most
+            # cores - 1 untaken and one in each other thread's hands are unsolved
+            assert max(unsolved) <= 2 * cores - 2
         finally:
             sys.setswitchinterval(interval)
