@@ -30,7 +30,7 @@ from .acceptance import run_verify
 from .asym_law import aed_grid
 from .errors import RmtDiffError
 from .figures import FIGURE_IDS, run_fig
-from .harness import default_meta, write_hist, write_xy_csv
+from .harness import default_meta, theory_overlay, write_hist, write_xy_csv
 from .moments import (
     absolute_moment,
     distance_to_mixed_asymptotic,
@@ -188,12 +188,17 @@ def _cmd_hist(args) -> int:
             raise ValueError(f"--bins {args.bins} differs from the --grid count {grid.count}")
         bins, value_range = grid.count, (grid.lo, grid.hi)
     title = f"n={args.n} m={args.m} ({args.samples} samples)" if args.format == "svg" else None
+    params = _params(args)
     files = write_hist(
-        _params(args), args.samples, bins, args.out or "hist.csv",
+        params, args.samples, bins, args.out or "hist.csv",
         workers=args.workers, value_range=value_range, svg_title=title,
     )
     for f in files:
         print(f"wrote {f}")
+    # the exact law covers n <= 3 only at equal weights and n <= m
+    if params.n_small <= 3 and not theory_overlay(params).label.startswith("exact"):
+        print(f"hist: note: the theory column at n={params.n_small} is the asymptotic "
+              "density, not the exact finite-n law", file=sys.stderr)
     return 0
 
 

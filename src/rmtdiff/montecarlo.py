@@ -4,23 +4,22 @@
 counter-based generator (seed, w) of ``sampling``, it draws its share of the
 samples, and the results are joined in stream order.  Each stream is cut into
 ``_batches`` slices and each slice into blocks of ``_BLOCK_ENTRIES // d^2``
-draws, and all blocks of one request go through one ``_on_cores`` pass.  The
-calling thread draws in stream order: stream by stream, slice by slice, the
-slice's earlier streams (chi-square rows, and the normals below the diagonal
-when N > M), then each block's last stream (the normals of the bottom block,
-or below the diagonal when N <= M).  Each stream is drawn in pieces that
-belong to one block; consecutive draws give the numbers one call would.  A
-thread on another core (``os.sched_getaffinity``) takes the oldest drawn
-block: it fills the block's Y, normalises it, forms Z and writes its
-eigenvalues, with the OpenBLAS that numpy loaded held at one thread.  While
-as many drawn blocks wait as there are cores, the calling thread solves the
-oldest instead of drawing on.  A block's draws are dropped once it is solved
-and each thread reuses its own block buffers, so memory is one slice's draws
-plus a few blocks, not a slice-wide Y, Y^H and Z.  Each draw's products and
-eigensolve are the same single-threaded LAPACK calls whatever thread takes
-its block, so output bytes are fixed by (seed, workers) alone: not by the
-core count, the thread timing or ``OPENBLAS_NUM_THREADS``.  One core solves
-matrices below ``_SPLIT_MIN_D`` and everything where that OpenBLAS is absent.
+draws.  The calling thread draws the blocks of all streams in stream order:
+stream by stream, slice by slice, the slice's earlier streams (chi-square
+rows, and the normals below the diagonal when N > M), then each block's last
+stream (the normals of the bottom block, or below the diagonal when N <= M),
+each stream in pieces that belong to one block; consecutive draws give the
+numbers one call would.  One ``_on_cores`` pass hands all drawn blocks of a
+request through one queue to a thread on each core (``os.sched_getaffinity``),
+which fills a block's Y, normalises it, forms Z and writes its eigenvalues,
+with the OpenBLAS that numpy loaded held at one thread.  A block's draws are dropped
+once it is solved and each thread reuses its own block buffers, so memory is
+one slice's draws plus a few blocks, not a slice-wide Y, Y^H and Z.  Each
+draw's products and eigensolve are the same single-threaded LAPACK calls
+whatever thread takes its block, so output bytes are fixed by (seed,
+workers) alone: not by the core count, the thread timing or
+``OPENBLAS_NUM_THREADS``.  One core solves matrices below ``_SPLIT_MIN_D``
+and everything where that OpenBLAS is absent.
 
 ``_spectra``, behind ``difference_spectra``, is the one sampling kernel.  It
 draws only what the eigenvalue law of Z = p rho1 - q rho2 needs.  With
@@ -55,8 +54,9 @@ from __future__ import annotations
 
 import ctypes
 import os
+import queue
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -150,62 +150,47 @@ def _one_blas_thread():
             put(before)
 
 
-def _on_cores(solve, blocks: int, cores: int, draw) -> None:
-    """Call ``solve(block, core)`` for each block < ``blocks`` on ``cores`` threads, core 0 the caller.
+def _on_cores(solve, items, cores: int) -> None:
+    """Call ``solve(item, core)`` for each of ``items`` on ``cores`` threads, core 0 the caller.
 
-    ``draw(block)`` runs in the calling thread for block = 0, 1, ... in
-    order.  Every thread takes the oldest drawn block not yet taken; the
-    others sleep while there is none.  While ``cores`` drawn blocks are
-    untaken the calling thread solves the oldest instead of drawing, so at
-    most 2 cores - 1 blocks are drawn and not yet solved.  When a draw or a
-    solve raises, no block is taken after it, the waiting threads wake, every
-    thread is joined and the first exception is raised.  OpenBLAS is held at
-    one thread throughout.
+    The calling thread draws ``items`` in order onto one queue, which the
+    other threads empty until they get a ``None``.  While ``cores`` items
+    wait, it solves the oldest instead of drawing on (so at most 2 cores - 1
+    are drawn and not yet solved), and it drains the queue at the end.  Once
+    a draw or a solve raises, nothing more is drawn, the items taken after it
+    are skipped, every thread is joined and the first exception is raised.
+    OpenBLAS is held at one thread throughout.
     """
-    cond = threading.Condition()
-    ready = taken = 0  # blocks drawn, blocks taken
+    todo = queue.SimpleQueue()
     errors: list[BaseException] = []
 
-    def take(core):
-        nonlocal taken
-        with cond:
-            while core and not errors and taken == ready < blocks:
-                cond.wait()
-            # while it still draws, the calling thread only takes from a full window
-            if errors or taken == ready or (not core and ready - taken < cores and ready < blocks):
-                return None
-            taken += 1
-            return taken - 1
-
-    def run(core):
+    def work(core):  # the other threads' loop, and the calling thread's at the end
         try:
-            while (block := take(core)) is not None:
-                solve(block, core)
+            while (item := todo.get()) is not None:
+                if not errors:
+                    solve(item, core)
         except BaseException as exc:  # raised again by the calling thread
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
+            errors.append(exc)
 
     with _one_blas_thread():
         threads = []
         try:
             for core in range(1, cores):
-                thread = threading.Thread(target=run, args=(core,))
+                thread = threading.Thread(target=work, args=(core,))
                 thread.start()
                 threads.append(thread)
-            for block in range(blocks):
-                run(0)
+            for item in items:
+                todo.put(item)
+                with suppress(queue.Empty):  # another thread may take the last one first
+                    while todo.qsize() >= cores and not errors:
+                        solve(todo.get_nowait(), 0)
                 if errors:
                     break
-                draw(block)
-                with cond:
-                    ready = block + 1
-                    cond.notify_all()
         except BaseException as exc:  # raised again below, once every thread is joined
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
-        run(0)
+            errors.append(exc)
+        for _ in range(cores):
+            todo.put(None)
+        work(0)  # the calling thread drains the queue with the others
         for thread in threads:
             thread.join()
     if errors:
@@ -216,7 +201,8 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
     """(draws, N) raw ascending eigenvalues of the (rng, count) ``streams``, rows in stream order.
 
     Every shape takes the min(N, 2M) solve of the module docstring; the
-    other max(N - 2M, 0) eigenvalues of each row are exact zeros.
+    other max(N - 2M, 0) eigenvalues of each row are exact zeros.  A generator
+    draws the blocks; each is one ``_on_cores`` item: its output rows and its own draws.
     """
     n, m = params.n_small, params.m_large
     p, q = params.weight_p, params.weight_q
@@ -230,36 +216,32 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
     longest = _batches(n, m, streams[0][1])[0].stop
     cores = _cores(longest, d)
     blk = min(max(1, _BLOCK_ENTRIES // (d * d)), -(-longest // cores))
-    # per block: its stream, its rows of out and, at a slice's first, the slice's block sizes
-    plan, row = [], 0
-    for rng, count in streams:
-        for sl in _batches(n, m, count):
-            rows = np.split(out[row:][sl], range(blk, sl.stop - sl.start, blk))
-            plan += [(rng, v, None if t else [len(x) for x in rows]) for t, v in enumerate(rows)]
-        row += count
     # one block buffer set per core, allocated here: a worker thread's own
     # allocations stay in its glibc arena after they are freed
     buffers = [(np.zeros((blk, d, k), dtype=complex), np.empty((blk, d, k), dtype=complex),
                 np.empty((blk, d, d), dtype=complex)) for _ in range(cores)]
-    drawn = {}  # block -> its rows of out and its own draws, dropped once it is solved
 
-    def draw(block):
-        rng, rows, sizes = plan[block]
-        if sizes:  # the slice's earlier streams, in order, each in pieces of one block
-            dfs = (2 * (big - i), 2 * (k - 1 - i[:-1]), 2 * (m - i))
-            pieces = [[rng.chisquare(df, (size, df.size)) for size in sizes] for df in dfs]
-            pieces.append([rng.standard_normal((size, 2 * below[0].size if r else 0)).view(complex)
-                           for size in sizes])
-            pieces.append([rng.chisquare(2 * (n - m - j), (size, r)) for size in sizes])
-            drawn.update(enumerate(zip(*pieces), block))
-        a2, s2, t2, lower, b2 = drawn[block]
-        # the last stream: the bottom block's normals, or with r = 0 those below the diagonal
-        last = rng.standard_normal((len(rows), 2 * (right if r else below)[0].size)).view(complex)
-        lower, upper = (lower, last) if r else (last, lower)
-        drawn[block] = (rows, a2, s2, t2, lower, b2, upper)
+    def blocks():
+        dfs = (2 * (big - i), 2 * (k - 1 - i[:-1]), 2 * (m - i))
+        # floats per draw of the slice's and of each block's normals (see the module docstring)
+        early, late = (2 * below[0].size, 2 * right[0].size) if r else (0, 2 * below[0].size)
+        row = 0
+        for rng, count in streams:
+            for sl in _batches(n, m, count):
+                rows = np.split(out[row:][sl], range(blk, sl.stop - sl.start, blk))
+                # the slice's earlier streams, in order, each in pieces of one block
+                drawn = [[rng.chisquare(df, (len(v), df.size)) for v in rows] for df in dfs]
+                drawn.append([rng.standard_normal((len(v), early)).view(complex) for v in rows])
+                drawn.append([rng.chisquare(2 * (n - m - j), (len(v), r)) for v in rows])
+                drawn = list(zip(rows, *drawn))  # one entry per block, popped as it is yielded
+                while drawn:
+                    v, a2, s2, t2, lower, b2 = drawn.pop(0)
+                    last = rng.standard_normal((len(v), late)).view(complex)
+                    yield (v, a2, s2, t2, lower, b2, last) if r else (v, a2, s2, t2, last, b2, lower)
+            row += count
 
     def solve(block, core):
-        rows, a2, s2, t2, lower, b2, upper = drawn.pop(block)
+        rows, a2, s2, t2, lower, b2, upper = block
         # + p T/||B||^2 on the leading k x k block: T_ii = a_i^2 + s_{i-1}^2, T_{i+1,i} = s_i a_i;
         # ahead of the products, as numpy's sums ran 10x slower right after the complex matmul
         w = p / (a2.sum(axis=1) + s2.sum(axis=1))[:, None]
@@ -272,9 +254,9 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
         y[:, k + right[0], right[1]] = upper
         sq = np.square(y.view(float), out=yc.view(float))
         y *= np.sqrt(q / sq.sum(axis=(1, 2)))[:, None, None]
-        np.conjugate(y, out=yc)
+        # Z starts as -q Y Y^H/t2: the d x k factor is negated, exactly, instead of the d x d product
+        np.negative(np.conjugate(y, out=yc), out=yc)
         np.matmul(y, yc.transpose(0, 2, 1), out=z)
-        np.negative(z, out=z)
         # views into each flattened d*d matrix, for i < k: (i, i) sits at
         # i(d + 1), (i + 1, i) at d + i(d + 1) and (i, i + 1) at 1 + i(d + 1)
         flat = z.reshape(len(rows), d * d)
@@ -285,7 +267,7 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
         rows[:, :d] = np.linalg.eigvalsh(z)
         rows.sort(axis=1)  # places the N - d padded zeros
 
-    _on_cores(solve, len(plan), cores, draw)
+    _on_cores(solve, blocks(), cores)
     return out
 
 

@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from rmtdiff.cli import main
+from rmtdiff.harness import write_hist
+from rmtdiff.sampling import EnsembleParams
 
 
 def run_cli(args, **kwargs):
@@ -65,6 +67,28 @@ class TestHistCommand:
                     if ln.startswith("# "))
         assert float(meta["atom_weight_theory"]) == pytest.approx(1.0 - 2.0 / 3.0)
         assert {"atom_threshold", "atom_fraction"} <= meta.keys()
+
+    @pytest.mark.parametrize(
+        "shape, note",
+        [(["--n", "2", "--m", "10", "--q", "0.5"], True), (["--n", "3", "--m", "6", "--q", "2"], True),
+         (["--n", "3", "--m", "2"], True), (["--n", "2", "--m", "10"], False),
+         (["--n", "3", "--m", "3"], False), (["--n", "4", "--m", "4", "--q", "0.5"], False)],
+        ids=["2x10-q0.5", "3x6-q2", "3x2", "2x10", "3x3", "4x4-q0.5"],
+    )
+    def test_small_n_asymptotic_overlay_noted(self, tmp_path, capsys, monkeypatch, shape, note):
+        # at n <= 3 an overlay that is not the exact law says so in one stderr
+        # line; the exit code and the file are those of write_hist
+        monkeypatch.delenv("RMTDIFF_SEED", raising=False)
+        out, want = tmp_path / "h.csv", tmp_path / "want.csv"
+        assert run_cli(["hist", *shape, "--samples", "30", "--seed", "1", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert ("asymptotic" in err) == note
+        assert len(err.splitlines()) == int(note)
+        args = dict(zip(shape[::2], shape[1::2]))
+        params = EnsembleParams(int(args["--n"]), int(args["--m"]),
+                                weight_q=float(args.get("--q", 1.0)), seed=1)
+        write_hist(params, 30, 60, str(want))
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestOtherCommands:

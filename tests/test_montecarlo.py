@@ -553,6 +553,25 @@ class TestBlocks:
         # a slice's draws go as its blocks are solved: three slices cost about one
         assert peaks[6000] < 1.25 * peaks[1000]
 
+    def test_peak_memory_is_one_slice_when_n_exceeds_m(self, monkeypatch):
+        # N > M (r = 30): each slice draws its normals below the diagonal up
+        # front, and they go as its blocks are solved, so three slices cost about one
+        n, m, draws = 80, 50, 300
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", draws * max(n * m, n * n))
+        assert len(montecarlo._batches(n, m, 3 * draws)) == 3
+        params = EnsembleParams(n_small=n, m_large=m, seed=3)
+        difference_spectra(params, 10)
+        peaks = {}
+        for count in (draws, 3 * draws):
+            tracemalloc.start()
+            try:
+                difference_spectra(params, count)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one slice's normals below the diagonal alone take draws * 1225 * 16 = 5.9 MB
+        assert peaks[3 * draws] < 1.25 * peaks[draws]
+
     @pytest.mark.parametrize("n, m", [(2, 10), (12, 7), (40, 50)])
     def test_split_only_from_threshold(self, monkeypatch, n, m):
         if montecarlo._openblas_threads() is None:
@@ -762,9 +781,11 @@ class TestOverlap:
         blocks, cores = 40, 5
         drawn, solved, busy, bad, unsolved = [], [], [False] * cores, [], []
 
-        def draw(block):
-            unsolved.append(block - len(solved))
-            drawn.append(block)
+        def draw():
+            for block in range(blocks):
+                unsolved.append(block - len(solved))
+                drawn.append(block)
+                yield block
 
         def solve(block, core):
             if busy[core] or block not in drawn:
@@ -777,7 +798,7 @@ class TestOverlap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            thread = threading.Thread(target=montecarlo._on_cores, args=(solve, blocks, cores, draw))
+            thread = threading.Thread(target=montecarlo._on_cores, args=(solve, draw(), cores))
             thread.start()
             thread.join(timeout=60)
             assert not thread.is_alive()
@@ -789,3 +810,46 @@ class TestOverlap:
             assert max(unsolved) <= 2 * cores - 2
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("where", ["solve", "draw"])
+    def test_error_ends_the_pass(self, where):
+        # a helper thread's first solve from item 5 on, or the draw of item 5,
+        # raises: that exception comes out, at most one item is drawn and at
+        # most cores - 1 solves start after it, and every helper thread is joined
+        items, cores = 40, 3
+        drawn, started, raised, caught = [], [], [], []
+        once = threading.Lock()
+
+        def fail():
+            raised.append((RuntimeError(f"{where} failed"), len(drawn), len(started)))
+            raise raised[0][0]
+
+        def draw():
+            for item in range(items):
+                if where == "draw" and item == 5:
+                    fail()
+                drawn.append(item)
+                yield item
+
+        def solve(item, core):
+            started.append(item)
+            time.sleep(1e-4)
+            if where == "solve" and core and item >= 5 and once.acquire(blocking=False):
+                fail()
+
+        def call():
+            try:
+                montecarlo._on_cores(solve, draw(), cores)
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        before = threading.active_count()
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert threading.active_count() == before
+        exc, drawn_then, started_then = raised[0]
+        assert len(caught) == 1 and caught[0] is exc
+        assert len(drawn) - drawn_then <= 1
+        assert len(started) - started_then <= cores - 1
