@@ -268,13 +268,14 @@ def _law_tables(n: int, m: int):
     """Per orthant, the Vandermonde-differentiated psi piece as integer numerators
     over psi's common denominator L, and its ``_dense_table`` (none where the
     rounding bound u sum_e |C_e| / prod_p p! exceeds ``_FLOAT_TOL``); plus L and
-    prod_p p!."""
+    prod_p p!.  Only the 2^N - 2 orthants with both signs: no other meets the
+    zero-sum hyperplane off the walls."""
     nums, _, den = build_psi_poly(n, m)._exact
     norm = math.prod(math.factorial(p) for p in range(1, n + 1))
     pieces = {
         signs: _apply_difference_operator(
             {e: c * _sign_factor(signs, e) for e, c in nums.items()}, n)
-        for signs in product((1, -1), repeat=n)
+        for signs in product((1, -1), repeat=n) if len(set(signs)) == 2
     }
     ints = {signs: _int_table(q) for signs, q in pieces.items()}
     bound = max(sum(map(abs, q.values())) for q in pieces.values()) / den * 2.0**-53 / norm

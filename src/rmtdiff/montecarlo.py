@@ -159,7 +159,8 @@ def _on_cores(solve, items, cores: int) -> None:
     are drawn and not yet solved), and it drains the queue at the end.  Once
     a draw or a solve raises, nothing more is drawn, the items taken after it
     are skipped, every thread is joined and the first exception is raised.
-    OpenBLAS is held at one thread throughout.
+    No reference to an item outlives its solve here.  OpenBLAS is held at
+    one thread throughout.
     """
     todo = queue.SimpleQueue()
     errors: list[BaseException] = []
@@ -169,6 +170,7 @@ def _on_cores(solve, items, cores: int) -> None:
             while (item := todo.get()) is not None:
                 if not errors:
                     solve(item, core)
+                del item  # not kept alive while this thread waits
         except BaseException as exc:  # raised again by the calling thread
             errors.append(exc)
 
@@ -181,6 +183,7 @@ def _on_cores(solve, items, cores: int) -> None:
                 threads.append(thread)
             for item in items:
                 todo.put(item)
+                del item  # the queue and its solver hold it, nothing else
                 with suppress(queue.Empty):  # another thread may take the last one first
                     while todo.qsize() >= cores and not errors:
                         solve(todo.get_nowait(), 0)
@@ -238,6 +241,7 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
                     v, a2, s2, t2, lower, b2 = drawn.pop(0)
                     last = rng.standard_normal((len(v), late)).view(complex)
                     yield (v, a2, s2, t2, lower, b2, last) if r else (v, a2, s2, t2, last, b2, lower)
+                    del v, a2, s2, t2, lower, b2, last  # not kept alive while the next is drawn
             row += count
 
     def solve(block, core):

@@ -81,8 +81,6 @@ def hyp2f1(a, b, c, x) -> complex:
     term = 1.0 + 0.0j
     small_streak = 0
     for k in range(_MAX_TERMS):
-        if term_at is not None and k > term_at:
-            return total
         num = (a + k) * (b + k)
         if num == 0.0:
             return total

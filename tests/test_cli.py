@@ -301,8 +301,10 @@ class TestExitCodes:
             ("rmtdiff", ""),
             ("rmtdiff.cli", ""),
             ("rmtdiff.moments", "rmtdiff.moments.even_moment(3, 1.0); "),
+            ("rmtdiff.moments", "rmtdiff.moments.absolute_moment(1, 2.0001); "
+                                "rmtdiff.moments.absolute_moment(3, 5.0); "),
         ],
-        ids=["rmtdiff", "rmtdiff.cli", "even_moment"],
+        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two"],
     )
     def test_import_leaves_scipy_unloaded(self, src_env, module, then):
         # scipy takes ~0.3 s to import; only the calls that use it pay for it

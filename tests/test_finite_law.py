@@ -215,6 +215,13 @@ class TestJointDensity:
 
 
 class TestFloatPath:
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
+    def test_tables_cover_the_mixed_orthants_only(self, n, m):
+        # a zero-sum point off the orthant walls has both signs
+        ints, floats, _, _ = _law_tables(n, m)
+        mixed = {s for s in itertools.product((1, -1), repeat=n) if len(set(s)) == 2}
+        assert set(ints) == set(floats) == mixed
+
     @pytest.mark.parametrize("n, m", [(3, 4), (3, 5), (2, 8)])
     def test_inaccurate_shapes_evaluate_exactly(self, n, m):
         # their float rounding bounds (1.3e-7, 2.8e-5, 1.2e-9) exceed 1e-9

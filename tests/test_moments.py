@@ -20,6 +20,23 @@ from rmtdiff.moments import (
 from rmtdiff.asym_law import atom_weight, support_points
 
 
+def _mp_moment(z, c):
+    """m_z(c) from 40-digit mpmath, by the hypergeometric form on c's side of 2."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        zm, cm = mpmath.mpf(z), mpmath.mpf(c)
+        if c < 2.0:
+            want = (
+                mpmath.gamma(zm + 1) * (2 * cm) ** (zm / 2)
+                / (mpmath.gamma(zm / 2 + 1) * mpmath.gamma(zm / 2 + 2))
+                * mpmath.hyp2f1(1 - zm / 2, -zm / 2, zm / 2 + 2, cm / 2)
+            )
+        else:
+            want = 2 * cm ** (zm - 1) * mpmath.hyp2f1(1 - zm / 2, -zm, 2, 2 / cm)
+        return float(want)
+
+
 class TestAbsoluteMoment:
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0])
     def test_second_moment_is_2c(self, c):
@@ -54,20 +71,23 @@ class TestAbsoluteMoment:
     @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 3.7])
     def test_seam_against_mpmath(self, z, c, rel):
         # across c = 2 the closed form is extrapolated within 2e-3 of the seam
-        import mpmath
+        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
 
-        with mpmath.workdps(40):
-            zm, cm = mpmath.mpf(z), mpmath.mpf(c)
-            if c < 2.0:
-                want = (
-                    mpmath.gamma(zm + 1) * (2 * cm) ** (zm / 2)
-                    / (mpmath.gamma(zm / 2 + 1) * mpmath.gamma(zm / 2 + 2))
-                    * mpmath.hyp2f1(1 - zm / 2, -zm / 2, zm / 2 + 2, cm / 2)
-                )
-            else:
-                want = 2 * cm ** (zm - 1) * mpmath.hyp2f1(1 - zm / 2, -zm, 2, 2 / cm)
-            want = float(want)
-        assert absolute_moment(z, c) == pytest.approx(want, rel=rel, abs=0.0)
+    @pytest.mark.parametrize("c", [2.0 + 1e-7, 2.0 + 1e-4, 2.0 + 1.9e-3])
+    @pytest.mark.parametrize("z", [1, 3])
+    def test_seam_sums_odd_orders_above_two(self, z, c):
+        # above c = 2 the series of every positive integer order terminates,
+        # so it is summed, not extrapolated: m_1 = 2 - 1/c
+        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-7, 1e-4, 1.9e-3])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize("z, rel", [(0.1, 4.0e-5), (0.25, 1.6e-5)])
+    def test_seam_small_orders(self, z, rel, side, d):
+        # twice the worst error measured over the seam on either side: the
+        # extrapolation cannot follow the (1 - c/2)^(1 + 3z/2) term at small z
+        c = 2.0 + side * d
+        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 1.5 + 1j])
     def test_at_two_against_mpmath(self, z):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -811,31 +812,114 @@ class TestOverlap:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_solved_items_die(self, cores):
+        # nothing in the pass holds an item after its solve: it is dead by the
+        # time a later item is drawn, also while its solving thread waits on the queue
+        class Item:
+            pass
+
+        refs, solved = [], []
+
+        def make(k):
+            item = Item()
+            refs.append(weakref.ref(item))
+            return item
+
+        def draw():
+            for k in range(30):
+                # each item is drawn once all before it are solved, so that
+                # every other thread waits on the empty queue
+                deadline = time.monotonic() + 2.0  # a thread may still be leaving its solve
+                while len(solved) < k or any(r() is not None for r in refs):
+                    alive = [j for j, r in enumerate(refs) if r() is not None]
+                    assert time.monotonic() < deadline, f"items {alive} of {solved} solved are alive"
+                    time.sleep(1e-4)
+                yield make(k)
+
+        def solve(item, core):
+            solved.append(refs.index(weakref.ref(item)))
+
+        montecarlo._on_cores(solve, draw(), cores)
+        assert sorted(solved) == list(range(30))
+
+    @pytest.mark.parametrize("n, m", [(3, 5), (5, 3)])
+    def test_solved_blocks_die(self, monkeypatch, n, m):
+        # the block generator of _spectra keeps no solved block's draws either:
+        # by each later draw from the stream, every solved block's arrays are dead
+        monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", 150)  # 6 or 10 draws a slice
+        monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", 50)  # 2 or 5 draws a block
+        on_cores, solved = montecarlo._on_cores, []
+
+        def noting_on_cores(solve, blocks, cores):
+            assert cores == 1  # d < _SPLIT_MIN_D: the calling thread solves each block
+
+            def noting_solve(block, core):
+                solved.append([weakref.ref(a) for a in block[1:]])  # [0] views the output
+                solve(block, core)
+
+            on_cores(noting_solve, blocks, cores)
+
+        class CheckingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    assert all(r() is None for refs in solved for r in refs)
+                    return getattr(self.rng, name)(*args, **kwargs)
+
+                return call
+
+        monkeypatch.setattr(montecarlo, "_on_cores", noting_on_cores)
+        params = EnsembleParams(n_small=n, m_large=m, seed=4)
+        got = difference_spectra(params, 20, CheckingRng(params.rng()))
+        assert len(solved) > len(montecarlo._batches(n, m, 20)) >= 2
+        monkeypatch.setattr(montecarlo, "_on_cores", on_cores)
+        assert got.tobytes() == difference_spectra(params, 20).tobytes()
+
     @pytest.mark.parametrize("where", ["solve", "draw"])
     def test_error_ends_the_pass(self, where):
-        # a helper thread's first solve from item 5 on, or the draw of item 5,
-        # raises: that exception comes out, at most one item is drawn and at
-        # most cores - 1 solves start after it, and every helper thread is joined
+        # the helper threads take items 0-4 as they come; every solve from item
+        # 3 on holds its thread until the raise, which comes once both other
+        # threads hold: in the helper's solve of item 3 (the caller holds item 5,
+        # 6 and 7 are queued) or in the draw of item 7 (the helpers hold 3 and
+        # 4, 5 and 6 are queued).  That exception comes out, nothing more is
+        # drawn, no solve starts after it, and every helper thread is joined
         items, cores = 40, 3
-        drawn, started, raised, caught = [], [], [], []
-        once = threading.Lock()
+        drawn, started, raised, caught, holding = [], [], [], [], []
+        released = threading.Event()
+
+        def until(ready):
+            deadline = time.monotonic() + 10.0
+            while not ready():
+                assert time.monotonic() < deadline, "the threads never reached their places"
+                time.sleep(1e-4)
 
         def fail():
+            until(lambda: len(holding) == cores - 1)
             raised.append((RuntimeError(f"{where} failed"), len(drawn), len(started)))
+            released.set()
             raise raised[0][0]
 
         def draw():
             for item in range(items):
-                if where == "draw" and item == 5:
+                if 0 < item <= 5:  # once the one before is taken: the caller solves none of 0-4
+                    until(lambda: item - 1 in started)
+                if where == "draw" and item == 7:
                     fail()
                 drawn.append(item)
                 yield item
 
         def solve(item, core):
             started.append(item)
-            time.sleep(1e-4)
-            if where == "solve" and core and item >= 5 and once.acquire(blocking=False):
+            if item < 3:
+                return
+            if where == "solve" and item == 3:
                 fail()
+            holding.append(item)
+            released.wait(timeout=10.0)
+            time.sleep(0.1)  # the raising thread records its error meanwhile
 
         def call():
             try:
@@ -851,5 +935,6 @@ class TestOverlap:
         assert threading.active_count() == before
         exc, drawn_then, started_then = raised[0]
         assert len(caught) == 1 and caught[0] is exc
-        assert len(drawn) - drawn_then <= 1
-        assert len(started) - started_then <= cores - 1
+        assert sorted(holding) == ([4, 5] if where == "solve" else [3, 4])
+        assert len(drawn) == drawn_then == (8 if where == "solve" else 7)
+        assert len(started) == started_then
