@@ -70,12 +70,8 @@ def _emit_fig1(out_dir: str, fast: bool, svg: bool) -> list[str]:
                 continue
             z[j, i] = max(joint_eigen_density(lam, 3, 3, exact=False), 0.0)
     csv_path = os.path.join(out_dir, "fig1.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("lambda1,lambda2,density\n")
-        for j, l2 in enumerate(axis):
-            for i, l1 in enumerate(axis):
-                fh.write("%.17g,%.17g,%.17g\n" % (l1, l2, z[j, i]))
-        fh.write("# n=3 m=3 joint eigenvalue density on the zero-sum plane\n")
+    write_xy_csv(csv_path, "lambda1,lambda2,density",
+                 [np.tile(axis, k), np.repeat(axis, k), z.ravel()], meta={"n": 3, "m": 3})
     written = [csv_path]
     if svg:
         svg_path = os.path.join(out_dir, "fig1.svg")

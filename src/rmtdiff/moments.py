@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from functools import lru_cache, wraps
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .asym_law import _check_domain, _law_density, _support_intervals, support_points
 from .errors import DomainError, QuadratureFailure
 from .sampling import _check_count
-from .specfun import _pochhammer_zero_index, hyp2f1
+from .specfun import _gammas, hyp2f1
 
 __all__ = [
     "absolute_moment",
@@ -43,32 +43,9 @@ def _branch(z: complex, c: float):
     """
     if c >= 2.0:
         return 2.0 * cmath.exp((z - 1.0) * math.log(c)), 1.0 - z / 2.0, -z, 2.0, 2.0 / c
-    from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
-
     h = z / 2.0
-    lg = loggamma(z + 1.0) - loggamma(h + 1.0) - loggamma(h + 2.0) + h * math.log(2.0 * c)
-    return cmath.exp(lg), 1.0 - h, -h, h + 2.0, c / 2.0
-
-
-# Within this distance of c = 2 the hypergeometric argument is so close to 1
-# that a series that does not terminate stalls, so a one-sided cubic
-# extrapolation from safely convergent anchor points stands in for it; a
-# terminating one (even orders, and every positive integer order for c > 2)
-# is summed exactly.  The moment is not analytic in c across the transition:
-# the low branch's 2F1 has c' - a - b = 1 + 3z/2 and so carries a term in
-# (1 - c/2)^(1 + 3z/2), which no polynomial follows, the less so the smaller
-# z.  Against 40-digit mpmath the worst relative error over the seam (c
-# within 1e-9 of 2) is 2.0e-11 at z = 1.5, 2.9e-9 at z = 1 (c < 2 only),
-# 6.6e-7 at z = 0.5, 8.1e-6 at z = 0.25 and 2.0e-5 at z = 0.1.
-_SEAM_HALF_WIDTH = 2e-3
-_SEAM_ANCHORS = (2e-3, 4e-3, 6e-3, 8e-3)
-
-
-def _moment_near_two(z: complex, c: float) -> complex:
-    cs = [2.0 + math.copysign(d, c - 2.0) for d in _SEAM_ANCHORS]
-    vals = [pre * hyp2f1(*args) for pre, *args in (_branch(z, ci) for ci in cs)]
-    # fitted in c - 2, which is exact at the anchors and at c
-    return complex(Polynomial.fit([ci - 2.0 for ci in cs], vals, 3)(c - 2.0))
+    pre = _gammas((z + 1.0,), (h + 1.0, h + 2.0), h * math.log(2.0 * c))
+    return pre, 1.0 - h, -h, h + 2.0, c / 2.0
 
 
 def _float_range(fn):
@@ -95,24 +72,17 @@ def absolute_moment(z, c: float):
     nothing there.  c >= 2 takes the 2F1 in 2/c, which at c = 2 is Gauss's
     sum; c < 2 takes the 2F1 in c/2.  A terminating series is summed exactly
     at any c: even orders on both sides, every positive integer order above
-    c = 2.  Within 2e-3 of c = 2, but not at it, other orders are extrapolated
-    from the same side, to a relative error of at most 2.0e-11 at z = 1.5,
-    2.9e-9 at z = 1 (below 2), 6.6e-7 at z = 0.5 and 2.0e-5 at z = 0.1.
+    c = 2.  Near c = 2 ``hyp2f1`` takes its argument to 1 through the 1 - x
+    connection formula, as c' - a - b = 1 + 3z/2 has Re > 0 on both sides.
     Returns a float for real order, complex otherwise; DomainError past the float range.
     """
     zc = complex(z)
     if not (zc.real > 0.0 and cmath.isfinite(zc)):
         raise DomainError(f"absolute moment requires a finite z with Re(z) > 0, got {z!r}")
     _check_domain(c)
-    pre, a, b, c2, x = _branch(zc, c)
-    terminates = _pochhammer_zero_index(a) is not None or _pochhammer_zero_index(b) is not None
-    if 0.0 < abs(c - 2.0) < _SEAM_HALF_WIDTH and not terminates:
-        val = _moment_near_two(zc, c)
-    else:
-        val = pre * hyp2f1(a, b, c2, x)
-    if zc.imag == 0.0 and not isinstance(z, complex):
-        return val.real
-    return val
+    pre, *args = _branch(zc, c)
+    val = pre * hyp2f1(*args)
+    return val.real if zc.imag == 0.0 and not isinstance(z, complex) else val
 
 
 @_float_range
@@ -278,8 +248,8 @@ def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
     estimate (the gap between the last two Gauss-Legendre orders) exceeds
     1e-7 of the result.
     """
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"z must be finite and positive, got {z!r}")
+    if not (isinstance(z, numbers.Real) and 0.0 < z < math.inf):
+        raise DomainError(f"z must be real, finite and positive, got {z!r}")
     _check_domain(c, eta)
     val, err = _against_density(lambda x: np.abs(x) ** z, c, eta)
     if err > 1e-7 * max(1.0, abs(val)):

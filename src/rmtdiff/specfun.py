@@ -1,10 +1,10 @@
 """Special functions: Gauss 2F1 and Laguerre-type weights.
 
 Everything here is scalar, pure and stateless.  The hypergeometric evaluator
-only implements the convergent power series |x| < 1, Gauss's sum at x = 1,
-and exact termination at nonpositive-integer numerator parameters; that
-covers the arguments c/2 and 2/c of the moment formulas, which reach 1 at
-c = 2.
+implements the convergent power series |x| < 1, the 1 - x connection
+formula where x lies within 1e-3 below 1, Gauss's sum at x = 1, and exact
+termination at nonpositive-integer numerator parameters; that covers the
+arguments c/2 and 2/c of the moment formulas, which reach 1 at c = 2.
 """
 
 from __future__ import annotations
@@ -27,18 +27,72 @@ def _pochhammer_zero_index(v) -> int | None:
     (v)_j vanishes for all j > k exactly when v = -k with k a nonnegative
     integer.  Complex values with nonzero imaginary part never terminate.
     """
-    if isinstance(v, complex):
-        if v.imag != 0.0:
-            return None
-        v = v.real
-    fv = float(v)
-    if fv > 0.0 or fv != int(fv):
+    v = complex(v)
+    if v.imag != 0.0 or v.real > 0.0 or v.real != int(v.real):
         return None
-    return int(-fv)
+    return int(-v.real)
 
 
 _EPS_REL = 1e-16
 _MAX_TERMS = 100_000
+_NEAR_ONE = 1e-3  # below this 1 - x the 1 - x connection formula replaces the power series
+_NEAR_INTEGER = 1e-3  # within this of an integer c - a - b, that formula takes its limit form
+_GL3 = ((0.5 - 0.5 * math.sqrt(0.6), 5 / 18), (0.5, 4 / 9), (0.5 + 0.5 * math.sqrt(0.6), 5 / 18))
+
+
+def _gammas(num, den, log=0.0):
+    """exp(log) prod Gamma(num) / prod Gamma(den); 0 if a den value is a pole of Gamma."""
+    from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
+
+    if any(_pochhammer_zero_index(v) is not None for v in den):
+        return 0.0
+    total = 0.0
+    for v in num:
+        total += loggamma(v)
+    for v in den:
+        total -= loggamma(v)
+    return cmath.exp(total + log)
+
+
+def _near_one(a, b, c, y) -> complex:
+    """2F1(a, b; c; 1 - y), non-terminating, for 0 < y < 1e-3 and Re(s) > 0, s = c - a - b.
+
+    DLMF 15.8.4: Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) 2F1(a, b; 1-s; y) plus
+    y^s Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)) 2F1(c-a, c-b; 1+s; y).  Within 1e-3 of
+    an integer m the halves cancel like 1/e, e = s - m, so there the first half's term
+    m + n is summed with the second's term n into DLMF 15.8.10's term n carried to
+    e != 0: its bracket D_n becomes (exp(e D_n) - 1) / e, each psi(w) in D_n the mean
+    of psi over [w, w + e] by three-point Gauss-Legendre (``_GL3``, nodes on [0, 1]).
+    Where c - a or c - b is a pole of Gamma the first half is 0, and 15.8.4 stands.
+    """
+    from scipy.special import psi  # here, not at module level: scipy costs ~0.3 s to import
+
+    s = c - a - b
+    m = round(s.real)
+    e = s - m
+    first = _gammas((c, s), (c - a, c - b))
+    if abs(e) > _NEAR_INTEGER or first == 0.0:
+        second = _gammas((c, -s), (a, b), s * math.log(y))
+        return first * hyp2f1(a, b, 1.0 - s, y) + second * hyp2f1(c - a, c - b, 1.0 + s, y)
+    total = first if m else 0.0j  # the first half's terms k < m
+    for k in range(1, m):
+        first *= (a + k - 1) * (b + k - 1) * y / ((k - s) * k)
+        total += first
+    term = -(math.pi * e / cmath.sin(math.pi * e) if e else 1.0) * (-y) ** m * _gammas(
+        (c, a + m, b + m), (a, b, a + s, b + s, m + 1.0, 1.0 - e))
+    def avg(w):  # mean of psi over [w, w + e]
+        return sum(g * psi(w + t * e) for t, g in _GL3)
+    small_streak = 0
+    for n in range(_MAX_TERMS):
+        d = math.log(y) + avg(a + m + n) + avg(b + m + n) - avg(m + n + 1.0) - avg(n + 1.0 - e)
+        h = 0.5 * e * d  # (exp(e d) - 1) / e = d exp(h) sinh(h) / h
+        step = term * d * (cmath.exp(h) * cmath.sinh(h) / h if h else 1.0)
+        total += step
+        small_streak = small_streak + 1 if abs(step) < _EPS_REL * abs(total) else 0
+        if small_streak == 2:
+            return total
+        term *= (a + m + n) * (b + m + n) * y / ((m + n + 1) * (n + 1 - e))
+    raise NoConvergence(f"2F1 series in 1 - x did not converge within {_MAX_TERMS} terms")
 
 
 def hyp2f1(a, b, c, x) -> complex:
@@ -46,8 +100,9 @@ def hyp2f1(a, b, c, x) -> complex:
 
     A series that terminates (a or b a nonpositive integer) is summed exactly
     at any x.  Otherwise the power series is summed for |x| < 1 until two
-    consecutive terms fall below 1e-16 of the partial sum, and x = 1 takes
-    Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), taken
+    consecutive terms fall below 1e-16 of the partial sum, but 0 < 1 - x < 1e-3
+    with Re(c - a - b) > 0 takes the connection formula in 1 - x (``_near_one``),
+    and x = 1 takes Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
     where Re(c - a - b), Re(c), Re(c - a) and Re(c - b) are all > 0.  A
     nonpositive-integer c is only legal when the series terminates strictly
     before the denominator Pochhammer vanishes; otherwise PoleError.
@@ -74,27 +129,20 @@ def hyp2f1(a, b, c, x) -> complex:
         s = c - a - b
         if min(s.real, c.real, (c - a).real, (c - b).real) <= 0.0:
             raise DomainError("Gauss sum needs Re(c - a - b), Re(c), Re(c - a), Re(c - b) > 0")
-        from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
-
-        return cmath.exp(loggamma(c) + loggamma(s) - loggamma(c - a) - loggamma(c - b))
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+        return _gammas((c, s), (c - a, c - b))
+    if term_at is None and 0.0 < 1.0 - x < _NEAR_ONE and (c - a - b).real > 0.0:
+        return _near_one(a, b, c, 1.0 - x)
+    total = term = 1.0 + 0.0j
     small_streak = 0
     for k in range(_MAX_TERMS):
         num = (a + k) * (b + k)
-        if num == 0.0:
+        if num == 0.0:  # terminated; (c)_k does not vanish first, as checked above
             return total
-        den = (c + k) * (k + 1)
-        if den == 0.0:
-            raise PoleError(f"2F1 pole: (c)_k vanished at k = {k + 1}")
-        term = term * num * x / den
+        term = term * num * x / ((c + k) * (k + 1))
         total += term
-        if abs(term) < _EPS_REL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
+        small_streak = small_streak + 1 if abs(term) < _EPS_REL * abs(total) else 0
+        if small_streak == 2:
+            return total
     raise NoConvergence(f"2F1 series did not converge within {_MAX_TERMS} terms")
 
 

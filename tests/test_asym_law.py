@@ -490,7 +490,10 @@ class TestAedResult:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,density"
         assert lines[-1].startswith("# atom_weight=")
-        body = [ln.split(",") for ln in lines[1:-1]]
+        meta = dict(ln[2:].split("=") for ln in lines if ln.startswith("#"))
+        assert list(meta) == ["x_minus", "x_plus", "c", "eta", "atom_weight"]
+        assert float(meta["x_plus"]) == res.x_plus and float(meta["atom_weight"]) == res.atom_weight
+        body = [ln.split(",") for ln in lines[1:-len(meta)]]
         xs = np.array([float(a) for a, _ in body])
         ds = np.array([float(b) for _, b in body])
         assert np.array_equal(xs, res.grid)

@@ -147,6 +147,32 @@ class TestOtherCommands:
         assert (tmp_path / "fig4b.csv").exists()
         assert (tmp_path / "fig4b.svg").exists()
 
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["sample", "--n", "3", "--m", "4", "--samples", "2"], ["out.csv"]),
+            (["hist", "--n", "12", "--m", "4", "--samples", "20"], ["out.csv"]),
+            (["aed", "--c", "2.5", "--count", "101"], ["out.csv"]),
+            (["moments", "--c", "1.0", "--z", "0.5", "2"], ["out.csv"]),
+            (["distance", "--c", "0.5", "3", "--n", "10"], ["out.csv"]),
+            (["fig", "--id", "fig1", "--fast", "--format", "csv"], ["fig1.csv"]),
+            (["fig", "--id", "fig5", "--fast", "--format", "csv"], ["fig5_curve.csv", "fig5_mc.csv"]),
+        ],
+        ids=["sample", "hist", "aed", "moments", "distance", "fig1", "fig5"],
+    )
+    def test_csv_trailer_is_key_value_lines(self, tmp_path, monkeypatch, argv, files):
+        # every comment line after the rows holds exactly one `key=value` pair
+        monkeypatch.chdir(tmp_path)
+        out = "." if argv[0] == "fig" else "out.csv"
+        assert run_cli([*argv, "--out", out]) == 0
+        for name in files:
+            lines = (tmp_path / name).read_text().splitlines()
+            body = [ln for ln in lines if not ln.startswith("#")]
+            assert lines[: len(body)] == body  # the comments all trail the rows
+            for ln in lines[len(body):]:
+                key, value = ln[2:].split("=")
+                assert ln == f"# {key}={value}" and key.isidentifier() and " " not in value, ln
+
     def test_fig_unknown_id_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["fig", "--id", "fig99"])
@@ -303,8 +329,9 @@ class TestExitCodes:
             ("rmtdiff.moments", "rmtdiff.moments.even_moment(3, 1.0); "),
             ("rmtdiff.moments", "rmtdiff.moments.absolute_moment(1, 2.0001); "
                                 "rmtdiff.moments.absolute_moment(3, 5.0); "),
+            ("rmtdiff.specfun", "rmtdiff.specfun.hyp2f1(0.5, 0.5, 1.5, 0.5); "),
         ],
-        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two"],
+        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two", "hyp2f1_series"],
     )
     def test_import_leaves_scipy_unloaded(self, src_env, module, then):
         # scipy takes ~0.3 s to import; only the calls that use it pay for it

@@ -25,7 +25,7 @@ def _mp_moment(z, c):
     import mpmath
 
     with mpmath.workdps(40):
-        zm, cm = mpmath.mpf(z), mpmath.mpf(c)
+        zm, cm = mpmath.mpmathify(z), mpmath.mpf(c)
         if c < 2.0:
             want = (
                 mpmath.gamma(zm + 1) * (2 * cm) ** (zm / 2)
@@ -34,7 +34,7 @@ def _mp_moment(z, c):
             )
         else:
             want = 2 * cm ** (zm - 1) * mpmath.hyp2f1(1 - zm / 2, -zm, 2, 2 / cm)
-        return float(want)
+        return complex(want) if isinstance(z, complex) else float(want.real)
 
 
 class TestAbsoluteMoment:
@@ -70,7 +70,7 @@ class TestAbsoluteMoment:
     )
     @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 3.7])
     def test_seam_against_mpmath(self, z, c, rel):
-        # across c = 2 the closed form is extrapolated within 2e-3 of the seam
+        # loose bounds; test_seam_connection_formula holds these points to 1e-12
         assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("c", [2.0 + 1e-7, 2.0 + 1e-4, 2.0 + 1.9e-3])
@@ -84,10 +84,23 @@ class TestAbsoluteMoment:
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     @pytest.mark.parametrize("z, rel", [(0.1, 4.0e-5), (0.25, 1.6e-5)])
     def test_seam_small_orders(self, z, rel, side, d):
-        # twice the worst error measured over the seam on either side: the
-        # extrapolation cannot follow the (1 - c/2)^(1 + 3z/2) term at small z
+        # loose bounds; test_seam_connection_formula holds these orders to 1e-12
         c = 2.0 + side * d
         assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1.5e-3, 1.99e-3])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.parametrize(
+        "z", [0.1, 0.25, 0.5, 1.0, 1.5, 3.7, 2 / 3, 2 / 3 + 1e-10, 4 / 3, 8 / 3, 1.5 + 1j, 0.3 + 2j]
+    )
+    def test_seam_connection_formula(self, z, side, d):
+        # within 1e-3 of argument 1 hyp2f1 sums the connection formula in 1 - x,
+        # which carries the (1 - c/2)^(1 + 3z/2) term; c' - a - b = 1 + 3z/2 is the
+        # integer 2, 3 or 5 at z = 2/3, 4/3, 8/3 (1.5e-10 off 2 at 2/3 + 1e-10),
+        # where DLMF 15.8.4's two halves cancel
+        c = 2.0 + side * d
+        want = _mp_moment(z, c)
+        assert abs(absolute_moment(z, c) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 1.5 + 1j])
     def test_at_two_against_mpmath(self, z):
@@ -456,6 +469,12 @@ class TestQuadratureOracle:
     def test_domain(self):
         with pytest.raises(DomainError):
             moment_via_quadrature(0.0, 1.0)
+
+    @pytest.mark.parametrize("z", [1 + 1j, 2 + 0j, np.complex128(1.0)])
+    def test_complex_order_rejected(self, z):
+        # the oracle integrates |x|^z for real z only; `0 < z` raised TypeError
+        with pytest.raises(DomainError, match="real"):
+            moment_via_quadrature(z, 1.0)
 
 
 def _free_cumulant_moments(kmax: int, c: float, eta: float) -> list[float]:

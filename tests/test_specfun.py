@@ -133,6 +133,29 @@ def test_hyp2f1_complex_parameters_against_mpmath(a, b, c, x):
     assert abs(hyp2f1(a, b, c, x) - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-4, 9e-4])
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (0.5, 0.7, 1.9),  # c - a - b = 0.7
+        (-1.3, 2.45, 1.6),  # 0.45, negative a
+        (0.5 + 0.3j, 1.2 - 0.7j, 2.1 + 0.4j),  # 0.4 + 0.8i
+        (1 - 0.5j, 0.25, 3.25 - 0.5j),  # exactly 2: DLMF 15.8.10
+        (1 / 3, -2.5, 5 / 6),  # exactly 3 with a negative b
+        (0.3, 0.45, 1.75 + 1e-7),  # 1e-7 off 1: 15.8.4's halves cancel
+        (0.3, 0.45, 1.75 - 4e-4),  # 4e-4 below 1
+        (0.6, 1.1, 1.7 + 0.002),  # 0.002 off 0, where 2F1 grows like -log(1 - x)
+    ],
+)
+def test_hyp2f1_near_one_against_mpmath(a, b, c, y):
+    # below 1 - x = 1e-3 the power series stalls (NoConvergence at small 1 - x);
+    # the 1 - x connection formula returns, compared at the same float x
+    x = 1.0 - y
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(x)))
+    assert abs(hyp2f1(a, b, c, x) - want) <= 1e-12 * abs(want)
+
+
 class TestLaguerreSum:
     def test_m1(self):
         assert laguerre_sum(1, 123.4) == 1.0
