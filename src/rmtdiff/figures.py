@@ -88,7 +88,7 @@ def _emit_fig5(out_dir: str, fast: bool, svg: bool, workers: int) -> list[str]:
     cs = np.linspace(0.02, 6.0, 300)
     curve = np.array([trace_distance_asymptotic(float(c)) for c in cs])
     curve_path = os.path.join(out_dir, "fig5_curve.csv")
-    write_xy_csv(curve_path, "c,trace_distance", [cs, curve])
+    write_xy_csv(curve_path, "c,trace_distance", [cs, curve], meta={"points": cs.size})
     samples = 30 if fast else 300
     n = 100
     dot_c, dot_val = [], []

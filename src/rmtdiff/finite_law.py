@@ -186,7 +186,7 @@ class OrthantPiecewisePoly:
         return len(self.base)
 
     def to_csv(self, path) -> None:
-        """Per-orthant rows `orthant,e_1,...,e_N,coefficient` with exact rationals."""
+        """Exact rows `orthant,e_1,...,e_N,coefficient`, then trailer lines `n`, `m`, `terms`."""
         with open(path, "w") as fh:
             cols = ",".join(f"e{i+1}" for i in range(self.n_vars))
             fh.write(f"orthant,{cols},coefficient\n")
@@ -195,6 +195,7 @@ class OrthantPiecewisePoly:
                 piece = self.piece(signs)
                 for e, c in sorted(piece.items()):
                     fh.write(f"{tag},{','.join(map(str, e))},{c.numerator}/{c.denominator}\n")
+            fh.write(f"# n={self.n_vars}\n# m={self.m_large}\n# terms={self.term_count}\n")
 
 
 def _bounded_tuples(support, n: int, budget: int):

@@ -290,8 +290,8 @@ def difference_spectra(
     return out
 
 
-def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> list:
-    """``reduce`` of each sub-stream's raw (unrescaled) spectra, in stream order.
+def _raw_spectra(params: EnsembleParams, n_samples: int, workers: int) -> np.ndarray:
+    """(n_samples, N) raw spectra of the ``workers`` sub-streams, rows in stream order.
 
     Stream w = (seed, w) draws ``n_samples // workers`` samples, one more for
     w < ``n_samples % workers``; streams left with no draws are skipped.
@@ -299,9 +299,8 @@ def _fan_out(params: EnsembleParams, n_samples: int, workers: int, reduce) -> li
     _check_count("n_samples", n_samples)
     _check_count("workers", workers)
     base, extra = divmod(n_samples, workers)
-    counts = [base + (w < extra) for w in range(min(workers, n_samples))]
-    out = _spectra(params, [(params.rng(w), count) for w, count in enumerate(counts)])
-    return [reduce(s) for s in np.split(out, np.cumsum(counts)[:-1])]
+    streams = range(min(workers, n_samples))
+    return _spectra(params, [(params.rng(w), base + (w < extra)) for w in streams])
 
 
 def pooled_spectrum(
@@ -316,8 +315,10 @@ def pooled_spectrum(
     Draws are split across ``workers`` sub-streams and joined in stream
     order, so the output is deterministic for fixed (seed, workers).
     """
-    scale = params.n_small if rescaled else 1
-    return np.concatenate(_fan_out(params, n_samples, workers, lambda s: (s * scale).ravel()))
+    out = _raw_spectra(params, n_samples, workers)
+    if rescaled:
+        out *= params.n_small
+    return out.ravel()
 
 
 @dataclass(frozen=True)
@@ -401,16 +402,12 @@ def l1_distance(hist: HistogramResult, theory_density) -> float:
 
 def trace_distance_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of (1/2) sum |lambda_i| over difference draws."""
-    totals = _fan_out(params, n_samples, workers, lambda s: float(np.sum(np.abs(s)) * 0.5))
-    return sum(totals) / n_samples
+    return float(np.sum(np.abs(_raw_spectra(params, n_samples, workers))) * 0.5) / n_samples
 
 
 def operator_norm_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of max |lambda_i| (raw, unrescaled)."""
-    totals = _fan_out(
-        params, n_samples, workers, lambda s: float(np.sum(np.max(np.abs(s), axis=1)))
-    )
-    return sum(totals) / n_samples
+    return float(np.sum(np.max(np.abs(_raw_spectra(params, n_samples, workers)), axis=1))) / n_samples
 
 
 def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:

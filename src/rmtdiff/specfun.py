@@ -1,9 +1,9 @@
 """Special functions: Gauss 2F1 and Laguerre-type weights.
 
 Everything here is scalar, pure and stateless.  The hypergeometric evaluator
-implements the convergent power series |x| < 1, the 1 - x connection
-formula where x lies within 1e-3 below 1, Gauss's sum at x = 1, and exact
-termination at nonpositive-integer numerator parameters; that covers the
+sums a terminating series exactly, and otherwise takes one route per range of
+x: Pfaff's transformation on (-1, 0), the power series on [0, 1 - 1e-3], the
+1 - x connection formula above that, and Gauss's sum at x = 1; that covers the
 arguments c/2 and 2/c of the moment formulas, which reach 1 at c = 2.
 """
 
@@ -55,11 +55,11 @@ def _gammas(num, den, log=0.0):
 
 
 def _near_one(a, b, c, y) -> complex:
-    """2F1(a, b; c; 1 - y), non-terminating, for 0 < y < 1e-3 and Re(s) > 0, s = c - a - b.
+    """2F1(a, b; c; 1 - y), non-terminating, for 0 < y < 1e-3 and Re(s) >= -1/2, s = c - a - b.
 
     DLMF 15.8.4: Gamma(c) Gamma(s) / (Gamma(c-a) Gamma(c-b)) 2F1(a, b; 1-s; y) plus
     y^s Gamma(c) Gamma(-s) / (Gamma(a) Gamma(b)) 2F1(c-a, c-b; 1+s; y).  Within 1e-3 of
-    an integer m the halves cancel like 1/e, e = s - m, so there the first half's term
+    an integer m >= 0 the halves cancel like 1/e, e = s - m, so there the first half's term
     m + n is summed with the second's term n into DLMF 15.8.10's term n carried to
     e != 0: its bracket D_n becomes (exp(e D_n) - 1) / e, each psi(w) in D_n the mean
     of psi over [w, w + e] by three-point Gauss-Legendre (``_GL3``, nodes on [0, 1]).
@@ -99,14 +99,14 @@ def hyp2f1(a, b, c, x) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; x) at real x.
 
     A series that terminates (a or b a nonpositive integer) is summed exactly
-    at any x.  Otherwise the power series is summed for |x| < 1 until two
-    consecutive terms fall below 1e-16 of the partial sum, but 0 < 1 - x < 1e-3
-    with Re(c - a - b) > 0 takes the connection formula in 1 - x (``_near_one``),
-    and x = 1 takes Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
-    where Re(c - a - b), Re(c), Re(c - a) and Re(c - b) are all > 0.  A
-    nonpositive-integer c is only legal when the series terminates strictly
-    before the denominator Pochhammer vanishes; otherwise PoleError.
-    Non-finite parameters or x, and every other x, raise DomainError.
+    at any x.  Otherwise x alone picks the route, each under its own theorem's condition:
+    * -1 < x < 0: Pfaff's (1 - x)^-a 2F1(a, c - b; c; x/(x - 1)), with x/(x - 1) in (0, 1/2).
+    * 0 <= x <= 1 - 1e-3: the power series, until two terms in a row fall below 1e-16 of the sum.
+    * 0 < 1 - x < 1e-3: ``_near_one``, if Re s < -1/2 after Euler's (1 - x)^s 2F1(c-a, c-b; c; x).
+    * x = 1: Gauss's sum Gamma(c) Gamma(s) / (Gamma(c - a) Gamma(c - b)), if Re s > 0.
+    Here s = c - a - b.  A nonpositive-integer c is only legal when the series
+    terminates strictly before the denominator Pochhammer vanishes; otherwise
+    PoleError.  Non-finite parameters or x, and every other x, raise DomainError.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -123,15 +123,16 @@ def hyp2f1(a, b, c, x) -> complex:
             "before the series terminates" % (c, zc + 1)
         )
     a, b, c = complex(a), complex(b), complex(c)
-    if term_at is None and abs(x) >= 1.0:
-        if x != 1.0:
-            raise DomainError(f"non-terminating 2F1 requires |x| < 1 or x = 1, got x = {x}")
-        s = c - a - b
-        if min(s.real, c.real, (c - a).real, (c - b).real) <= 0.0:
-            raise DomainError("Gauss sum needs Re(c - a - b), Re(c), Re(c - a), Re(c - b) > 0")
+    s = c - a - b
+    if term_at is None and abs(x) >= 1.0 and (x != 1.0 or s.real <= 0.0):
+        raise DomainError(f"non-terminating 2F1 needs |x| < 1, or Re(c - a - b) > 0 at x = 1, got {x}")
+    if term_at is None and x == 1.0:  # Gauss's sum, DLMF 15.4.20
         return _gammas((c, s), (c - a, c - b))
-    if term_at is None and 0.0 < 1.0 - x < _NEAR_ONE and (c - a - b).real > 0.0:
-        return _near_one(a, b, c, 1.0 - x)
+    if term_at is None and x < 0.0:  # Pfaff, DLMF 15.8.1: x / (x - 1) lies in (0, 1/2)
+        return (1.0 - x) ** -a * hyp2f1(a, c - b, c, x / (x - 1.0))
+    if term_at is None and 1.0 - x < _NEAR_ONE:  # Euler, DLMF 15.8.1, where Re(c - a - b) < -1/2
+        y = 1.0 - x
+        return y ** s * hyp2f1(c - a, c - b, c, x) if s.real < -0.5 else _near_one(a, b, c, y)
     total = term = 1.0 + 0.0j
     small_streak = 0
     for k in range(_MAX_TERMS):

@@ -161,7 +161,7 @@ class TestOtherCommands:
         ids=["sample", "hist", "aed", "moments", "distance", "fig1", "fig5"],
     )
     def test_csv_trailer_is_key_value_lines(self, tmp_path, monkeypatch, argv, files):
-        # every comment line after the rows holds exactly one `key=value` pair
+        # at least one comment line follows the rows, each exactly one `key=value` pair
         monkeypatch.chdir(tmp_path)
         out = "." if argv[0] == "fig" else "out.csv"
         assert run_cli([*argv, "--out", out]) == 0
@@ -169,6 +169,7 @@ class TestOtherCommands:
             lines = (tmp_path / name).read_text().splitlines()
             body = [ln for ln in lines if not ln.startswith("#")]
             assert lines[: len(body)] == body  # the comments all trail the rows
+            assert len(lines) > len(body), name
             for ln in lines[len(body):]:
                 key, value = ln[2:].split("=")
                 assert ln == f"# {key}={value}" and key.isidentifier() and " " not in value, ln
@@ -330,8 +331,10 @@ class TestExitCodes:
             ("rmtdiff.moments", "rmtdiff.moments.absolute_moment(1, 2.0001); "
                                 "rmtdiff.moments.absolute_moment(3, 5.0); "),
             ("rmtdiff.specfun", "rmtdiff.specfun.hyp2f1(0.5, 0.5, 1.5, 0.5); "),
+            ("rmtdiff.specfun", "rmtdiff.specfun.hyp2f1(0.5, 0.7, 1.9, -0.9); "),
         ],
-        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two", "hyp2f1_series"],
+        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two", "hyp2f1_series",
+             "hyp2f1_pfaff"],
     )
     def test_import_leaves_scipy_unloaded(self, src_env, module, then):
         # scipy takes ~0.3 s to import; only the calls that use it pay for it

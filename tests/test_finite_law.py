@@ -123,10 +123,11 @@ class TestBuildPsi:
         psi.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "orthant,e1,e2,coefficient"
-        # reload and re-evaluate one orthant exactly
+        assert lines[-3:] == ["# n=2", "# m=2", f"# terms={psi.term_count}"]
+        # reload the rows above the trailer and re-evaluate one orthant exactly
         acc = Fraction(0)
         t = Fraction(1, 4)
-        for ln in lines[1:]:
+        for ln in lines[1:-3]:
             tag, e1, e2, coef = ln.split(",")
             if tag != "+-":
                 continue

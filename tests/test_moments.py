@@ -63,15 +63,16 @@ class TestAbsoluteMoment:
         assert absolute_moment(2, 2.0) == pytest.approx(4.0, rel=1e-14, abs=0.0)
         assert absolute_moment(4, 2.0) == pytest.approx(48.0, rel=1e-14, abs=0.0)
 
+    # `was` is the bound the retired cubic extrapolation met at each point; it
+    # stays in the case ids only, and every case now holds 1e-12
     @pytest.mark.parametrize(
-        "c, rel",
+        "c, was",
         [(1.999, 1e-6), (1.9995, 1e-6), (1.9999, 1e-6), (2.0001, 1e-6), (2.0005, 1e-6),
          (2.001, 1e-6), (1.99, 1e-12), (2.01, 1e-12)],
     )
     @pytest.mark.parametrize("z", [0.5, 1.0, 1.5, 3.7])
-    def test_seam_against_mpmath(self, z, c, rel):
-        # loose bounds; test_seam_connection_formula holds these points to 1e-12
-        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
+    def test_seam_against_mpmath(self, z, c, was):
+        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("c", [2.0 + 1e-7, 2.0 + 1e-4, 2.0 + 1.9e-3])
     @pytest.mark.parametrize("z", [1, 3])
@@ -82,11 +83,11 @@ class TestAbsoluteMoment:
 
     @pytest.mark.parametrize("d", [1e-9, 1e-7, 1e-4, 1.9e-3])
     @pytest.mark.parametrize("side", [-1.0, 1.0])
-    @pytest.mark.parametrize("z, rel", [(0.1, 4.0e-5), (0.25, 1.6e-5)])
-    def test_seam_small_orders(self, z, rel, side, d):
-        # loose bounds; test_seam_connection_formula holds these orders to 1e-12
+    @pytest.mark.parametrize("z, was", [(0.1, 4.0e-5), (0.25, 1.6e-5)])
+    def test_seam_small_orders(self, z, was, side, d):
+        # `was` as in test_seam_against_mpmath: an id field, the bound is 1e-12
         c = 2.0 + side * d
-        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=rel, abs=0.0)
+        assert absolute_moment(z, c) == pytest.approx(_mp_moment(z, c), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 1.5e-3, 1.99e-3])
     @pytest.mark.parametrize("side", [-1.0, 1.0])

@@ -182,17 +182,18 @@ class TestPooling:
     @pytest.mark.parametrize("n,m", [(5, 6), (12, 4)])  # full rank, exact zeros
     def test_stream_partition(self, n, m):
         # stream w = (seed, w) draws 17 // 4 samples, one more for w < 17 % 4,
-        # and the streams are joined in stream order
+        # the streams are joined in stream order, and the statistics reduce
+        # the joined (17, N) array
         params = EnsembleParams(n_small=n, m_large=m, weight_q=0.7, seed=21)
-        streams = [
+        joined = np.concatenate([
             difference_spectra(params, count, make_rng(params.seed, w), rescaled=False)
             for w, count in enumerate((5, 4, 4, 4))
-        ]
+        ])
         pooled = pooled_spectrum(params, 17, workers=4, rescaled=False)
-        assert np.array_equal(pooled, np.concatenate([s.ravel() for s in streams]))
-        trace = sum(float(np.sum(np.abs(s)) * 0.5) for s in streams) / 17
+        assert np.array_equal(pooled, joined.ravel())
+        trace = float(np.sum(np.abs(joined)) * 0.5) / 17
         assert trace_distance_mc(params, 17, workers=4) == trace
-        norm = sum(float(np.sum(np.max(np.abs(s), axis=1))) for s in streams) / 17
+        norm = float(np.sum(np.max(np.abs(joined), axis=1))) / 17
         assert operator_norm_mc(params, 17, workers=4) == norm
 
     @pytest.mark.parametrize("n, m, q", [(13, 7, 0.3), (40, 50, 1.0)])

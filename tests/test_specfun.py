@@ -51,8 +51,8 @@ class TestGauss2F1:
         for c in (1.2, 0.9):  # c - a - b = 0 and < 0: the series diverges at x = 1
             with pytest.raises(DomainError):
                 hyp2f1(0.5, 0.7, c, 1.0)
-        with pytest.raises(DomainError):  # c - a - b = 0.2 > 0, but Re(c - b) = -0.3
-            hyp2f1(-0.5, 2.5, 2.2, 1.0)
+        # c - a - b = 0.2 > 0 is Gauss's one condition (DLMF 15.4.20), though Re(c - b) = -0.3
+        assert hyp2f1(-0.5, 2.5, 2.2, 1.0).real == pytest.approx(-0.756805256715626, rel=1e-13)
 
     def test_gauss_sum_at_one(self):
         want = float(mpmath.hyp2f1(0.5, 0.7, 1.9, 1.0))
@@ -154,6 +154,52 @@ def test_hyp2f1_near_one_against_mpmath(a, b, c, y):
     with mpmath.workdps(40):
         want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(x)))
     assert abs(hyp2f1(a, b, c, x) - want) <= 1e-12 * abs(want)
+
+
+def _mp_hyp2f1(a, b, c, x) -> complex:
+    with mpmath.workdps(40):
+        return complex(mpmath.hyp2f1(a, b, c, mpmath.mpf(x)))
+
+
+@pytest.mark.parametrize("x", [-0.9, -0.99, -0.999, -0.9999])
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (1.2, 2.8, -2.85),  # the power series gave 115386.7 at x = -0.999, for -2.4450
+        (2.8, 1.5, -2.2),  # and -115.48 there
+        (-1.3 + 0.5j, 2.45, -0.6),
+        (2.5, -1.7, 3.5 - 1j),
+    ],
+)
+def test_hyp2f1_near_minus_one_against_mpmath(a, b, c, x):
+    # Pfaff's transformation sums the series at x / (x - 1), in (0, 1/2)
+    want = _mp_hyp2f1(a, b, c, x)
+    assert abs(hyp2f1(a, b, c, x) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("y", [1e-12, 1e-9, 1e-6, 1e-4, 9e-4])
+@pytest.mark.parametrize("s", [0, -0.1, 0.5j, -0.2 - 0.4j, -1 + 1e-9, -1 - 1e-9, -2.5, -3])
+@pytest.mark.parametrize("a, b", [(0.5, 0.7), (-1.3 + 0.4j, 2.45)])
+def test_hyp2f1_near_one_without_gauss_condition(a, b, s, y):
+    # Re(c - a - b) <= 0: the power series stalled here; below -1/2 Euler's
+    # transformation hands the connection formula c - a - b's mirror -s
+    c = a + b + s
+    want = _mp_hyp2f1(a, b, c, 1.0 - y)
+    assert abs(hyp2f1(a, b, c, 1.0 - y) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        (-2.5, -1.2, -0.5),  # Re(c) < 0
+        (-0.5, 0.7, 0.5),  # Re(c - b) < 0
+        (1.7, -1.4, 0.9),  # Re(c - a) < 0
+        (0.3 + 1j, -2.2, -1.4 + 0.5j),  # complex, Re(c) and Re(c - a) < 0
+    ],
+)
+def test_gauss_sum_needs_only_re_c_minus_a_minus_b(a, b, c):
+    want = _mp_hyp2f1(a, b, c, 1.0)
+    assert hyp2f1(a, b, c, 1.0).real == pytest.approx(want.real, rel=1e-13, abs=0.0)
 
 
 class TestLaguerreSum:
