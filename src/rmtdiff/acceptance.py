@@ -22,6 +22,7 @@ from .asym_law import (
     atom_weight,
     support_points,
 )
+from .errors import Unsupported
 from .finite_law import (
     derivative_principle_selftest,
     joint_eigen_density,
@@ -292,7 +293,9 @@ CRITERIA = {
 
 def run_criterion(cid: str, level: str = "full") -> CriterionResult:
     if level not in ("fast", "full"):
-        raise ValueError("level must be 'fast' or 'full'")
+        raise Unsupported(f"level must be 'fast' or 'full', got {level!r}")
+    if cid not in CRITERIA:
+        raise Unsupported(f"unknown criterion {cid!r}; valid ids: {', '.join(CRITERIA)}")
     return CRITERIA[cid](level)
 
 
@@ -306,17 +309,17 @@ def format_report_line(r: CriterionResult) -> str:
     )
 
 
-def run_verify(level: str = "full", out_path=None, *, echo=print) -> int:
+def run_verify(level: str = "full", out_path=None) -> int:
     """Run every criterion; return 0 iff all pass.
 
-    One report line each goes to ``echo`` and its elapsed seconds to stderr.
+    One report line each goes to stdout and its elapsed seconds to stderr.
     """
     results, lines = [], []
     for cid in CRITERIA:
         start = time.perf_counter()
         results.append(run_criterion(cid, level))
         lines.append(format_report_line(results[-1]))
-        echo(lines[-1])
+        print(lines[-1])
         print(f"{cid} {time.perf_counter() - start:.2f} s", file=sys.stderr)
     if out_path:
         with open(out_path, "w") as fh:

@@ -152,14 +152,14 @@ def aed_symmetric(x, c: float):
             t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
             ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
             pre = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
-        val = pre * np.sinh(ell / 3.0)
+        val = np.asarray(pre * np.sinh(ell / 3.0))  # 0-d for a scalar x, masked in place below
     # finite below the transition, integrable |x|^(-1/3) divergence at it, in the gap above
     origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
     # below x_flat the relative x^2 term (c + 1/2) x^2 / (c u^3) is under 2^-54, so the
     # density rounds to its origin value; pre would overflow at subnormal |x|
     x_flat = math.sqrt(2.0**-54 * c * u**3 / (c + 0.5)) if u > 0.0 else 0.0
-    inner = np.isnan(val) | (ax <= (x_minus or 0.0))
-    val = np.where(ax >= x_plus, 0.0, np.where(ax <= x_flat, origin, np.where(inner, 0.0, val)))
+    val[np.isnan(val) | (ax <= (x_minus or 0.0)) | (ax >= x_plus)] = 0.0
+    val[ax <= x_flat] = origin
     return float(val) if val.ndim == 0 else val
 
 

@@ -304,12 +304,12 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
     _check_count("m", m)
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (n,):
-        raise ValueError(f"expected {n} eigenvalues, got shape {lam.shape}")
+        raise DomainError(f"expected {n} eigenvalues, got shape {lam.shape}")
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     xs = _finite_floats(lam)
     if abs(sum(xs)) > 1e-12:
-        raise ValueError("eigenvalues must sum to zero (within 1e-12)")
+        raise DomainError("eigenvalues must sum to zero (within 1e-12)")
     if min(map(abs, xs)) <= BOUNDARY_TOL:
         raise BoundaryPoint("a coordinate is within 1e-9 of an orthant wall")
     gam = _gamma(xs)

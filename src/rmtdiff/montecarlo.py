@@ -1,6 +1,8 @@
 """Batched Monte Carlo over difference spectra, on reproducible sub-streams.
 
-``workers`` is the number of independent sub-streams: stream w is the
+``difference_spectra(params, n_samples, workers=)`` is the one front end: the
+pooled spectrum and the trace-distance and operator-norm means reduce its
+array.  ``workers`` is the number of independent sub-streams: stream w is the
 counter-based generator (seed, w) of ``sampling``, it draws its share of the
 samples, and the results are joined in stream order.  Each stream is cut into
 ``_batches`` slices and each slice into blocks of ``_BLOCK_ENTRIES // d^2``
@@ -12,14 +14,14 @@ each stream in pieces that belong to one block; consecutive draws give the
 numbers one call would.  One ``_on_cores`` pass hands all drawn blocks of a
 request through one queue to a thread on each core (``os.sched_getaffinity``),
 which fills a block's Y, normalises it, forms Z and writes its eigenvalues,
-with the OpenBLAS that numpy loaded held at one thread.  A block's draws are dropped
-once it is solved and each thread reuses its own block buffers, so memory is
-one slice's draws plus a few blocks, not a slice-wide Y, Y^H and Z.  Each
-draw's products and eigensolve are the same single-threaded LAPACK calls
-whatever thread takes its block, so output bytes are fixed by (seed,
-workers) alone: not by the core count, the thread timing or
-``OPENBLAS_NUM_THREADS``.  One core solves matrices below ``_SPLIT_MIN_D``
-and everything where that OpenBLAS is absent.
+with the OpenBLAS that numpy loaded held at one thread.  A block's draws are
+dropped once it is solved and each thread reuses its own block buffers, so
+memory is one slice's draws plus a few blocks, not a slice-wide Y, Y^H and Z.
+Each draw's products and eigensolve are the same single-threaded LAPACK calls
+whatever thread takes its block, so output bytes are fixed by (seed, workers)
+alone: not by the core count, the thread timing or ``OPENBLAS_NUM_THREADS``.
+One core solves matrices below ``_SPLIT_MIN_D`` and everything where that
+OpenBLAS is absent.
 
 ``_spectra``, behind ``difference_spectra``, is the one sampling kernel.  It
 draws only what the eigenvalue law of Z = p rho1 - q rho2 needs.  With
@@ -63,6 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DomainError
 from .sampling import EnsembleParams, _check_count, _reduced_density_batch, von_neumann_entropy
 
 __all__ = [
@@ -276,22 +279,9 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
 
 
 def difference_spectra(
-    params: EnsembleParams,
-    n_samples: int,
-    rng: np.random.Generator | None = None,
-    *,
-    rescaled: bool = True,
+    params: EnsembleParams, n_samples: int, *, workers: int = 1, rescaled: bool = True
 ) -> np.ndarray:
-    """(n_samples, N) ascending eigenvalues of independent difference draws on one stream."""
-    _check_count("n_samples", n_samples)
-    out = _spectra(params, [(params.rng() if rng is None else rng, n_samples)])
-    if rescaled:
-        out *= params.n_small
-    return out
-
-
-def _raw_spectra(params: EnsembleParams, n_samples: int, workers: int) -> np.ndarray:
-    """(n_samples, N) raw spectra of the ``workers`` sub-streams, rows in stream order.
+    """(n_samples, N) ascending eigenvalues of difference draws, rows in stream order.
 
     Stream w = (seed, w) draws ``n_samples // workers`` samples, one more for
     w < ``n_samples % workers``; streams left with no draws are skipped.
@@ -300,25 +290,17 @@ def _raw_spectra(params: EnsembleParams, n_samples: int, workers: int) -> np.nda
     _check_count("workers", workers)
     base, extra = divmod(n_samples, workers)
     streams = range(min(workers, n_samples))
-    return _spectra(params, [(params.rng(w), base + (w < extra)) for w in streams])
+    out = _spectra(params, [(params.rng(w), base + (w < extra)) for w in streams])
+    if rescaled:
+        out *= params.n_small
+    return out
 
 
 def pooled_spectrum(
-    params: EnsembleParams,
-    n_samples: int,
-    *,
-    workers: int = 1,
-    rescaled: bool = True,
+    params: EnsembleParams, n_samples: int, *, workers: int = 1, rescaled: bool = True
 ) -> np.ndarray:
-    """All eigenvalues of n_samples draws pooled into one array.
-
-    Draws are split across ``workers`` sub-streams and joined in stream
-    order, so the output is deterministic for fixed (seed, workers).
-    """
-    out = _raw_spectra(params, n_samples, workers)
-    if rescaled:
-        out *= params.n_small
-    return out.ravel()
+    """All eigenvalues of ``difference_spectra`` pooled into one array."""
+    return difference_spectra(params, n_samples, workers=workers, rescaled=rescaled).ravel()
 
 
 @dataclass(frozen=True)
@@ -353,10 +335,15 @@ def build_histogram(
     value_range: tuple[float, float] | None = None,
     atom_threshold: float | None = None,
 ) -> HistogramResult:
-    """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass."""
+    """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass.
+
+    Raises ``DomainError`` if any value is NaN or infinite.
+    """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(values).all():
+        raise DomainError("histogram values must be finite")
     total = values.size
     atom_fraction = 0.0
     continuous = values
@@ -367,15 +354,9 @@ def build_histogram(
     if value_range is None:
         value_range = (float(continuous.min()), float(continuous.max()))
     counts, edges = np.histogram(continuous, bins=bins, range=value_range)
-    widths = np.diff(edges)
-    density = counts / (total * widths)
     return HistogramResult(
-        bin_edges=edges,
-        counts=counts,
-        normalized_density=density,
-        total_samples=total,
-        atom_fraction=atom_fraction,
-        atom_threshold=atom_threshold,
+        bin_edges=edges, counts=counts, normalized_density=counts / (total * np.diff(edges)),
+        total_samples=total, atom_fraction=atom_fraction, atom_threshold=atom_threshold,
     )
 
 
@@ -402,12 +383,14 @@ def l1_distance(hist: HistogramResult, theory_density) -> float:
 
 def trace_distance_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of (1/2) sum |lambda_i| over difference draws."""
-    return float(np.sum(np.abs(_raw_spectra(params, n_samples, workers))) * 0.5) / n_samples
+    raw = difference_spectra(params, n_samples, workers=workers, rescaled=False)
+    return float(np.sum(np.abs(raw)) * 0.5) / n_samples
 
 
 def operator_norm_mc(params: EnsembleParams, n_samples: int, *, workers: int = 1) -> float:
     """Monte Carlo mean of max |lambda_i| (raw, unrescaled)."""
-    return float(np.sum(np.max(np.abs(_raw_spectra(params, n_samples, workers)), axis=1))) / n_samples
+    raw = difference_spectra(params, n_samples, workers=workers, rescaled=False)
+    return float(np.sum(np.max(np.abs(raw), axis=1))) / n_samples
 
 
 def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:

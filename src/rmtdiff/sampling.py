@@ -171,11 +171,13 @@ def sample_pure_state_reduced(
 def hermitian_eigenvalues(h: np.ndarray) -> SpectrumSample:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    Raises DomainError for a NaN or infinite entry, NonHermitian when the max
-    entrywise deviation from h^H exceeds 1e-10, and NoConvergence when
-    LAPACK does not converge.
+    Raises DomainError unless h is one square matrix with finite entries,
+    NonHermitian when the max entrywise deviation from h^H exceeds 1e-10, and
+    NoConvergence when LAPACK does not converge.
     """
     h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {h.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         dev = abs(h - h.conj().T).max() if h.size else 0.0
     # a non-finite entry makes its own deviation non-finite

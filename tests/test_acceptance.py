@@ -11,6 +11,7 @@ import pytest
 
 from rmtdiff import acceptance
 from rmtdiff.acceptance import CRITERIA, format_report_line, run_criterion, run_verify
+from rmtdiff.errors import Unsupported
 
 _LEVEL = "full"
 
@@ -24,6 +25,13 @@ def test_criterion(cid):
         f"+- {result.tolerance!r} ({result.detail})"
     )
     assert result.passed, f"{cid}: subsidiary checks failed ({result.detail})"
+
+
+def test_unknown_criterion_names_the_valid_ids():
+    with pytest.raises(Unsupported, match="'AC-99'.*AC-01, AC-02, .*AC-13$"):
+        run_criterion("AC-99")
+    with pytest.raises(Unsupported, match="'fast' or 'full', got 'quick'"):
+        run_criterion("AC-01", "quick")
 
 
 def test_verify_report_lines_and_timing(tmp_path, capsys, monkeypatch):

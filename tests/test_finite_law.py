@@ -290,6 +290,12 @@ class TestFloatPathShapes:
             joint_eigen_density(lam, n, m, exact=exact)
 
     @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("lam", [(0.1, -0.1), ((0.1, -0.1, 0.0),), (0.2, -0.1, 0.1)])
+    def test_bad_point_is_domain_error(self, lam, exact):
+        with pytest.raises(DomainError, match="expected 3 eigenvalues|sum to zero"):
+            joint_eigen_density(lam, 3, 3, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
     def test_outside_region_is_zero(self, exact):
         assert joint_eigen_density((0.9, 0.4, -1.3), 3, 3, exact=exact) == 0.0
         assert joint_eigen_density((1.5, -1.5), 2, 5, exact=exact) == 0.0

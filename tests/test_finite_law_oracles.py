@@ -120,8 +120,9 @@ def _quad_marginal(l1: float, m: int, exact: bool = False) -> float:
     lo, hi = (-1.0, 1.0 - l1) if l1 >= 0.0 else (-1.0 - l1, 1.0)
     cuts = sorted({lo, hi, 0.0, -l1})
     with warnings.catch_warnings():
-        # at m = 4 the float path carries ~1e-9 of roundoff (it reads a few -1e-9 next to
-        # the region boundary), so quad cannot certify 1e-13 and says so
+        # at m = 3 the float path carries up to 4e-10 of roundoff (it can read a little
+        # below 0 next to the region boundary), so quad cannot certify 1e-13 and says so;
+        # m = 4 has no float path (its bound 1.3e-7 exceeds 1e-9): the density is exact
         warnings.simplefilter("ignore", NegativeDensityWarning)
         warnings.simplefilter("ignore", IntegrationWarning)
         return sum(
@@ -169,7 +170,8 @@ def test_marginal_nonnegative(m):
 
 
 def test_marginal_matches_quad_of_exact_joint_density():
-    # the exact joint density keeps full precision at m = 5, where the float path errs by ~1e-6
+    # the exact joint density keeps full precision at m = 5 (no float path there:
+    # its rounding bound, 2.8e-5, exceeds 1e-9)
     xs = [-0.6, 0.05, 0.35]
     want = [_quad_marginal(x, 5, exact=True) for x in xs]
     assert np.max(np.abs(single_eigenvalue_marginal(3, 5, xs) - want)) <= 1e-12

@@ -103,6 +103,19 @@ class TestAbsoluteMoment:
         want = _mp_moment(z, c)
         assert abs(absolute_moment(z, c) - want) <= 1e-12 * abs(want)
 
+    def test_even_orders_below_two_against_mpmath(self):
+        # the exact Catalan prefactor; a loggamma prefactor errs up to 8.0e-15 here
+        cases = [(z, c) for z in (4, 10, 20, 40) for c in (0.1, 1.0, 1.9, 1.99, 1.9999)]
+        for z, c in cases:
+            want = _mp_moment(z, c)
+            assert abs(absolute_moment(z, c) - want) <= 2e-15 * want, (z, c)
+
+    def test_odd_orders_above_two_against_mpmath(self):
+        # 2 c^(z-1) taken as a power; 2 exp((z-1) log c) errs up to 2.4e-14 here
+        for z, c in [(z, c) for z in (21, 51, 101) for c in (2.0, 10.0, 100.0, 1e3)]:
+            want = _mp_moment(z, c)
+            assert abs(absolute_moment(z, c) - want) <= 3e-15 * want, (z, c)
+
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 1.5 + 1j])
     def test_at_two_against_mpmath(self, z):
         # c = 2 takes the 2F1 in 2/c = 1 alone, through Gauss's sum

@@ -1,6 +1,7 @@
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -104,7 +105,7 @@ class TestReducedKernel:
         assert (5 * (n - 2 * m) >= n) is mostly_atom
         params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=0)
         for s in range(3):
-            batched = difference_spectra(params, 1, make_rng(s, 0), rescaled=False)[0]
+            batched = montecarlo._spectra(params, [(make_rng(s, 0), 1)])[0]
             scalar = hermitian_eigenvalues(_reference_draw(params, make_rng(s, 0))).eigenvalues
             assert np.max(np.abs(batched - scalar)) < 1e-12
             assert np.all(np.diff(batched) >= 0)
@@ -186,7 +187,7 @@ class TestPooling:
         # the joined (17, N) array
         params = EnsembleParams(n_small=n, m_large=m, weight_q=0.7, seed=21)
         joined = np.concatenate([
-            difference_spectra(params, count, make_rng(params.seed, w), rescaled=False)
+            montecarlo._spectra(params, [(make_rng(params.seed, w), count)])
             for w, count in enumerate((5, 4, 4, 4))
         ])
         pooled = pooled_spectrum(params, 17, workers=4, rescaled=False)
@@ -195,6 +196,22 @@ class TestPooling:
         assert trace_distance_mc(params, 17, workers=4) == trace
         norm = float(np.sum(np.max(np.abs(joined), axis=1))) / 17
         assert operator_norm_mc(params, 17, workers=4) == norm
+
+    @pytest.mark.parametrize("workers", [1, 3, 4, 20])
+    def test_front_end_takes_workers(self, workers):
+        # difference_spectra's rows are the joined sub-streams, scaled by N;
+        # the pooled spectrum is its ravel, with streams past n_samples skipped
+        params = EnsembleParams(n_small=12, m_large=4, weight_q=0.7, seed=23)
+        base, extra = divmod(17, workers)
+        joined = np.concatenate([
+            montecarlo._spectra(params, [(make_rng(params.seed, w), base + (w < extra))])
+            for w in range(min(workers, 17))
+        ])
+        got = difference_spectra(params, 17, workers=workers)
+        assert got.shape == (17, 12)
+        assert np.array_equal(got, joined * 12)
+        assert np.array_equal(difference_spectra(params, 17, workers=workers, rescaled=False), joined)
+        assert np.array_equal(pooled_spectrum(params, 17, workers=workers), got.ravel())
 
     @pytest.mark.parametrize("n, m, q", [(13, 7, 0.3), (40, 50, 1.0)])
     def test_one_pass_over_all_streams(self, monkeypatch, n, m, q):
@@ -211,7 +228,7 @@ class TestPooling:
         pooled = pooled_spectrum(params, 100, workers=3, rescaled=False)
         assert len(calls) == 1
         streams = [
-            difference_spectra(params, count, make_rng(params.seed, w), rescaled=False)
+            montecarlo._spectra(params, [(make_rng(params.seed, w), count)])
             for w, count in enumerate((34, 33, 33))
         ]
         assert all(len(montecarlo._batches(n, m, s.shape[0])) == 4 for s in streams)
@@ -233,7 +250,9 @@ class TestPooling:
         with pytest.raises(DomainError, match="n_samples"):
             fn(EnsembleParams(n_small=3, m_large=3, seed=11), count)
 
-    @pytest.mark.parametrize("fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc])
+    @pytest.mark.parametrize(
+        "fn", [difference_spectra, pooled_spectrum, trace_distance_mc, operator_norm_mc]
+    )
     @pytest.mark.parametrize("workers", [2.5, 0, -1])
     def test_bad_workers_raise(self, fn, workers):
         with pytest.raises(DomainError, match="workers"):
@@ -262,6 +281,19 @@ class TestHistogram:
         assert h.total_samples == 1000
         mass = float(np.sum(h.normalized_density * h.widths))
         assert mass == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("value_range", [(0.0, 1.0), None])
+    @pytest.mark.parametrize("atom_threshold", [None, 0.15])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value_range, atom_threshold, bad):
+        # unchecked, a range counts them in the denominator only (the masses of
+        # [.1, .2, nan, .3, inf] sum to 0.6), and without one numpy raises a
+        # bare ValueError
+        vals = [0.1, 0.2, bad, 0.3, 0.4]
+        with pytest.raises(DomainError, match="finite"):
+            build_histogram(vals, 4, value_range=value_range, atom_threshold=atom_threshold)
+        with pytest.raises(ValueError, match="bins"):
+            build_histogram(vals, 1)
 
     def test_l1_distance_self(self):
         params = EnsembleParams(n_small=30, m_large=30, seed=12)
@@ -674,7 +706,7 @@ _POOLED_PINNED = {
     (40, 50, 300, 2, 80_000): "be91be1df9c620c7ba4f7ad8562325ceda9c6e94956ecedacba56d9c10f5e14e",
 }
 
-# Runs one failing difference_spectra call: argv[1] is "draw" (the second block's
+# Runs one failing montecarlo._spectra call: argv[1] is "draw" (the second block's
 # draw raises) or "solve" (eigvalsh raises in a thread other than the caller).
 _FAILURE_CHILD = """
 import sys, threading, time
@@ -719,7 +751,7 @@ if case == "solve":
     np.linalg.eigvalsh = failing_eigvalsh
 threads_before = threading.active_count()
 try:
-    montecarlo.difference_spectra(params, 300, FailingRng(params.rng()) if case == "draw" else None)
+    montecarlo._spectra(params, [(FailingRng(params.rng()) if case == "draw" else params.rng(), 300)])
 except Exception as exc:
     print("original", len(raised) == 1 and exc is raised[0])
 else:
@@ -874,10 +906,10 @@ class TestOverlap:
 
         monkeypatch.setattr(montecarlo, "_on_cores", noting_on_cores)
         params = EnsembleParams(n_small=n, m_large=m, seed=4)
-        got = difference_spectra(params, 20, CheckingRng(params.rng()))
+        got = montecarlo._spectra(params, [(CheckingRng(params.rng()), 20)])
         assert len(solved) > len(montecarlo._batches(n, m, 20)) >= 2
         monkeypatch.setattr(montecarlo, "_on_cores", on_cores)
-        assert got.tobytes() == difference_spectra(params, 20).tobytes()
+        assert got.tobytes() == difference_spectra(params, 20, rescaled=False).tobytes()
 
     @pytest.mark.parametrize("where", ["solve", "draw"])
     def test_error_ends_the_pass(self, where):

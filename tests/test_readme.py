@@ -38,6 +38,8 @@ def test_quick_start_runs(src_env):
     assert child.returncode == 0, child.stderr
 
 
-@pytest.mark.parametrize("module", ["asym_law", "moments", "specfun"])
+@pytest.mark.parametrize(
+    "module", ["asym_law", "moments", "specfun", "montecarlo", "sampling", "finite_law"]
+)
 def test_public_list_is_all(module):
     assert _public_lists().get(module) == set(importlib.import_module(f"rmtdiff.{module}").__all__)

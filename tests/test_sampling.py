@@ -232,6 +232,16 @@ class TestEigenvalues:
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize(
+        "h", [np.ones(3), np.zeros((2, 3)), np.stack([np.eye(2), np.eye(2)]), np.float64(1.0)],
+        ids=["1-d", "2x3", "stack", "scalar"],
+    )
+    def test_not_one_square_matrix_rejected(self, h):
+        # without the shape check these raised NoConvergence, a broadcasting
+        # ValueError, NonHermitian and NoConvergence
+        with pytest.raises(DomainError, match="square matrix"):
+            hermitian_eigenvalues(h)
+
+    @pytest.mark.parametrize(
         "entries",
         [{(0, 0): math.nan}, {(1, 1): math.inf}, {(0, 1): -math.inf},
          {(0, 1): math.inf, (1, 0): math.inf}, {(1, 0): complex(0.5, math.nan)}],
