@@ -42,14 +42,17 @@ def _branch(z: complex, c: float):
     c < 2:  Gamma(z+1) (2c)^(z/2) / (Gamma(z/2+1) Gamma(z/2+2)) * 2F1(1 - z/2, -z/2; z/2 + 2; c/2)
 
     Below 2 an even order z = 2l takes the Catalan number C_l = C(2l, l)/(l + 1)
-    for the Gamma ratio, exactly, while C_l < 4^l is a float (l <= 511).
+    for the Gamma ratio, exactly, while C_l < 4^l is a float (l <= 511).  The
+    power (2c)^l is taken as m^l 2^(e l), 2c = m 2^e, and C_l m^l (>= 2^-511)
+    is scaled once, so (2c)^l alone never underflows where C_l (2c)^l is normal.
     """
     if c >= 2.0:
         return 2.0 * c ** (z - 1.0), 1.0 - z / 2.0, -z, 2.0, 2.0 / c
     h = z / 2.0
     if z.imag == 0.0 and z.real % 2.0 == 0.0 and z.real <= 1022.0:
         l = int(h.real)
-        pre = math.comb(2 * l, l) // (l + 1) * (2.0 * c) ** l
+        m, e = math.frexp(2.0 * c)
+        pre = math.ldexp(math.comb(2 * l, l) // (l + 1) * m**l, e * l)
     else:
         pre = _gammas((z + 1.0,), (h + 1.0, h + 2.0), h * math.log(2.0 * c))
     return pre, 1.0 - h, -h, h + 2.0, c / 2.0

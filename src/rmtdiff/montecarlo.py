@@ -14,14 +14,14 @@ each stream in pieces that belong to one block; consecutive draws give the
 numbers one call would.  One ``_on_cores`` pass hands all drawn blocks of a
 request through one queue to a thread on each core (``os.sched_getaffinity``),
 which fills a block's Y, normalises it, forms Z and writes its eigenvalues,
-with the OpenBLAS that numpy loaded held at one thread.  A block's draws are
-dropped once it is solved and each thread reuses its own block buffers, so
-memory is one slice's draws plus a few blocks, not a slice-wide Y, Y^H and Z.
-Each draw's products and eigensolve are the same single-threaded LAPACK calls
-whatever thread takes its block, so output bytes are fixed by (seed, workers)
-alone: not by the core count, the thread timing or ``OPENBLAS_NUM_THREADS``.
-One core solves matrices below ``_SPLIT_MIN_D`` and everything where that
-OpenBLAS is absent.
+with the OpenBLAS that numpy loaded held at one thread.  A block's draws are dropped
+once it is solved and each thread reuses its own block buffers, so memory is
+one slice's draws plus a few blocks, not a slice-wide Y, Y^H and Z.  Each
+draw's products and eigensolve are the same single-threaded LAPACK calls
+whatever thread takes its block, so output bytes are fixed by (seed,
+workers) alone: not by the core count, the thread timing or
+``OPENBLAS_NUM_THREADS``.  One core solves matrices below ``_SPLIT_MIN_D``
+and everything where that OpenBLAS is absent.
 
 ``_spectra``, behind ``difference_spectra``, is the one sampling kernel.  It
 draws only what the eigenvalue law of Z = p rho1 - q rho2 needs.  With
@@ -279,7 +279,11 @@ def _spectra(params: EnsembleParams, streams: list) -> np.ndarray:
 
 
 def difference_spectra(
-    params: EnsembleParams, n_samples: int, *, workers: int = 1, rescaled: bool = True
+    params: EnsembleParams,
+    n_samples: int,
+    *,
+    workers: int = 1,
+    rescaled: bool = True,
 ) -> np.ndarray:
     """(n_samples, N) ascending eigenvalues of difference draws, rows in stream order.
 
@@ -297,9 +301,17 @@ def difference_spectra(
 
 
 def pooled_spectrum(
-    params: EnsembleParams, n_samples: int, *, workers: int = 1, rescaled: bool = True
+    params: EnsembleParams,
+    n_samples: int,
+    *,
+    workers: int = 1,
+    rescaled: bool = True,
 ) -> np.ndarray:
-    """All eigenvalues of ``difference_spectra`` pooled into one array."""
+    """All eigenvalues of n_samples draws pooled into one array.
+
+    Draws are split across ``workers`` sub-streams and joined in stream
+    order, so the output is deterministic for fixed (seed, workers).
+    """
     return difference_spectra(params, n_samples, workers=workers, rescaled=rescaled).ravel()
 
 
@@ -354,9 +366,15 @@ def build_histogram(
     if value_range is None:
         value_range = (float(continuous.min()), float(continuous.max()))
     counts, edges = np.histogram(continuous, bins=bins, range=value_range)
+    widths = np.diff(edges)
+    density = counts / (total * widths)
     return HistogramResult(
-        bin_edges=edges, counts=counts, normalized_density=counts / (total * np.diff(edges)),
-        total_samples=total, atom_fraction=atom_fraction, atom_threshold=atom_threshold,
+        bin_edges=edges,
+        counts=counts,
+        normalized_density=density,
+        total_samples=total,
+        atom_fraction=atom_fraction,
+        atom_threshold=atom_threshold,
     )
 
 

@@ -104,9 +104,11 @@ class TestAbsoluteMoment:
         assert abs(absolute_moment(z, c) - want) <= 1e-12 * abs(want)
 
     def test_even_orders_below_two_against_mpmath(self):
-        # the exact Catalan prefactor; a loggamma prefactor errs up to 8.0e-15 here
+        # the exact Catalan prefactor; a loggamma prefactor errs up to 8.0e-15 here.
+        # The last three take (2c)^(z/2) below the float range (0.02^200 ~ 1e-340),
+        # while m_z is a normal float
         cases = [(z, c) for z in (4, 10, 20, 40) for c in (0.1, 1.0, 1.9, 1.99, 1.9999)]
-        for z, c in cases:
+        for z, c in cases + [(400, 0.01), (800, 0.05), (1022, 0.11)]:
             want = _mp_moment(z, c)
             assert abs(absolute_moment(z, c) - want) <= 2e-15 * want, (z, c)
 
