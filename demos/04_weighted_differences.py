@@ -1,8 +1,9 @@
 """Weighted differences Z = p rho1 - q rho2.
 
 The weighted limiting density is obtained by inverting its cubic
-Cauchy-transform equation at all grid points in one batched solve; the
-support edges are the real roots of that cubic's discriminant.  The
+Cauchy-transform equation at all grid points at once, in real arithmetic
+on the real axis; the support edges are the real roots of that cubic's
+discriminant.  The
 spectrum is no longer symmetric; its mean is p - q in original units
 (1 - eta for the normalized matrix).
 """

@@ -6,14 +6,18 @@ its reflection.  Its Cauchy transform G satisfies a cubic equation
 (``cauchy_transform`` returns the physical root at Im z > 0, the one of
 smallest Im G), and the density is -Im G(x + i0)/pi.  The symmetric case
 (equal weights) has the closed form implemented in ``aed_symmetric``, one
-NumPy expression for scalars and arrays.  The weighted case eta = q/p != 1 (``aed_curve``)
-solves the cubic at all real query points at once, in closed form
-(Cardano): for real x its coefficients are real, so inside the support
-G(x + i0) is one of a complex-conjugate pair of roots and the density is
-that pair's |Im G|/pi, with no step off the real axis.  The support edges
-are the real roots of the cubic's discriminant, a quartic in z
-(``find_support_numeric``); the density reads exactly 0 outside them.  The
-origin atom is max(1 - 2/c, 0) for every eta because rank Z = min(N, 2M).
+NumPy expression for scalars and arrays.  ``aed_curve`` (the weighted case
+eta = q/p != 1, and equal weights as a check) inverts the cubic at all real
+query points at once in real arithmetic: for real x its coefficients are
+real, so inside the support G(x + i0) is one of a complex-conjugate pair of
+roots and the density is that pair's |Im G|/pi, with no step off the real
+axis.  Real Cardano gives the real root and the pair's imaginary part
+without cancellation; where the real root is the largest, the pair comes
+from Vieta's formulas instead.  The complex solver is ``cauchy_transform``'s
+alone.  The support edges are the real roots of the cubic's discriminant, a
+quartic in z (``find_support_numeric``), found once per (c, eta); the density
+reads exactly 0 outside them.  The origin atom is max(1 - 2/c, 0) for every
+eta because rank Z = min(N, 2M).
 Both densities lose about c u relative accuracy (u the unit roundoff) at
 large c, and their quadrature mass drifts from 1 at small c, so they raise
 ``DomainError`` above c = 1e7 and below c = 3e-10, and so does every route
@@ -28,6 +32,7 @@ abscissas by p and divides densities by p.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,10 +56,11 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-# Query points per block of the closed-form cubic solve: its (block, 3) complex
-# temporaries stay near 50 kB each; one pass over 6001 or 24004 points was
-# 10-30 % slower on a 2-core Xeon VM with numpy 2.4.
-_SOLVE_BLOCK = 1024
+# Query points per block of ``_real_density``, whose float temporaries then stay
+# at 32 kB each.  Medians of 300 interleaved calls on a 2-core Xeon VM with
+# numpy 2.4, one pass -> blocks of 4096: 0.668 -> 0.556 ms at 6902 points and
+# 2.98 -> 2.15 ms at 24904; blocks of 2048 gained less (0.650 and 2.64 ms).
+_DENSITY_BLOCK = 4096
 
 # The three cube roots of unity, one per root of the cubic.
 _OMEGA = np.exp(2j * np.pi * np.arange(3) / 3.0)
@@ -189,34 +195,40 @@ def _cubic_coefficients(c: float, eta: float) -> np.ndarray:
     ])
 
 
-def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
-    """Roots (K, 3) of the Cauchy cubic at K query points, in closed form.
+def _depressed_cubic(z, c: float, eta: float):
+    """The Cauchy cubic in h = 1/G at each z, exactly scaled and depressed: (a1, a2, a3, p3, w, inv).
 
     With h = 1/G the cubic is the monic h^3 + a1 h^2 + a2 h + a3, which stays
-    well scaled as a3 = eta c^2 z -> 0 sends one G root to infinity.  Cardano
-    on the depressed cubic t^3 + 3 p3 t - 2 w (h = t - a1/3) takes the larger
-    of |w +- s|, s^2 = w^2 + p3^3, as u^3 so that the sum does not cancel;
-    t = u omega^k - p3/(u omega^k).  Only h0, the root of largest |h|, is
-    kept: the smaller two can cancel in t - a1/3.  They solve h^2 - s h + p
-    with p = -a3/h0 and s = (a2 - p)/h0 (Vieta), as q = s/2 +- sqrt(s^2/4 - p)
-    with the sign of larger |q| and p/q, so no step subtracts O(1) terms
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.8).
-    Each point's cubic is first solved for h/sigma, with sigma the power of two
-    in (m, 2m], m = max(|a1|, |a2|^(1/2), |a3|^(1/3)), so that its coefficients
-    are exactly scaled to at most 1: w^2 and p3^3 then do not underflow as
-    z -> 0, where at c = 2, eta = 1 all three coefficients scale with z.
+    well scaled as a3 = eta c^2 z -> 0 sends one G root to infinity.  Each
+    point's cubic is taken in h/sigma, with sigma the power of two in (m, 2m],
+    m = max(|a1|, |a2|^(1/2), |a3|^(1/3)), so that its coefficients are exactly
+    scaled to at most 1: w^2 and p3^3 then do not underflow as z -> 0, where at
+    c = 2, eta = 1 all three coefficients scale with z.  inv = 1/sigma (1 where
+    all coefficients vanish).  With h/sigma = t - a1/3 the cubic is the
+    depressed t^3 + 3 p3 t - 2 w.  z is real or complex, of any shape.
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size > _SOLVE_BLOCK:
-        blocks = range(0, z.size, _SOLVE_BLOCK)
-        return np.vstack([_solve_cubics(z[i : i + _SOLVE_BLOCK], c, eta) for i in blocks])
-    z = z[:, None]
     a3, a2, a1 = (u + v * z for u, v in _cubic_coefficients(c, eta)[:3])
     size = np.maximum(np.maximum(np.abs(a1), np.sqrt(np.abs(a2))), np.cbrt(np.abs(a3)))
     inv = np.ldexp(1.0, -np.frexp(size)[1])  # 1/sigma; 1 where size is 0
     a1, a2, a3 = a1 * inv, a2 * inv * inv, a3 * inv * inv * inv
     p3 = (a2 - a1 * a1 / 3.0) / 3.0
     w = -(a1 * (2.0 * a1 * a1 - 9.0 * a2) / 27.0 + a3) / 2.0
+    return a1, a2, a3, p3, w, inv
+
+
+def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
+    """Roots (K, 3) of the Cauchy cubic at K complex query points, in closed form.
+
+    Cardano on ``_depressed_cubic`` takes the larger of |w +- s|,
+    s^2 = w^2 + p3^3, as u^3 so that the sum does not cancel;
+    t = u omega^k - p3/(u omega^k).  Only h0, the root of largest |h|, is
+    kept: the smaller two can cancel in t - a1/3.  They solve h^2 - s h + p
+    with p = -a3/h0 and s = (a2 - p)/h0 (Vieta), as q = s/2 +- sqrt(s^2/4 - p)
+    with the sign of larger |q| and p/q, so no step subtracts O(1) terms
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 1.8).
+    """
+    z = np.asarray(z, dtype=complex).ravel()[:, None]
+    a1, a2, a3, p3, w, inv = _depressed_cubic(z, c, eta)
     s = np.sqrt(w * w + p3 * p3 * p3)
     s = np.where((w.conj() * s).real >= 0.0, s, -s)
     u = (w + s) ** (1.0 / 3.0) * _OMEGA
@@ -228,6 +240,44 @@ def _solve_cubics(z: np.ndarray, c: float, eta: float) -> np.ndarray:
     r = np.sqrt(half * half - p)
     q = half + np.where((half.conj() * r).real >= 0.0, r, -r)
     return inv / np.hstack((h0, q, np.where(q == 0.0, 0.0, p / q)))
+
+
+def _real_density(x: np.ndarray, c: float, eta: float) -> np.ndarray:
+    """|Im G|/pi of the Cauchy cubic's complex pair at real x (1-D), in real arithmetic.
+
+    For real x the depressed cubic of ``_depressed_cubic`` is real.  With
+    s = sqrt(max(w^2 + p3^3, 0)), A = cbrt(w + s sign(w)) and B = -p3/A (no
+    cancellation in A), the real root is h_r = A + B - a1/3 and the pair is
+    -(A + B)/2 - a1/3 +- i sqrt(3) s / (A^2 + AB + B^2), from
+    A^3 - B^3 = (A - B)(A^2 + AB + B^2); that denominator is at least
+    (A^2 + B^2)/2, so nothing cancels near a support edge.  Where the real
+    root is the largest, the pair's real part may cancel, so the pair comes
+    from Vieta instead: |h|^2 = P = -a3/h_r, Re h = (a2 - P)/(2 h_r) and
+    Im h = sqrt(P - Re h^2) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 1.8).  Then |Im G| = |Im h|/|h|^2.  A pair at
+    h = 0 (G infinite, at x = 0 when c = 2) reads 0.  The value is not masked:
+    outside the support it is rounding, which the caller sets to 0.
+    """
+    if x.size > _DENSITY_BLOCK:
+        blocks = range(0, x.size, _DENSITY_BLOCK)
+        return np.concatenate([_real_density(x[i : i + _DENSITY_BLOCK], c, eta) for i in blocks])
+    a1, a2, a3, p3, w, inv = _depressed_cubic(x, c, eta)
+    s = np.sqrt(np.maximum(w * w + p3 * p3 * p3, 0.0))
+    big = np.cbrt(w + np.copysign(s, w))
+    small = np.divide(-p3, big, out=np.zeros_like(big), where=big != 0.0)  # big = 0: triple root
+    den = big * big + big * small + small * small
+    im = np.divide(_SQRT3 * s, den, out=np.zeros_like(den), where=den > 0.0)
+    both = big + small
+    re = -0.5 * both - a1 / 3.0
+    h_r = both - a1 / 3.0
+    mod2 = re * re + im * im
+    vieta = h_r * h_r > mod2
+    h_r = h_r[vieta]
+    prod = -a3[vieta] / h_r
+    half = (a2[vieta] - prod) / (2.0 * h_r)
+    im[vieta] = np.sqrt(np.maximum(prod - half * half, 0.0))
+    mod2[vieta] = prod
+    return np.divide(inv * im, math.pi * mod2, out=np.zeros_like(im), where=mod2 > 0.0)
 
 
 def cauchy_transform(z: complex, c: float, eta: float = 1.0) -> complex:
@@ -244,6 +294,7 @@ def cauchy_transform(z: complex, c: float, eta: float = 1.0) -> complex:
     return complex(roots[np.argmin(roots.imag)])
 
 
+@functools.lru_cache(maxsize=256)
 def _support_geometry(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     """The sorted support edges, and for each of the len(edges) + 1 gaps whether it is outside.
 
@@ -251,10 +302,14 @@ def _support_geometry(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
     where the discriminant is >= 0 at its midpoint (three real roots, G
     real), and so are the two unbounded ends.  ``support_points`` is not
     used, so that the closed form and the inversion stay independent.
+    Computed once per (c, eta); both arrays are read-only, as every caller
+    shares them.
     """
     disc, edges = _discriminant(c, eta)
     mid = np.polynomial.polynomial.polyval(0.5 * (edges[:-1] + edges[1:]), disc)
     outside = np.concatenate(([True], mid >= 0.0, [True]))
+    edges.setflags(write=False)
+    outside.setflags(write=False)
     return edges, outside
 
 
@@ -262,23 +317,23 @@ def aed_curve(xs, c: float, eta: float = 1.0):
     """Continuous density at xs (scalar or any shape) by Stieltjes inversion on the real axis.
 
     For real x the cubic is real, so inside the support G(x + i0) is one of a
-    complex-conjugate pair and the density is the middle of the three
-    |Im G|/pi: the real root's is rounding only, and the root that goes to
-    infinity as x -> 0 (infinite at x = 0, counted as 0) can exceed the
-    pair's.  Outside the discriminant edges it is exactly 0; the origin atom
-    is excluded, as in ``aed_symmetric``.  Equal weights are solved at |x|.
-    An array keeps its shape; a scalar gives a float.  c outside
-    [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7] raises ``DomainError``.
+    complex-conjugate pair and the density is that pair's |Im G|/pi, found
+    in real arithmetic (``_real_density``): Cardano gives the real root and
+    the pair's imaginary part without cancellation, and where the real root
+    is the largest the pair comes from Vieta.  The discriminant edges alone
+    decide where the value is exactly 0; the origin atom is excluded, as in
+    ``aed_symmetric``.  At c = 2 the origin itself, where the density is
+    unbounded, reads 0.  Equal weights are solved at |x|.  An array keeps its
+    shape; a scalar gives a float.  c outside [``_C_MIN``, ``_C_MAX``] =
+    [3e-10, 1e7] raises ``DomainError``.
     """
     xs = np.asarray(xs, dtype=float)
     _check_domain(c, eta, xs)
     _check_density_c(c)
     flat = np.abs(xs.ravel()) if eta == 1.0 else xs.ravel()
-    edges, outside = _support_geometry(c, eta)
-    with np.errstate(all="ignore"):  # the root near infinity as x -> 0
-        roots = _solve_cubics(flat, c, eta)
-    im = np.sort(np.abs(np.where(np.isfinite(roots), roots.imag, 0.0)), axis=1)[:, 1]
-    out = np.where(outside[np.searchsorted(edges, flat)], 0.0, im / math.pi).reshape(xs.shape)
+    edges, outside = _support_geometry(float(c), float(eta))
+    dens = _real_density(flat, c, eta)
+    out = np.where(outside[np.searchsorted(edges, flat)], 0.0, dens).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -347,7 +402,7 @@ def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     """
     _check_domain(c, eta)
     _check_density_c(c)
-    edges, outside = _support_geometry(c, eta)
+    edges, outside = _support_geometry(float(c), float(eta))
     keep = ~outside[1:-1]
     intervals: list[tuple[float, float]] = []
     for lo, hi in zip(edges[:-1][keep], edges[1:][keep]):
@@ -421,16 +476,16 @@ def _law_density(x, c: float, eta: float):
 def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     """Tabulate the asymptotic density on an edge-aware grid.
 
-    Equal weights use the closed form; eta != 1 inverts the cubic at every
-    node in one batched solve, over the discriminant support.  Nodes are
-    sin^2-clustered at every support edge and geometrically clustered at
-    the origin, so that atom_weight plus the trapezoid integral of the
-    stored continuous part reproduces unit mass to within 5e-6 (measured
-    over c in [1e-3, 50] and eta in [0.2, 5]; within 5e-7 where
-    |c - 2| >= 0.2).  The critical
-    ratio c = 2 carries an integrable divergence at the origin (|x|^(-1/3)
-    for equal weights, one-sided |x|^(-1/2) otherwise) and gets a grid four
-    times denser, without the origin node itself.
+    Equal weights use the closed form; eta != 1 inverts the cubic on the
+    real axis at every node (``aed_curve``), over the discriminant support.
+    Nodes are sin^2-clustered at every support edge and geometrically
+    clustered at the origin, so that atom_weight plus the trapezoid integral
+    of the stored continuous part reproduces unit mass to within 5e-6
+    (measured over c in [1e-3, 50] and eta in [0.2, 5]; within 5e-7 where
+    |c - 2| >= 0.2).  The critical ratio c = 2 carries an integrable
+    divergence at the origin (|x|^(-1/3) for equal weights, one-sided
+    |x|^(-1/2) otherwise) and gets a grid four times denser, without the
+    origin node itself.
     """
     _check_domain(c, eta)
     _check_count("count", count)

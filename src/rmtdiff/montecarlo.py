@@ -349,13 +349,16 @@ def build_histogram(
 ) -> HistogramResult:
     """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass.
 
-    Raises ``DomainError`` if any value is NaN or infinite.
+    Raises ``DomainError`` if any value is NaN or infinite, if there are no
+    values, or if every value falls in the atom and no ``value_range`` is given.
     """
     if bins < 2:
         raise ValueError("bins must be >= 2")
     values = np.asarray(values, dtype=float).ravel()
     if not np.isfinite(values).all():
         raise DomainError("histogram values must be finite")
+    if values.size == 0:
+        raise DomainError("a histogram needs at least one value")
     total = values.size
     atom_fraction = 0.0
     continuous = values
@@ -364,6 +367,8 @@ def build_histogram(
         atom_fraction = float(mask.sum()) / total
         continuous = values[~mask]
     if value_range is None:
+        if continuous.size == 0:
+            raise DomainError("every value falls in the atom: give value_range")
         value_range = (float(continuous.min()), float(continuous.max()))
     counts, edges = np.histogram(continuous, bins=bins, range=value_range)
     widths = np.diff(edges)

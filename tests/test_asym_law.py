@@ -382,6 +382,53 @@ class TestNumericInversion:
         assert got == aed_curve(np.array([0.5]), c, eta)[0]
 
 
+    @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 0.5), (2.0, 0.5),
+                                        (3.0, 2.0), (1e-6, 20.0), (1e6, 0.05)])
+    def test_real_axis_only(self, c, eta, monkeypatch):
+        # the complex solver is cauchy_transform's alone; the real axis never reaches it
+        def refuse(*args):
+            raise AssertionError("aed_curve called _solve_cubics")
+
+        monkeypatch.setattr(law, "_solve_cubics", refuse)
+        lo, hi = find_support_numeric(c, eta)[0][0], find_support_numeric(c, eta)[-1][1]
+        xs = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), 2 * law._DENSITY_BLOCK + 3)
+        assert np.all(np.isfinite(aed_curve(np.append(xs, 0.0), c, eta)))
+        assert aed_grid(c, eta, count=101).trapezoid_mass() > 0.0
+
+
+class TestSupportGeometryCache:
+    CASES = [(1.0, 1.0), (3.0, 0.5), (1.9375, 2.0), (0.7, 2.0), (2.0, 0.2)]
+
+    @pytest.mark.parametrize("c, eta", CASES)
+    def test_read_only(self, c, eta):
+        for arr in law._support_geometry(c, eta):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+
+    @pytest.mark.parametrize("c, eta", CASES)
+    def test_repeat_calls_agree(self, c, eta):
+        first = [a.copy() for a in law._support_geometry(c, eta)]
+        aed_curve(np.linspace(-1.0, 1.0, 11), c, eta)
+        for a, b in zip(first, law._support_geometry(c, eta)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("c, eta", CASES)
+    def test_support_matches_uncached_roots(self, c, eta):
+        disc, edges = law._discriminant(c, eta)  # not cached: fresh on every call
+        mid = np.polynomial.polynomial.polyval(0.5 * (edges[:-1] + edges[1:]), disc)
+        want: list[list[float]] = []
+        for lo, hi, out in zip(edges[:-1], edges[1:], mid >= 0.0):
+            if out:
+                continue
+            if want and want[-1][1] == lo:
+                want[-1][1] = hi
+            else:
+                want.append([lo, hi])
+        for _ in range(2):
+            assert find_support_numeric(c, eta) == [(float(a), float(b)) for a, b in want]
+
+
 class TestMarchenkoPastur:
     def test_unit_aspect(self):
         cont, atom = marchenko_pastur(2.0, 1.0)

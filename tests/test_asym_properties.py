@@ -180,3 +180,87 @@ def test_weighted_density_at_origin_edge_c2(eta):
         want = _mp_pair_density_scaled(x, 2.0, eta)
         assert abs(g - want) <= 1e-12 * want
     assert np.all(got[~support] == 0.0)
+
+
+# c = 2 puts the support's edge at the origin for eta != 1, where the pair in h = 1/G is
+# O(sqrt|x|) next to an O(1) real root: Vieta's side of the switch
+_INTERIOR_C = [float(c) for c in np.geomspace(1e-6, 1e6, 13)] + [2.0]
+_INTERIOR_ETA = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0]
+
+
+def _mp_pair_and_condition(x: float, c: float, eta: float) -> tuple[float, float]:
+    """|Im G|/pi of the cubic's complex pair at real x, from 40-digit roots in h = 1/G, and
+    its condition number: the relative change of the density per relative rounding of the
+    two terms (u_k, v_k x) that make each coefficient a_k = u_k + v_k x in float.
+
+    The roots h of h^3 + a1 h^2 + a2 h + a3 move by dh/da_k = -h^(3-k)/f'(h), and G = 1/h
+    by -dh/h^2.  Near a support edge, and at large c where the pair sits next to a double
+    root, that number is large whatever the solver: the density then loses about kappa u.
+    """
+    rows = asym_law._cubic_coefficients(c, eta)[:3]  # a3, a2, a1 as (u, v)
+    with mpmath.workdps(40):
+        xm, cm, em = mpmath.mpf(x), mpmath.mpf(c), mpmath.mpf(eta)
+        a3 = em * cm * cm * xm
+        a2 = cm * em * (2 - cm) + cm * (1 - em) * xm
+        a1 = (1 - em) * (1 - cm) - xm
+        roots = mpmath.polyroots([1, a1, a2, a3], maxsteps=400, extraprec=100)
+        h = max(roots, key=lambda r: abs(mpmath.im(r)))
+        slope = 3 * h * h + 2 * a1 * h + a2
+        dg = (1 / (slope * h * h), 1 / (slope * h), 1 / slope)  # dG/da3, dG/da2, dG/da1
+        im = abs(mpmath.im(1 / h))
+        kappa = sum((abs(u) + abs(v * x)) * abs(mpmath.im(d)) for (u, v), d in zip(rows, dg)) / im
+        return float(im / mpmath.pi), float(kappa)
+
+
+def _switch_points(c: float, eta: float, intervals) -> list[float]:
+    """Points just either side of where the cubic's real root in h = 1/G and its complex
+    pair have equal modulus, by np.roots: the real-axis route changes formula there."""
+
+    def excess(x):
+        a3, a2, a1 = (u + v * x for u, v in asym_law._cubic_coefficients(c, eta)[:3])
+        r = np.roots([1.0, a1, a2, a3])
+        return abs(r[np.argmin(np.abs(r.imag))]) - abs(r[np.argmax(np.abs(r.imag))])
+
+    out = []
+    for a, b in intervals:
+        xs = a + (b - a) * np.linspace(1e-3, 1.0 - 1e-3, 41)
+        signs = [excess(x) > 0.0 for x in xs]
+        for lo, hi, s_lo, s_hi in zip(xs[:-1], xs[1:], signs[:-1], signs[1:]):
+            if s_lo == s_hi:
+                continue
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (excess(mid) > 0.0) == s_lo else (lo, mid)
+            out += [lo, hi, lo - 1e-9 * (b - a), hi + 1e-9 * (b - a)]
+    return out
+
+
+@pytest.mark.parametrize("eta", _INTERIOR_ETA)
+@pytest.mark.parametrize("c", _INTERIOR_C)
+def test_real_axis_inversion_against_mpmath(c, eta):
+    # points 1e-6 ... 0.4 of each support interval's width in from each edge (not the
+    # middle: at c = 2, eta = 1 that is the origin, where the density is unbounded),
+    # +-1e-10 ... 1e-3 around the origin where that is inside, and both sides of the
+    # real/pair switch
+    intervals = find_support_numeric(c, eta)
+    ts = (1e-6, 1e-3, 0.25, 0.4)
+    xs = [x for a, b in intervals for t in ts for x in (a + t * (b - a), b - t * (b - a))]
+    xs += [
+        x for x in (s * 10.0**-k for k in (3, 5, 7, 10) for s in (1.0, -1.0))
+        if any(a + 1e-6 * (b - a) <= x <= b - 1e-6 * (b - a) for a, b in intervals)
+    ]
+    xs += _switch_points(c, eta, intervals)
+    got = aed_curve(np.array(xs), c, eta)
+    for x, g in zip(xs, got):
+        want, kappa = _mp_pair_and_condition(x, c, eta)
+        # 1e-11 relative where the density is well conditioned, and where it is not, a
+        # small multiple of what rounding the coefficients alone costs (the parent's
+        # complex route measured at most 11 u kappa over this grid)
+        assert abs(g - want) <= (1e-11 + 32.0 * 2.0**-53 * kappa) * want, (x, g, want, kappa)
+
+
+def test_real_axis_switch_points_are_found():
+    # the Vieta switch is exercised: at (1, 0.05), (1, 20) and (10, 1) the real root's
+    # modulus crosses the pair's inside the support
+    for c, eta in ((1.0, 0.05), (1.0, 20.0), (10.0, 1.0)):
+        assert len(_switch_points(c, eta, find_support_numeric(c, eta))) >= 4

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -294,6 +295,21 @@ class TestHistogram:
             build_histogram(vals, 4, value_range=value_range, atom_threshold=atom_threshold)
         with pytest.raises(ValueError, match="bins"):
             build_histogram(vals, 1)
+
+    @pytest.mark.parametrize(
+        "vals, value_range, atom_threshold, match",
+        [
+            ([], (0.0, 1.0), None, "at least one"),  # used to give NaN densities
+            ([], None, None, "at least one"),  # and numpy's bare ValueError below
+            ([], (0.0, 1.0), 0.5, "at least one"),
+            ([0.5, 0.1], None, 1.0, "atom"),
+        ],
+    )
+    def test_empty_rejected(self, vals, value_range, atom_threshold, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=match):
+                build_histogram(vals, 4, value_range=value_range, atom_threshold=atom_threshold)
 
     def test_l1_distance_self(self):
         params = EnsembleParams(n_small=30, m_large=30, seed=12)
