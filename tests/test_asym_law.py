@@ -381,7 +381,6 @@ class TestNumericInversion:
         assert type(got) is float
         assert got == aed_curve(np.array([0.5]), c, eta)[0]
 
-
     @pytest.mark.parametrize("c, eta", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 0.5), (2.0, 0.5),
                                         (3.0, 2.0), (1e-6, 20.0), (1e6, 0.05)])
     def test_real_axis_only(self, c, eta, monkeypatch):

@@ -254,8 +254,8 @@ def test_real_axis_inversion_against_mpmath(c, eta):
     for x, g in zip(xs, got):
         want, kappa = _mp_pair_and_condition(x, c, eta)
         # 1e-11 relative where the density is well conditioned, and where it is not, a
-        # small multiple of what rounding the coefficients alone costs (the parent's
-        # complex route measured at most 11 u kappa over this grid)
+        # small multiple of what rounding the coefficients alone costs (the complex
+        # solver ``_solve_cubics`` also errs up to 11 u kappa over this grid)
         assert abs(g - want) <= (1e-11 + 32.0 * 2.0**-53 * kappa) * want, (x, g, want, kappa)
 
 
