@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,24 +63,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-
-    @classmethod
-    def parse(cls, text: str) -> "GridSpec":
-        try:
-            lo_s, hi_s, n_s = text.split(":")
-            spec = cls(float(lo_s), float(hi_s), int(n_s))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"grid must be lo:hi:count, got {text!r}"
-            ) from exc
-        if not (spec.lo < spec.hi and spec.count >= 2):
-            raise argparse.ArgumentTypeError("grid requires lo < hi and count >= 2")
-        return spec
+def _grid(text: str) -> tuple[float, float, int]:
+    """argparse type: lo:hi:count with finite lo < hi and count >= 2."""
+    try:
+        lo_s, hi_s, n_s = text.split(":")
+        count = int(n_s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be lo:hi:count, got {text!r}") from None
+    lo, hi = _finite_float(lo_s), _finite_float(hi_s)
+    if not (lo < hi and count >= 2):
+        raise argparse.ArgumentTypeError("grid requires lo < hi and count >= 2")
+    return lo, hi, count
 
 
 def _ensemble_args(p: argparse.ArgumentParser) -> None:
@@ -107,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hist", help="histogram of rescaled spectra vs theory")
     _ensemble_args(p)
     p.add_argument("--bins", type=int, default=None, help="bin count (default 60)")
-    p.add_argument("--grid", type=GridSpec.parse, default=None,
+    p.add_argument("--grid", type=_grid, default=None,
                    help="lo:hi:count range and bin count (--grid=-3:3:61 for a negative lo)")
     p.add_argument("--workers", type=int, default=1,
                    help="independent random sub-streams (the output depends on it)")
@@ -180,13 +172,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    grid = args.grid
     bins = 60 if args.bins is None else args.bins
     value_range = None
-    if grid is not None:
-        if args.bins not in (None, grid.count):
-            raise ValueError(f"--bins {args.bins} differs from the --grid count {grid.count}")
-        bins, value_range = grid.count, (grid.lo, grid.hi)
+    if args.grid is not None:
+        lo, hi, count = args.grid
+        if args.bins not in (None, count):
+            raise ValueError(f"--bins {args.bins} differs from the --grid count {count}")
+        bins, value_range = count, (lo, hi)
     title = f"n={args.n} m={args.m} ({args.samples} samples)" if args.format == "svg" else None
     params = _params(args)
     files = write_hist(

@@ -14,9 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .asym_law import _law_density, _support_intervals, atom_weight
+from .asym_law import _check_density_c, _law_density, _support_intervals, atom_weight
 from .finite_law import single_eigenvalue_marginal
-from .montecarlo import HistogramResult, bin_theory_mass, build_histogram, pooled_spectrum
+from .montecarlo import (
+    HistogramResult,
+    _check_bins,
+    bin_theory_mass,
+    build_histogram,
+    pooled_spectrum,
+)
 from .sampling import EnsembleParams
 from .svgplot import render_xy
 
@@ -55,7 +61,8 @@ def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
 
     Equal weights at n = 2 or 3 use the exact finite-dimension law (what the
     histogram actually estimates there); anything else falls back to the
-    asymptotic density, numerically inverted when the weights differ.  With
+    asymptotic density, numerically inverted when the weights differ; c or
+    eta outside the asymptotic density's range raises ``DomainError``.  With
     an origin atom the threshold is half the smallest |support edge|.
     """
     n = params.n_small
@@ -65,6 +72,7 @@ def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
     if eta == 1.0 and n in (2, 3) and n <= params.m_large:
         density = _exact_marginal(n, params.m_large, p)
         return TheoryOverlay(density, atom_weight=0.0, atom_threshold=None, label=f"exact n={n}")
+    _check_density_c(c, eta)
     atom = atom_weight(c, eta)
     threshold = None
     if atom > 0.0:
@@ -91,15 +99,15 @@ def run_hist(
     the atom window |x| < threshold (gap half-width, present when the
     origin carries a point mass) are excluded from the bins but kept in the
     normalization denominator, so the continuous parts are comparable.
-    Bad ``bins``, ``samples`` or ``workers``, and N = 1 (where every draw
-    is the constant p - q), raise ``ValueError`` before any draw.
+    Bad ``bins``, ``samples``, ``workers`` or ``value_range``, N = 1 (where
+    every draw is the constant p - q), and a theory overlay out of range
+    raise ``ValueError`` before any draw.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    _check_bins(bins, value_range)
     if params.n_small < 2:
         raise ValueError("a histogram needs N >= 2: for N = 1 every draw is the constant p - q")
-    pooled = pooled_spectrum(params, samples, workers=workers, rescaled=True)
     overlay = theory_overlay(params)
+    pooled = pooled_spectrum(params, samples, workers=workers, rescaled=True)
     hist = build_histogram(
         pooled, bins, value_range=value_range, atom_threshold=overlay.atom_threshold
     )

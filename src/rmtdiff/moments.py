@@ -250,13 +250,14 @@ def continuous_mass(c: float, eta: float = 1.0) -> float:
     return _against_density(np.ones_like, c, eta)[0]
 
 
+@_float_range
 def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
     """Quadrature oracle for the absolute moment, independent of the closed form.
 
     Integrates |x|^z against the density with a sin^2 substitution absorbing
     the square-root edge vanishing.  Raises QuadratureFailure if the error
     estimate (the gap between the last two Gauss-Legendre orders) exceeds
-    1e-7 of the result.
+    1e-7 of the result, and DomainError past the float range.
     """
     if not (isinstance(z, numbers.Real) and 0.0 < z < math.inf):
         raise DomainError(f"z must be real, finite and positive, got {z!r}")

@@ -340,6 +340,15 @@ class HistogramResult:
         return np.diff(self.bin_edges)
 
 
+def _check_bins(bins: int, value_range: tuple[float, float] | None) -> None:
+    """Raise ValueError below 2 bins, and DomainError unless ``value_range`` is None
+    or finite with lo < hi."""
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
+    if value_range is not None and not -np.inf < value_range[0] < value_range[1] < np.inf:
+        raise DomainError(f"value_range must be finite with lo < hi, got {value_range!r}")
+
+
 def build_histogram(
     values: np.ndarray,
     bins: int,
@@ -350,10 +359,10 @@ def build_histogram(
     """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass.
 
     Raises ``DomainError`` if any value is NaN or infinite, if there are no
-    values, or if every value falls in the atom and no ``value_range`` is given.
+    values, if every value falls in the atom and no ``value_range`` is given,
+    or if ``value_range`` is not finite with lo < hi.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    _check_bins(bins, value_range)
     values = np.asarray(values, dtype=float).ravel()
     if not np.isfinite(values).all():
         raise DomainError("histogram values must be finite")

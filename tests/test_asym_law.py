@@ -400,10 +400,10 @@ class TestSupportGeometryCache:
 
     @pytest.mark.parametrize("c, eta", CASES)
     def test_read_only(self, c, eta):
-        for arr in law._support_geometry(c, eta):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = arr[-1]
+        edges = law._support_geometry(c, eta)
+        assert not edges.flags.writeable
+        with pytest.raises(ValueError):
+            edges[0] = edges[-1]
 
     @pytest.mark.parametrize("c, eta", CASES)
     def test_repeat_calls_agree(self, c, eta):
@@ -784,3 +784,30 @@ class TestSmallC:
         assert atom_weight(1e-20) == 0.0
         assert trace_distance_asymptotic(1e-300) > 0.0
         assert distance_to_mixed_asymptotic(1e-300) > 0.0
+
+
+def _eta_routes():
+    from rmtdiff.moments import continuous_mass
+
+    return [
+        lambda eta: aed_curve(np.array([0.5, 2.0]), 5.0, eta),
+        lambda eta: aed_grid(5.0, eta),
+        lambda eta: find_support_numeric(1.0, eta),
+        lambda eta: continuous_mass(1.0, eta),
+    ]
+
+
+class TestEtaRange:
+    # unchecked, aed_grid(5, 1e40) lost the rho1 band (1, 9) and read a mass of 0.8
+    @pytest.mark.parametrize("call", _eta_routes(), ids=["curve", "grid", "support-numeric", "mass"])
+    def test_outside_the_range_raises(self, call):
+        for eta in (10.0 * law._ETA_MAX, 0.1 / law._ETA_MAX, 1e40, 1e-90):
+            with pytest.raises(DomainError, match="eta"):
+                call(eta)
+
+    def test_at_the_ends_within_1e9(self):
+        from rmtdiff.moments import continuous_mass
+
+        for eta in (law._ETA_MAX, 1.0 / law._ETA_MAX):
+            for c in (1.0, 5.0):
+                assert abs(atom_weight(c, eta) + continuous_mass(c, eta) - 1.0) < 1e-9

@@ -99,6 +99,14 @@ class TestOtherCommands:
         assert lines[0] == "x,density"
         assert lines[-1].startswith("# atom_weight=")
 
+    def test_aed_svg(self, tmp_path, monkeypatch):
+        import xml.etree.ElementTree as ET
+
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["aed", "--c", "2.5", "--count", "301", "--format", "svg"]) == 0
+        root = ET.parse(tmp_path / "aed.svg").getroot()
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+
     def test_aed_from_dims(self, tmp_path):
         out = tmp_path / "aed.csv"
         assert run_cli(["aed", "--n", "10", "--m", "20", "--count", "301",
@@ -232,6 +240,8 @@ class TestExitCodes:
             ["moments", "--c", "1.0", "--z", "1", "--z=-inf"],
             ["distance", "--c", "0.5", "nan"],
             ["hist", "--n", "4", "--m", "4", "--q", "nan"],
+            ["hist", "--n", "4", "--m", "4", "--grid=0:inf:10"],
+            ["hist", "--n", "4", "--m", "4", "--grid=-inf:1:10"],
         ],
     )
     def test_non_finite_float_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
@@ -241,6 +251,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["aed", "--c", "5", "--eta", "1e40"], ["aed", "--c", "5", "--eta", "1e90"],
+         ["hist", "--n", "50", "--m", "10", "--q", "1e40"]],
+    )
+    def test_weight_ratio_out_of_range_is_3_before_sampling(self, argv, tmp_path, monkeypatch, capsys):
+        # unchecked, aed lost the rho1 band and hist counted every rho1 eigenvalue as atom
+        from rmtdiff import montecarlo
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the weight ratio was checked")
+
+        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        out = tmp_path / "o.csv"
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert "eta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_is_3(self, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"

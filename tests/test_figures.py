@@ -52,6 +52,15 @@ class TestFigures:
         for c, v in zip(cs, vals):
             assert v == pytest.approx(trace_distance_asymptotic(float(c)), abs=0.01)
 
+    def test_fig5_svg_has_one_dot_per_c(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        from rmtdiff.figures import _FIG5_DOT_CS
+
+        run_fig("fig5", str(tmp_path), fast=True, svg=True)
+        root = ET.parse(tmp_path / "fig5.svg").getroot()
+        assert len(root.findall(".//{http://www.w3.org/2000/svg}circle")) == len(_FIG5_DOT_CS) == 6
+
     def test_fig6_files(self, tmp_path):
         files = run_fig("fig6", str(tmp_path), fast=True, svg=False)
         assert {f.split("/")[-1] for f in files} == {"fig6l.csv", "fig6r.csv"}

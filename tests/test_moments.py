@@ -438,8 +438,10 @@ class TestFloatRange:
             lambda: even_moment(3, 1e200),
             lambda: even_moment(150, 50.0),
             lambda: even_moment(300, 1.0),
+            lambda: moment_via_quadrature(400, 5.0),
         ],
-        ids=["abs-6-1e200", "abs-800-1", "even-3-1e200", "even-150-50", "even-300-1"],
+        ids=["abs-6-1e200", "abs-800-1", "even-3-1e200", "even-150-50", "even-300-1",
+             "quad-400-5"],
     )
     def test_beyond_float_range_raises(self, call):
         with warnings.catch_warnings():

@@ -311,6 +311,22 @@ class TestHistogram:
             with pytest.raises(DomainError, match=match):
                 build_histogram(vals, 4, value_range=value_range, atom_threshold=atom_threshold)
 
+    @pytest.mark.parametrize(
+        "value_range",
+        [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0)],
+    )
+    def test_bad_range_rejected_before_any_draw(self, value_range, monkeypatch):
+        # unchecked, numpy raised a bare ValueError, and (1, 1) was widened to (0.5, 1.5)
+        with pytest.raises(DomainError, match="value_range"):
+            build_histogram([0.1, 0.5, 0.7], 4, value_range=value_range)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the range was checked")
+
+        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        with pytest.raises(DomainError, match="value_range"):
+            run_hist(EnsembleParams(n_small=4, m_large=4, seed=1), 50, 4, value_range=value_range)
+
     def test_l1_distance_self(self):
         params = EnsembleParams(n_small=30, m_large=30, seed=12)
         hist, overlay, _ = run_hist(params, 400)
