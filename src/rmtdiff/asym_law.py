@@ -5,8 +5,9 @@ rho1 - rho2 is the free additive convolution of a Marchenko-Pastur law with
 its reflection.  Its Cauchy transform G satisfies a cubic equation
 (``cauchy_transform`` returns the physical root at Im z > 0, the one of
 smallest Im G), and the density is -Im G(x + i0)/pi.  The symmetric case
-(equal weights) has the closed form implemented in ``aed_symmetric``, one
-NumPy expression for scalars and arrays.  ``aed_curve`` (the weighted case
+(equal weights) has the closed form implemented in ``aed_symmetric``: one
+set of per-c constants, cached, read by a float path for scalars and a NumPy
+path for arrays that give the same bits.  ``aed_curve`` (the weighted case
 eta = q/p != 1, and equal weights as a check) inverts the cubic at all real
 query points at once in real arithmetic: for real x its coefficients are
 real, so inside the support G(x + i0) is one of a complex-conjugate pair of
@@ -127,16 +128,42 @@ def _eta_excess(x, c: float):
     Below the transition (u > 0) eta - 1 is
     x^2 [13.5c - 9x^2 (s + 1/2) / (u (s+1)^2)] / (u^2 + 3x^2)^{3/2} with
     s = sqrt(1 + 3x^2/u^2), which cancels nothing as x -> 0 or c -> 0.
-    Powers are products, so a scalar and an array give the same bits.
+    Powers are products, and a float x takes ``math.sqrt``, which rounds as
+    ``np.sqrt`` does, so a float and an array give the same bits.
     """
+    sqrt = np.sqrt if isinstance(x, np.ndarray) else math.sqrt
     u = 2.0 - c
     x2 = x * x
     q = u * u + 3.0 * x2
-    r = q * np.sqrt(q)
+    r = q * sqrt(q)
     if u <= 0.0:
         return ((9.0 * (c + 1.0) * x2 + u**3) / r - 1.0) / x2
-    s = np.sqrt(1.0 + 3.0 * x2 / (u * u))
+    s = sqrt(1.0 + 3.0 * x2 / (u * u))
     return (13.5 * c - 9.0 * x2 * (s + 0.5) / (u * (s + 1.0) * (s + 1.0))) / r
+
+
+@functools.lru_cache(maxsize=256)
+def _symmetric_constants(c: float) -> tuple[float, float, float, float, float]:
+    """(lo, hi, u, origin, x_flat) of the equal-weight density at c, computed once per c.
+
+    The density is positive for lo < |x| < hi (lo = x_minus, or 0 up to
+    c = 2), u = 2 - c, origin is its value at x = 0 (finite below the
+    transition, the integrable |x|^(-1/3) divergence at it, in the gap above)
+    and below x_flat the relative x^2 term (c + 1/2) x^2 / (c u^3) is under
+    2^-54, so the density rounds to origin there.  c outside [``_C_MIN``,
+    ``_C_MAX``] raises ``DomainError``.
+    """
+    _check_domain(c)
+    _check_density_c(c)
+    x_minus, x_plus = support_points(c)
+    u = 2.0 - c
+    origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
+    x_flat = math.sqrt(2.0**-54 * c * u**3 / (c + 0.5)) if u > 0.0 else 0.0
+    return x_minus or 0.0, x_plus, u, origin, x_flat
+
+
+# Scalars that ``aed_symmetric`` evaluates in float arithmetic; anything else is an array.
+_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def aed_symmetric(x, c: float):
@@ -150,15 +177,42 @@ def aed_symmetric(x, c: float):
     value keeps its relative precision at small c and near x = 0, where
     the exact limit 1/(pi sqrt(c(2-c))) is returned once |x| is too small to
     change it.  At c = 2 the value follows (6 sqrt(3)/|x|)^(1/3)/(4 pi) down
-    to the smallest subnormal |x|, and is inf at x = 0.  An array
-    keeps its shape; a scalar gives a float, bit for bit the array's entry.
-    c outside [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7] raises ``DomainError``.
+    to the smallest subnormal |x|, and is inf at x = 0.  An array (a 0-d
+    array or a list too) keeps its shape; a scalar gives a float, bit for bit
+    the array's entry.  c outside [``_C_MIN``, ``_C_MAX``] = [3e-10, 1e7]
+    raises ``DomainError``.
+
+    Both paths read the per-c constants of ``_symmetric_constants``.  A
+    scalar is evaluated in float arithmetic, returning 0 or the origin value
+    before any 0/0 or square root of a negative can arise; ``math.sqrt`` is
+    correctly rounded, as ``np.sqrt`` is.  ``log1p``, ``sinh`` and ``log``
+    stay NumPy ufuncs on the float: ``math.log1p`` differs from ``np.log1p``
+    in the last bit at a few per cent of points, which would break the
+    scalar's bit identity with the array.
     """
+    lo, hi, u, origin, x_flat = _symmetric_constants(c)
+    if isinstance(x, _REAL_SCALARS):
+        ax = abs(float(x))
+        if not math.isfinite(ax):
+            raise DomainError("x must be finite")
+        if ax <= x_flat:
+            return origin
+        if ax <= lo or ax >= hi:
+            return 0.0
+        if u == 0.0:  # hi = 3 sqrt(3) exactly, so r <= 1
+            r = ax / (3.0 * _SQRT3)
+            ell = np.log1p(math.sqrt((1.0 - r) * (1.0 + r))) + math.log(3.0 * _SQRT3) - np.log(ax)
+            pre = 1.0 / (2.0 * math.pi)
+        else:
+            d = _eta_excess(ax, c)
+            if not d >= 0.0:  # rounding just inside an edge
+                return 0.0
+            t = ax * math.sqrt(d)
+            ell = np.log1p(t * (t + math.sqrt(t * t + 2.0)))
+            pre = math.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
+        return float(pre * np.sinh(ell / 3.0))
     ax = np.abs(np.asarray(x, dtype=float))
     _check_domain(c, 1.0, ax)
-    _check_density_c(c)
-    x_minus, x_plus = support_points(c)
-    u = 2.0 - c
     with np.errstate(all="ignore"):
         if u == 0.0:  # eta = 3 sqrt(3)/|x|: arccosh eta = log(eta) + log1p(sqrt(1 - 1/eta^2))
             r = ax / (3.0 * _SQRT3)  # neither x^2 nor 1/|x| appears, so none over- or underflows
@@ -168,14 +222,9 @@ def aed_symmetric(x, c: float):
             t = ax * np.sqrt(_eta_excess(ax, c))  # sqrt(d), free of underflow in x^2
             ell = np.log1p(t * (t + np.sqrt(t * t + 2.0)))
             pre = np.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
-        val = np.asarray(pre * np.sinh(ell / 3.0))  # 0-d for a scalar x, masked in place below
-    # finite below the transition, integrable |x|^(-1/3) divergence at it, in the gap above
-    origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
-    # below x_flat the relative x^2 term (c + 1/2) x^2 / (c u^3) is under 2^-54, so the
-    # density rounds to its origin value; pre would overflow at subnormal |x|
-    x_flat = math.sqrt(2.0**-54 * c * u**3 / (c + 0.5)) if u > 0.0 else 0.0
-    val[np.isnan(val) | (ax <= (x_minus or 0.0)) | (ax >= x_plus)] = 0.0
-    val[ax <= x_flat] = origin
+        val = np.asarray(pre * np.sinh(ell / 3.0))  # 0-d for a 0-d x, masked in place below
+    val[np.isnan(val) | (ax <= lo) | (ax >= hi)] = 0.0
+    val[ax <= x_flat] = origin  # pre would overflow at subnormal |x|
     return float(val) if val.ndim == 0 else val
 
 
@@ -440,9 +489,10 @@ def _interval_grid(a: float, b: float, k: int) -> np.ndarray:
     return a + (b - a) * np.sin(th) ** 2
 
 
-def _support_grid(intervals, lo, hi, count, origin_scale: float):
+def _support_grid(intervals, lo, hi, count, origin_scales):
+    """Interval nodes plus a geometric cluster, mirrored about the origin, on each origin scale."""
     k = max(501, count // max(len(intervals), 1))
-    extra = origin_scale * np.geomspace(1e-13, 0.3, 400)
+    extra = np.outer(origin_scales, np.geomspace(1e-13, 0.3, 400)).ravel()
     pts = [np.linspace(lo, hi, 101), extra, -extra]
     for a, b in intervals:
         pts.append(_interval_grid(a, b, k))
@@ -477,18 +527,21 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     |c - 2| >= 0.2).  The critical ratio c = 2 carries an integrable
     divergence at the origin (|x|^(-1/3) for equal weights, one-sided
     |x|^(-1/2) otherwise) and gets a grid four times denser, without the
-    origin node itself.  At the ends of the eta range, 1e-8 and 1e8, the
-    same c grid gives 4.8e-6 (at c = 1) away from c = 2, but 1.8e-2 at c = 2;
-    ``moments.continuous_mass`` stays within 3.6e-11 there.
+    origin node itself; its origin cluster takes the scale of each side,
+    -lo and hi, which part like eta, so the narrow side's spike is resolved.
+    At the ends of the eta range, 1e-8 and 1e8, the same c grid gives 4.8e-6
+    (at c = 1); at c = 2 it stays within 5e-6 from eta = 1e-8 to 1e8.
     """
     _check_domain(c, eta)
     _check_count("count", count)
     intervals = _support_intervals(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
+    scales = [max(-lo, hi)]
     if c == 2.0:
         count *= 4
+        scales = [-lo, hi]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 1.1  # 10 % padding around the support
-    grid = _support_grid(intervals, mid - half, mid + half, count, max(-lo, hi))
+    grid = _support_grid(intervals, mid - half, mid + half, count, scales)
     if c == 2.0:
         grid = grid[grid != 0.0]  # density unbounded exactly at the origin
     x_minus = support_points(c)[0] if eta == 1.0 else None

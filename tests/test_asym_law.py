@@ -197,6 +197,59 @@ class TestSymmetricDensityArrays:
             assert np.allclose(aed_symmetric(x, 2.0), want, rtol=1e-12, atol=0.0)
 
 
+class TestSymmetricDensityScalarPath:
+    CS = [3e-10, 1e-3, 1.0, 1.999, 2.0, 2.000001, 2.001, 3.0, 1e7]
+
+    @staticmethod
+    def points(c):
+        x_minus, x_plus = support_points(c)
+        pts = [0.0, -0.0, 1e-310, 5e-324]
+        for edge in [x_plus] + ([x_minus] if x_minus else []):
+            pts += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf)]
+        pts += list(np.linspace(0.0, 1.1 * x_plus, 21)[1:])
+        return np.array(pts + [-x for x in pts])
+
+    @pytest.mark.parametrize("c", CS)
+    def test_scalars_match_array_bitwise(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = self.points(c)
+            want = aed_symmetric(xs, c)
+            for x, w in zip(xs, want):
+                for scalar in (float(x), np.float64(x), np.array(x)):
+                    got = aed_symmetric(scalar, c)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == w.tobytes(), (scalar, c)
+
+    @pytest.mark.parametrize("c", CS)
+    def test_int_and_float32_inputs(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = np.array([0, 1, -2, 3, 5000], dtype=np.int64)
+            want = aed_symmetric(xs.astype(float), c)
+            for k, x in enumerate(xs):
+                for scalar in (int(x), x):
+                    got = aed_symmetric(scalar, c)
+                    assert type(got) is float and np.float64(got).tobytes() == want[k].tobytes()
+            xs32 = self.points(c).astype(np.float32)
+            want = aed_symmetric(xs32.astype(float), c)
+            for k, x in enumerate(xs32):
+                got = aed_symmetric(x, c)
+                assert type(got) is float and np.float64(got).tobytes() == want[k].tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_raises(self, bad):
+        for x in (bad, np.float64(bad), np.float32(bad)):
+            with pytest.raises(DomainError, match="x must be finite"):
+                aed_symmetric(x, 1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, -1.0, 0.0, 1e8, 1e-11])
+    def test_bad_c_raises_before_bad_x(self, c):
+        for x in (math.nan, math.inf, np.array([math.nan])):
+            with pytest.raises(DomainError, match="^c "):
+                aed_symmetric(x, c)
+
+
 class TestSupportMask:
     def test_zero_just_outside_every_edge(self):
         # a narrow gap (0.00125, 0.00244): 1.2e-8 from each edge the discriminant
@@ -556,6 +609,13 @@ class TestAedResult:
     def test_weighted_grid_mass(self):
         res = aed_grid(1.0, eta=0.2)
         assert res.trapezoid_mass() + res.atom_weight == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [1e-8, 1e-6, 1e-4, 0.2, 5.0, 1e4, 1e6, 1e8])
+    def test_unit_mass_at_transition_across_eta(self, eta):
+        # the two sides' widths part like eta; a cluster on one shared scale
+        # missed the narrow side's |x|^(-1/2) spike (1.8e-2 at eta = 1e8)
+        res = aed_grid(2.0, eta)
+        assert abs(res.atom_weight + res.trapezoid_mass() - 1.0) <= 5e-6
 
 
 class TestRankAtomRegression:
