@@ -15,9 +15,9 @@ from rmtdiff import (
     EnsembleParams,
     build_psi_poly,
     derivative_principle_selftest,
+    difference_spectra,
     joint_eigen_density,
     n2_exact_density,
-    pooled_spectrum,
     single_eigenvalue_marginal,
 )
 
@@ -39,7 +39,7 @@ for t in (0.1, 0.3, 0.5):
 
 # Monte Carlo vs the exact n=2 law
 params = EnsembleParams(n_small=2, m_large=10, seed=11)
-pool = pooled_spectrum(params, 30_000, rescaled=False)
+pool = difference_spectra(params, 30_000, rescaled=False).ravel()
 hist, edges = np.histogram(pool, bins=60, range=(-0.8, 0.8), density=True)
 centers = 0.5 * (edges[:-1] + edges[1:])
 curve = np.array([n2_exact_density(float(x), 10) for x in centers])
@@ -49,7 +49,7 @@ print(f"L1(exact n=2 law, MC histogram of 30000 draws) = {l1:.4f}")
 # n=3: the exact marginal, a polynomial integrated from the joint law, against Monte Carlo
 xs = np.linspace(-0.95, 0.95, 39)
 marg = single_eigenvalue_marginal(3, 3, xs)
-pool3 = pooled_spectrum(EnsembleParams(3, 3, seed=12), 30_000, rescaled=False)
+pool3 = difference_spectra(EnsembleParams(3, 3, seed=12), 30_000, rescaled=False).ravel()
 hist3, edges3 = np.histogram(pool3, bins=39, range=(-0.975, 0.975), density=True)
 l1_3 = float(np.mean(np.abs(hist3 - marg)) * 1.95)
 print(f"L1(n=3 marginal, MC histogram)                 = {l1_3:.4f}")

@@ -10,7 +10,7 @@ spectrum is no longer symmetric; its mean is p - q in original units
 
 import numpy as np
 
-from rmtdiff import EnsembleParams, aed_curve, pooled_spectrum
+from rmtdiff import EnsembleParams, aed_curve, difference_spectra
 from rmtdiff.asym_law import find_support_numeric
 from rmtdiff.harness import run_hist
 from rmtdiff.montecarlo import l1_distance
@@ -30,5 +30,5 @@ for c, eta, n, m in ((1.0, 0.2, 50, 50), (0.5, 2.0, 50, 100)):
 
 # pooled mean of the rescaled spectrum estimates 1 - eta as well
 params = EnsembleParams(n_small=40, m_large=40, weight_q=0.2, seed=405)
-pool = pooled_spectrum(params, 2000, rescaled=True)
+pool = difference_spectra(params, 2000, rescaled=True).ravel()
 print(f"\npooled rescaled mean at eta=0.2: {pool.mean():.5f} (expect 0.8)")

@@ -39,7 +39,6 @@ from .sampling import (
     sample_pure_state_reduced,
     von_neumann_entropy,
 )
-from .specfun import hyp2f1
 from .finite_law import (
     OrthantPiecewisePoly,
     build_psi_poly,
@@ -75,7 +74,6 @@ from .montecarlo import (
     l1_distance,
     mean_entropy_mc,
     operator_norm_mc,
-    pooled_spectrum,
     trace_distance_mc,
 )
 

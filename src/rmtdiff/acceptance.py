@@ -40,10 +40,10 @@ from .moments import (
 )
 from .montecarlo import (
     build_histogram,
+    difference_spectra,
     l1_distance,
     mean_entropy_mc,
     operator_norm_mc,
-    pooled_spectrum,
     trace_distance_mc,
 )
 from .sampling import EnsembleParams, page_entropy_mean
@@ -96,7 +96,7 @@ def ac02_closed_vs_inversion(level: str) -> CriterionResult:
 def ac03_atom_fraction(level: str) -> CriterionResult:
     params = EnsembleParams(n_small=100, m_large=20, seed=303)
     samples = _scale(level, 3000)
-    pooled = pooled_spectrum(params, samples, rescaled=True)
+    pooled = difference_spectra(params, samples, rescaled=True).ravel()
     x_minus, _ = support_points(params.dim_ratio)
     frac = float(np.mean(np.abs(pooled) < 0.5 * x_minus))
     return _result("AC-03", frac, 0.600, _tol(level, 0.02), detail=f"{samples} samples")
@@ -161,7 +161,7 @@ def ac07_n3_joint_law(level: str) -> CriterionResult:
     coincide_ok = joint_eigen_density((0.2, 0.2, -0.4), 3, 3) == 0.0
     params = EnsembleParams(n_small=3, m_large=3, seed=307)
     samples = _scale(level, 30_000)
-    pooled = pooled_spectrum(params, samples, rescaled=False)
+    pooled = difference_spectra(params, samples, rescaled=False).ravel()
     hist = build_histogram(pooled, 60, value_range=(-1.0, 1.0))
     centers = hist.centers
     theory_vals = single_eigenvalue_marginal(3, 3, centers)

@@ -21,7 +21,7 @@ from .montecarlo import (
     _check_bins,
     bin_theory_mass,
     build_histogram,
-    pooled_spectrum,
+    difference_spectra,
 )
 from .sampling import EnsembleParams
 from .svgplot import render_xy
@@ -107,7 +107,7 @@ def run_hist(
     if params.n_small < 2:
         raise ValueError("a histogram needs N >= 2: for N = 1 every draw is the constant p - q")
     overlay = theory_overlay(params)
-    pooled = pooled_spectrum(params, samples, workers=workers, rescaled=True)
+    pooled = difference_spectra(params, samples, workers=workers, rescaled=True).ravel()
     hist = build_histogram(
         pooled, bins, value_range=value_range, atom_threshold=overlay.atom_threshold
     )

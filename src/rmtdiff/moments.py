@@ -1,9 +1,10 @@
 """Absolute moments of the asymptotic density and distance measures.
 
 The closed moment formula (a Gauss hypergeometric in c/2 or 2/c depending on
-the branch) is paired with an independent quadrature oracle built on the
-density itself; the trace distance is the first absolute moment halved, the
-operator norm distance is the upper support edge over N.
+the branch, summed by the private ``specfun._hyp2f1``) is paired with an
+independent quadrature oracle built on the density itself; the trace distance is
+the first absolute moment halved, the operator norm distance is the upper support
+edge over N.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .asym_law import _check_domain, _law_density, _support_intervals, support_points
 from .errors import DomainError, QuadratureFailure
 from .sampling import _check_count
-from .specfun import _gammas, hyp2f1
+from .specfun import _gammas, _hyp2f1
 
 __all__ = [
     "absolute_moment",
@@ -82,16 +83,19 @@ def absolute_moment(z, c: float):
     nothing there.  c >= 2 takes the 2F1 in 2/c, which at c = 2 is Gauss's
     sum; c < 2 takes the 2F1 in c/2.  A terminating series is summed exactly
     at any c: even orders on both sides, every positive integer order above
-    c = 2.  Near c = 2 ``hyp2f1`` takes its argument to 1 through the 1 - x
+    c = 2.  Near c = 2 ``_hyp2f1`` takes its argument to 1 through the 1 - x
     connection formula, as c' - a - b = 1 + 3z/2 has Re > 0 on both sides.
-    Returns a float for real order, complex otherwise; DomainError past the float range.
+    Returns a float for real order, complex otherwise; DomainError for a
+    non-numeric z and past the float range.
     """
+    if not isinstance(z, numbers.Number):  # complex() would parse a string
+        raise DomainError(f"absolute moment requires a numeric order z, got {z!r}")
     zc = complex(z)
     if not (zc.real > 0.0 and cmath.isfinite(zc)):
         raise DomainError(f"absolute moment requires a finite z with Re(z) > 0, got {z!r}")
     _check_domain(c)
     pre, *args = _branch(zc, c)
-    val = pre * hyp2f1(*args)
+    val = pre * _hyp2f1(*args)
     return val.real if zc.imag == 0.0 and not isinstance(z, complex) else val
 
 

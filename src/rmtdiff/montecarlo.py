@@ -55,6 +55,7 @@ diagonal, bottom-block chi^2, bottom-block normals.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 import queue
 import threading
@@ -70,7 +71,6 @@ from .sampling import EnsembleParams, _check_count, _reduced_density_batch, von_
 
 __all__ = [
     "difference_spectra",
-    "pooled_spectrum",
     "HistogramResult",
     "build_histogram",
     "bin_theory_mass",
@@ -300,21 +300,6 @@ def difference_spectra(
     return out
 
 
-def pooled_spectrum(
-    params: EnsembleParams,
-    n_samples: int,
-    *,
-    workers: int = 1,
-    rescaled: bool = True,
-) -> np.ndarray:
-    """All eigenvalues of n_samples draws pooled into one array.
-
-    Draws are split across ``workers`` sub-streams and joined in stream
-    order, so the output is deterministic for fixed (seed, workers).
-    """
-    return difference_spectra(params, n_samples, workers=workers, rescaled=rescaled).ravel()
-
-
 @dataclass(frozen=True)
 class HistogramResult:
     """Normalized histogram of pooled eigenvalues.
@@ -341,10 +326,10 @@ class HistogramResult:
 
 
 def _check_bins(bins: int, value_range: tuple[float, float] | None) -> None:
-    """Raise ValueError below 2 bins, and DomainError unless ``value_range`` is None
-    or finite with lo < hi."""
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    """Raise ValueError unless ``bins`` is an integer >= 2, and DomainError unless
+    ``value_range`` is None or finite with lo < hi."""
+    if not isinstance(bins, numbers.Integral) or bins < 2:
+        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
     if value_range is not None and not -np.inf < value_range[0] < value_range[1] < np.inf:
         raise DomainError(f"value_range must be finite with lo < hi, got {value_range!r}")
 
@@ -358,9 +343,9 @@ def build_histogram(
 ) -> HistogramResult:
     """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass.
 
-    Raises ``DomainError`` if any value is NaN or infinite, if there are no
-    values, if every value falls in the atom and no ``value_range`` is given,
-    or if ``value_range`` is not finite with lo < hi.
+    Raises ``ValueError`` unless ``bins`` is an integer >= 2, and ``DomainError`` if a
+    value is NaN or infinite, if there are none, if every value falls in the atom
+    and no ``value_range`` is given, or if ``value_range`` is not finite with lo < hi.
     """
     _check_bins(bins, value_range)
     values = np.asarray(values, dtype=float).ravel()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def _mix64(v: int) -> int:
 
 
 def worker_seed(master_seed: int, worker: int) -> int:
-    """Derive the sub-stream key for one worker from the master seed."""
-    return _mix64((master_seed & _MASK64) ^ _mix64(worker + 1))
+    """Derive the sub-stream key for one worker from the master seed; NumPy integers act as ints."""
+    return _mix64((operator.index(master_seed) & _MASK64) ^ _mix64(operator.index(worker) + 1))
 
 
 def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
@@ -92,6 +93,9 @@ class EnsembleParams:
     def __post_init__(self):
         _check_count("n_small", self.n_small)
         _check_count("m_large", self.m_large)
+        if not isinstance(self.seed, numbers.Integral):
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))  # frozen: a NumPy integer becomes its int
         if not (0.0 < self.weight_p < math.inf and 0.0 < self.weight_q < math.inf):
             raise DomainError(
                 f"weights must be finite and positive, got {self.weight_p!r}, {self.weight_q!r}"

@@ -1,10 +1,10 @@
 """Special functions: Gauss 2F1 and Laguerre-type weights.
 
-Everything here is scalar, pure and stateless.  The hypergeometric evaluator
-sums a terminating series exactly, and otherwise takes one route per range of
-x: Pfaff's transformation on (-1, 0), the power series on [0, 1 - 1e-3], the
-1 - x connection formula above that, and Gauss's sum at x = 1; that covers the
-arguments c/2 and 2/c of the moment formulas, which reach 1 at c = 2.
+Everything here is scalar, pure and stateless.  ``_hyp2f1`` is the private
+evaluator of the moment formula, kept in its domain by ``absolute_moment``.  It
+sums a terminating series exactly, and otherwise takes one route per range of x:
+Pfaff on (-1, 0), the power series on [0, 1 - 1e-3], the 1 - x connection
+formula above that and Gauss's sum at x = 1, which c/2 and 2/c reach at c = 2.
 """
 
 from __future__ import annotations
@@ -12,25 +12,16 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, NoConvergence, PoleError
+from .errors import NoConvergence
 from .sampling import _check_count
 
-__all__ = [
-    "hyp2f1",
-    "laguerre_coefficients",
-]
+__all__ = ["laguerre_coefficients"]
 
 
-def _pochhammer_zero_index(v) -> int | None:
-    """Largest k with (v)_k != 0 when v is a nonpositive integer, else None.
-
-    (v)_j vanishes for all j > k exactly when v = -k with k a nonnegative
-    integer.  Complex values with nonzero imaginary part never terminate.
-    """
+def _nonpositive_integer(v) -> bool:
+    """Whether v is 0, -1, -2, ...: a pole of Gamma, and (v)_j = 0 for all j > -v."""
     v = complex(v)
-    if v.imag != 0.0 or v.real > 0.0 or v.real != int(v.real):
-        return None
-    return int(-v.real)
+    return v.imag == 0.0 and v.real <= 0.0 and v.real == int(v.real)
 
 
 _EPS_REL = 1e-16
@@ -44,7 +35,7 @@ def _gammas(num, den, log=0.0):
     """exp(log) prod Gamma(num) / prod Gamma(den); 0 if a den value is a pole of Gamma."""
     from scipy.special import loggamma  # here, not at module level: scipy costs ~0.3 s to import
 
-    if any(_pochhammer_zero_index(v) is not None for v in den):
+    if any(_nonpositive_integer(v) for v in den):
         return 0.0
     total = 0.0
     for v in num:
@@ -73,7 +64,7 @@ def _near_one(a, b, c, y) -> complex:
     first = _gammas((c, s), (c - a, c - b))
     if abs(e) > _NEAR_INTEGER or first == 0.0:
         second = _gammas((c, -s), (a, b), s * math.log(y))
-        return first * hyp2f1(a, b, 1.0 - s, y) + second * hyp2f1(c - a, c - b, 1.0 + s, y)
+        return first * _hyp2f1(a, b, 1.0 - s, y) + second * _hyp2f1(c - a, c - b, 1.0 + s, y)
     total = first if m else 0.0j  # the first half's terms k < m
     for k in range(1, m):
         first *= (a + k - 1) * (b + k - 1) * y / ((k - s) * k)
@@ -95,8 +86,8 @@ def _near_one(a, b, c, y) -> complex:
     raise NoConvergence(f"2F1 series in 1 - x did not converge within {_MAX_TERMS} terms")
 
 
-def hyp2f1(a, b, c, x) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; x) at real x.
+def _hyp2f1(a, b, c, x) -> complex:
+    """Gauss hypergeometric 2F1(a, b; c; x) at real x: the moment formula's evaluator.
 
     A series that terminates (a or b a nonpositive integer) is summed exactly
     at any x.  Otherwise x alone picks the route, each under its own theorem's condition:
@@ -104,40 +95,25 @@ def hyp2f1(a, b, c, x) -> complex:
     * 0 <= x <= 1 - 1e-3: the power series, until two terms in a row fall below 1e-16 of the sum.
     * 0 < 1 - x < 1e-3: ``_near_one``, if Re s < -1/2 after Euler's (1 - x)^s 2F1(c-a, c-b; c; x).
     * x = 1: Gauss's sum Gamma(c) Gamma(s) / (Gamma(c - a) Gamma(c - b)), if Re s > 0.
-    Here s = c - a - b.  A nonpositive-integer c is only legal when the series
-    terminates strictly before the denominator Pochhammer vanishes; otherwise
-    PoleError.  Non-finite parameters or x, and every other x, raise DomainError.
+    Here s = c - a - b.  Nothing is checked: ``absolute_moment`` requires z finite with
+    Re z > 0 and its ratio c finite and positive, so x = c/2 or 2/c lies in (0, 1],
+    this c (2 or z/2 + 2) is no pole, and s = 1 + 3z/2 has Re s > 0.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"2F1 requires a finite argument, got x = {x}")
-    if not all(cmath.isfinite(complex(v)) for v in (a, b, c)):
-        raise DomainError(f"2F1 requires finite parameters, got a, b, c = {a}, {b}, {c}")
-    za = _pochhammer_zero_index(a)
-    zb = _pochhammer_zero_index(b)
-    term_at = zb if za is None else za if zb is None else min(za, zb)
-    zc = _pochhammer_zero_index(c)
-    if zc is not None and (term_at is None or term_at > zc):
-        raise PoleError(
-            "2F1 denominator parameter c = %s hits a pole at term %d "
-            "before the series terminates" % (c, zc + 1)
-        )
+    terminates = _nonpositive_integer(a) or _nonpositive_integer(b)
     a, b, c = complex(a), complex(b), complex(c)
     s = c - a - b
-    if term_at is None and abs(x) >= 1.0 and (x != 1.0 or s.real <= 0.0):
-        raise DomainError(f"non-terminating 2F1 needs |x| < 1, or Re(c - a - b) > 0 at x = 1, got {x}")
-    if term_at is None and x == 1.0:  # Gauss's sum, DLMF 15.4.20
+    if not terminates and x == 1.0:  # Gauss's sum, DLMF 15.4.20
         return _gammas((c, s), (c - a, c - b))
-    if term_at is None and x < 0.0:  # Pfaff, DLMF 15.8.1: x / (x - 1) lies in (0, 1/2)
-        return (1.0 - x) ** -a * hyp2f1(a, c - b, c, x / (x - 1.0))
-    if term_at is None and 1.0 - x < _NEAR_ONE:  # Euler, DLMF 15.8.1, where Re(c - a - b) < -1/2
+    if not terminates and x < 0.0:  # Pfaff, DLMF 15.8.1: x / (x - 1) lies in (0, 1/2)
+        return (1.0 - x) ** -a * _hyp2f1(a, c - b, c, x / (x - 1.0))
+    if not terminates and 1.0 - x < _NEAR_ONE:  # Euler, DLMF 15.8.1, where Re(c - a - b) < -1/2
         y = 1.0 - x
-        return y ** s * hyp2f1(c - a, c - b, c, x) if s.real < -0.5 else _near_one(a, b, c, y)
+        return y ** s * _hyp2f1(c - a, c - b, c, x) if s.real < -0.5 else _near_one(a, b, c, y)
     total = term = 1.0 + 0.0j
     small_streak = 0
     for k in range(_MAX_TERMS):
         num = (a + k) * (b + k)
-        if num == 0.0:  # terminated; (c)_k does not vanish first, as checked above
+        if num == 0.0:  # terminated; (c)_k does not vanish first, as the caller keeps
             return total
         term = term * num * x / ((c + k) * (k + 1))
         total += term

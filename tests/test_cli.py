@@ -259,12 +259,12 @@ class TestExitCodes:
     )
     def test_weight_ratio_out_of_range_is_3_before_sampling(self, argv, tmp_path, monkeypatch, capsys):
         # unchecked, aed lost the rho1 band and hist counted every rho1 eigenvalue as atom
-        from rmtdiff import montecarlo
+        from rmtdiff import harness
 
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the weight ratio was checked")
 
-        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        monkeypatch.setattr(harness, "difference_spectra", no_draws)
         out = tmp_path / "o.csv"
         assert run_cli(argv + ["--out", str(out)]) == 3
         assert "eta" in capsys.readouterr().err
@@ -286,12 +286,12 @@ class TestExitCodes:
          ["--grid=-3:3:10", "--bins", "20"], ["--n", "0"], ["--m", "-2"]],
     )
     def test_bad_hist_value_exits_2_before_sampling(self, extra, tmp_path, monkeypatch):
-        from rmtdiff import montecarlo
+        from rmtdiff import harness
 
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the arguments were checked")
 
-        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        monkeypatch.setattr(harness, "difference_spectra", no_draws)
         out = tmp_path / "h.csv"
         code = run_cli(["hist", "--n", "4", "--m", "4", "--out", str(out)] + extra)
         assert code == 2
@@ -330,12 +330,12 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_hist_n1_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
-        from rmtdiff import montecarlo
+        from rmtdiff import harness
 
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the arguments were checked")
 
-        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        monkeypatch.setattr(harness, "difference_spectra", no_draws)
         out = tmp_path / "h.csv"
         code = run_cli(["hist", "--n", "1", "--m", "1", "--samples", "5", "--out", str(out)])
         assert code == 2
@@ -358,11 +358,10 @@ class TestExitCodes:
             ("rmtdiff.moments", "rmtdiff.moments.even_moment(3, 1.0); "),
             ("rmtdiff.moments", "rmtdiff.moments.absolute_moment(1, 2.0001); "
                                 "rmtdiff.moments.absolute_moment(3, 5.0); "),
-            ("rmtdiff.specfun", "rmtdiff.specfun.hyp2f1(0.5, 0.5, 1.5, 0.5); "),
-            ("rmtdiff.specfun", "rmtdiff.specfun.hyp2f1(0.5, 0.7, 1.9, -0.9); "),
+            ("rmtdiff.moments", "rmtdiff.moments.absolute_moment(0.5, 5.0); "),
         ],
-        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two", "hyp2f1_series",
-             "hyp2f1_pfaff"],
+        ids=["rmtdiff", "rmtdiff.cli", "even_moment", "absolute_moment_above_two",
+             "absolute_moment_series"],
     )
     def test_import_leaves_scipy_unloaded(self, src_env, module, then):
         # scipy takes ~0.3 s to import; only the calls that use it pay for it

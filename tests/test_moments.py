@@ -93,12 +93,14 @@ class TestAbsoluteMoment:
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     @pytest.mark.parametrize(
         "z", [0.1, 0.25, 0.5, 1.0, 1.5, 3.7, 2 / 3, 2 / 3 + 1e-10, 4 / 3, 8 / 3, 1.5 + 1j, 0.3 + 2j]
+        + [(m + e - 1) / 1.5 for m in (2, 3) for e in (1.1e-3, 2e-3, -1.1e-3, -2e-3)]
     )
     def test_seam_connection_formula(self, z, side, d):
-        # within 1e-3 of argument 1 hyp2f1 sums the connection formula in 1 - x,
+        # within 1e-3 of argument 1 _hyp2f1 sums the connection formula in 1 - x,
         # which carries the (1 - c/2)^(1 + 3z/2) term; c' - a - b = 1 + 3z/2 is the
         # integer 2, 3 or 5 at z = 2/3, 4/3, 8/3 (1.5e-10 off 2 at 2/3 + 1e-10),
-        # where DLMF 15.8.4's two halves cancel
+        # where DLMF 15.8.4's two halves cancel.  The last eight orders put it
+        # 1.1e-3 or 2e-3 off 2 or 3, just past where 15.8.4 takes its limit form
         c = 2.0 + side * d
         want = _mp_moment(z, c)
         assert abs(absolute_moment(z, c) - want) <= 1e-12 * abs(want)
@@ -212,6 +214,12 @@ class TestAbsoluteMoment:
         with pytest.raises(DomainError, match="finite"):
             call()
         assert time.perf_counter() - start < 0.01
+
+    @pytest.mark.parametrize("z", ["2", b"2", None, [2.0]], ids=repr)
+    def test_non_numeric_order_rejected(self, z):
+        # complex() parses a string, so absolute_moment("2", 1.0) returned m_2 = 2.0
+        with pytest.raises(DomainError, match="numeric order"):
+            absolute_moment(z, 1.0)
 
     def test_monotone_power_means(self):
         for c in (0.5, 2.5):

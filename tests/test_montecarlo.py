@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from conftest import sample_difference
-from rmtdiff import montecarlo
+from rmtdiff import harness, montecarlo
 from rmtdiff.errors import DomainError
 from rmtdiff.harness import run_hist, theory_overlay, write_histogram_csv, default_meta
 from rmtdiff.montecarlo import (
@@ -26,7 +26,6 @@ from rmtdiff.montecarlo import (
     l1_distance,
     mean_entropy_mc,
     operator_norm_mc,
-    pooled_spectrum,
     trace_distance_mc,
 )
 from rmtdiff.sampling import (
@@ -162,14 +161,14 @@ class TestReducedKernel:
 class TestPooling:
     def test_deterministic_given_workers(self):
         params = EnsembleParams(n_small=4, m_large=5, seed=9)
-        a = pooled_spectrum(params, 40, workers=3)
-        b = pooled_spectrum(params, 40, workers=3)
+        a = difference_spectra(params, 40, workers=3).ravel()
+        b = difference_spectra(params, 40, workers=3).ravel()
         assert np.array_equal(a, b)
 
     def test_worker_invariance_of_statistics(self):
         params = EnsembleParams(n_small=20, m_large=20, seed=10)
-        a = pooled_spectrum(params, 1000, workers=1)
-        b = pooled_spectrum(params, 1000, workers=8)
+        a = difference_spectra(params, 1000, workers=1).ravel()
+        b = difference_spectra(params, 1000, workers=8).ravel()
         ha = build_histogram(a, 40, value_range=(-6, 6))
         hb = build_histogram(b, 40, value_range=(-6, 6))
         l1 = float(
@@ -179,7 +178,7 @@ class TestPooling:
 
     def test_size(self):
         params = EnsembleParams(n_small=3, m_large=3, seed=11)
-        assert pooled_spectrum(params, 17, workers=4).size == 17 * 3
+        assert difference_spectra(params, 17, workers=4).ravel().size == 17 * 3
 
     @pytest.mark.parametrize("n,m", [(5, 6), (12, 4)])  # full rank, exact zeros
     def test_stream_partition(self, n, m):
@@ -191,7 +190,7 @@ class TestPooling:
             montecarlo._spectra(params, [(make_rng(params.seed, w), count)])
             for w, count in enumerate((5, 4, 4, 4))
         ])
-        pooled = pooled_spectrum(params, 17, workers=4, rescaled=False)
+        pooled = difference_spectra(params, 17, workers=4, rescaled=False).ravel()
         assert np.array_equal(pooled, joined.ravel())
         trace = float(np.sum(np.abs(joined)) * 0.5) / 17
         assert trace_distance_mc(params, 17, workers=4) == trace
@@ -212,7 +211,7 @@ class TestPooling:
         assert got.shape == (17, 12)
         assert np.array_equal(got, joined * 12)
         assert np.array_equal(difference_spectra(params, 17, workers=workers, rescaled=False), joined)
-        assert np.array_equal(pooled_spectrum(params, 17, workers=workers), got.ravel())
+        assert np.array_equal(difference_spectra(params, 17, workers=workers).ravel(), got.ravel())
 
     @pytest.mark.parametrize("n, m, q", [(13, 7, 0.3), (40, 50, 1.0)])
     def test_one_pass_over_all_streams(self, monkeypatch, n, m, q):
@@ -226,7 +225,7 @@ class TestPooling:
             return on_cores(*args)
 
         monkeypatch.setattr(montecarlo, "_on_cores", counting)
-        pooled = pooled_spectrum(params, 100, workers=3, rescaled=False)
+        pooled = difference_spectra(params, 100, workers=3, rescaled=False).ravel()
         assert len(calls) == 1
         streams = [
             montecarlo._spectra(params, [(make_rng(params.seed, w), count)])
@@ -236,15 +235,14 @@ class TestPooling:
         assert np.array_equal(pooled, np.concatenate([s.ravel() for s in streams]))
 
     @pytest.mark.parametrize(
-        "fn", [pooled_spectrum, trace_distance_mc, operator_norm_mc, mean_entropy_mc]
+        "fn", [difference_spectra, trace_distance_mc, operator_norm_mc, mean_entropy_mc]
     )
     def test_zero_samples_raise(self, fn):
         with pytest.raises(ValueError, match="n_samples"):
             fn(EnsembleParams(n_small=3, m_large=3, seed=11), 0)
 
     @pytest.mark.parametrize(
-        "fn", [difference_spectra, pooled_spectrum, trace_distance_mc, operator_norm_mc,
-               mean_entropy_mc]
+        "fn", [difference_spectra, trace_distance_mc, operator_norm_mc, mean_entropy_mc]
     )
     @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
     def test_non_integer_samples_raise(self, fn, count):
@@ -252,7 +250,7 @@ class TestPooling:
             fn(EnsembleParams(n_small=3, m_large=3, seed=11), count)
 
     @pytest.mark.parametrize(
-        "fn", [difference_spectra, pooled_spectrum, trace_distance_mc, operator_norm_mc]
+        "fn", [difference_spectra, trace_distance_mc, operator_norm_mc]
     )
     @pytest.mark.parametrize("workers", [2.5, 0, -1])
     def test_bad_workers_raise(self, fn, workers):
@@ -261,8 +259,9 @@ class TestPooling:
 
     def test_numpy_integer_counts(self):
         params = EnsembleParams(n_small=np.int64(3), m_large=np.int32(4), seed=11)
-        got = pooled_spectrum(params, np.int64(10), workers=np.int64(2))
-        assert np.array_equal(got, pooled_spectrum(EnsembleParams(3, 4, seed=11), 10, workers=2))
+        got = difference_spectra(params, np.int64(10), workers=np.int64(2)).ravel()
+        want = difference_spectra(EnsembleParams(3, 4, seed=11), 10, workers=2).ravel()
+        assert np.array_equal(got, want)
 
 
 class TestHistogram:
@@ -323,9 +322,25 @@ class TestHistogram:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before the range was checked")
 
-        monkeypatch.setattr(montecarlo, "difference_spectra", no_draws)
+        monkeypatch.setattr(harness, "difference_spectra", no_draws)
         with pytest.raises(DomainError, match="value_range"):
             run_hist(EnsembleParams(n_small=4, m_large=4, seed=1), 50, 4, value_range=value_range)
+
+    @pytest.mark.parametrize("bins", [60.0, 2.5, "5", None, 1], ids=repr)
+    def test_non_integer_bins_rejected_before_any_draw(self, bins, monkeypatch):
+        # a float count passed `bins < 2` and failed in numpy, after every draw
+        with pytest.raises(ValueError, match="bins"):
+            build_histogram([0.1, 0.5, 0.7], bins)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before the bin count was checked")
+
+        monkeypatch.setattr(harness, "difference_spectra", no_draws)
+        with pytest.raises(ValueError, match="bins"):
+            run_hist(EnsembleParams(n_small=20, m_large=15, seed=1), 50, bins=bins)
+
+    def test_numpy_integer_bins_accepted(self):
+        assert build_histogram([0.1, 0.5, 0.7], np.int64(4)).counts.size == 4
 
     def test_l1_distance_self(self):
         params = EnsembleParams(n_small=30, m_large=30, seed=12)
@@ -568,13 +583,14 @@ class TestBlocks:
     @pytest.mark.parametrize("n, m, q, draws", SHAPES)
     def test_bytes_independent_of_block_and_split(self, monkeypatch, n, m, q, draws):
         params = EnsembleParams(n_small=n, m_large=m, weight_q=q, seed=n * m)
-        want = (difference_spectra(params, draws), pooled_spectrum(params, draws, workers=2))
+        want = (difference_spectra(params, draws),
+                difference_spectra(params, draws, workers=2).ravel())
         # one draw per block, split at every d; one block per core's range, never split
         for entries, split_min_d in [(1, 1), (10**12, 1), (1, 10**6), (10**12, 10**6)]:
             monkeypatch.setattr(montecarlo, "_BLOCK_ENTRIES", entries)
             monkeypatch.setattr(montecarlo, "_SPLIT_MIN_D", split_min_d)
             assert np.array_equal(difference_spectra(params, draws), want[0])
-            assert np.array_equal(pooled_spectrum(params, draws, workers=2), want[1])
+            assert np.array_equal(difference_spectra(params, draws, workers=2).ravel(), want[1])
 
     def test_peak_memory_is_draws_plus_one_block_set_per_core(self):
         n, m, draws = 40, 50, 1000
@@ -729,7 +745,7 @@ _PINNED = {
     (25, 25, 1.0, 1): "e68ad57897421d42742eaee0e89617afb6a573a4550c2929aa5998cfa6f2c4b0",
 }
 
-# sha256 of pooled_spectrum(seed = N M) before one pass took every stream's
+# sha256 of difference_spectra(seed = N M).ravel() before one pass took every stream's
 # blocks, as it is and with _BATCH_ENTRIES giving each stream 4 or 5 slices
 _POOLED_PINNED = {
     (100, 20, 500, 3, None): "e150e14b6de192f3cb256884763eac69ff97c3a5ade6186fe86f8883d4c2866f",
@@ -820,7 +836,8 @@ class TestOverlap:
             pytest.skip("hashes recorded with numpy 2.4.6 and its bundled OpenBLAS on SkylakeX")
         if entries is not None:
             monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", entries)
-        got = pooled_spectrum(EnsembleParams(n_small=n, m_large=m, seed=n * m), draws, workers=workers)
+        params = EnsembleParams(n_small=n, m_large=m, seed=n * m)
+        got = difference_spectra(params, draws, workers=workers).ravel()
         assert hashlib.sha256(got.tobytes()).hexdigest() == _POOLED_PINNED[n, m, draws, workers, entries]
 
     @pytest.mark.parametrize("case", ["draw", "solve"])

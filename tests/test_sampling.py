@@ -43,6 +43,24 @@ class TestEnsembleParams:
         p = EnsembleParams(n_small=np.int64(4), m_large=np.int32(6))
         assert p.dim_ratio == pytest.approx(4 / 6)
 
+    # np.int64 overflowed and np.uint64 warned in the 64-bit seed mixing at the first draw
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "seed", [np.int64(5), np.uint64(3), np.int32(-7), np.uint64(2**64 - 1)], ids=repr
+    )
+    def test_numpy_integer_seed_is_the_equal_int(self, seed):
+        p = EnsembleParams(n_small=3, m_large=4, seed=seed)
+        assert type(p.seed) is int and p.seed == int(seed)
+        want = EnsembleParams(n_small=3, m_large=4, seed=int(seed)).rng(1).bytes(64)
+        assert p.rng(1).bytes(64) == want
+        assert make_rng(seed, np.int64(1)).bytes(64) == want
+
+    # 1.5 and None passed construction and raised a bare TypeError at the first draw
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None, "3", np.float64(4.0)], ids=repr)
+    def test_non_integer_seed_rejected_at_construction(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            EnsembleParams(n_small=3, m_large=4, seed=seed)
+
     @pytest.mark.parametrize("kw", [{"weight_p": 0.0}, {"weight_q": math.nan}, {"weight_p": 1e-320}])
     def test_bad_weights_are_domain_errors(self, kw):
         with pytest.raises(DomainError):
@@ -202,10 +220,10 @@ class TestDifference:
             assert lam[0] >= -1.0 - 1e-12 and lam[-1] <= 1.0 + 1e-12
 
     def test_pooled_mean_symmetric(self):
-        from rmtdiff.montecarlo import pooled_spectrum
+        from rmtdiff.montecarlo import difference_spectra
 
         params = EnsembleParams(n_small=8, m_large=8, seed=31)
-        pool = pooled_spectrum(params, 1500, rescaled=False)
+        pool = difference_spectra(params, 1500, rescaled=False).ravel()
         # pooled mean is 0 within 3 standard errors
         se = pool.std() / math.sqrt(pool.size)
         assert abs(pool.mean()) < 3 * se
