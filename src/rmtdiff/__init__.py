@@ -11,70 +11,18 @@ The library covers four layers, each cross-checked against the others:
   distances;
 * montecarlo / figures / acceptance -- Monte Carlo comparison harness,
   dataset reproduction and the verification suite behind the CLI.
+
+``__all__`` joins the first five modules' public lists, which check input in ``_checks``.
 """
 
-from .errors import (
-    BoundaryPoint,
-    DimensionOrder,
-    DomainError,
-    NegativeDensityWarning,
-    NoConvergence,
-    NonHermitian,
-    PoleError,
-    QuadratureFailure,
-    RmtDiffError,
-    SizeLimit,
-    Unsupported,
-    ZeroMatrix,
-)
-from .sampling import (
-    EnsembleParams,
-    SpectrumSample,
-    hermitian_eigenvalues,
-    is_density_matrix,
-    make_rng,
-    page_entropy_mean,
-    reduced_density_from_ginibre,
-    sample_ginibre,
-    sample_pure_state_reduced,
-    von_neumann_entropy,
-)
-from .finite_law import (
-    OrthantPiecewisePoly,
-    build_psi_poly,
-    derivative_principle_selftest,
-    joint_eigen_density,
-    n2_exact_density,
-    single_eigenvalue_marginal,
-    w_poly,
-)
-from .asym_law import (
-    AedResult,
-    aed_curve,
-    aed_grid,
-    aed_symmetric,
-    atom_weight,
-    cauchy_transform,
-    marchenko_pastur,
-    r_transform_sum,
-    support_points,
-)
-from .moments import (
-    absolute_moment,
-    distance_to_mixed_asymptotic,
-    even_moment,
-    moment_via_quadrature,
-    operator_norm_asymptotic,
-    trace_distance_asymptotic,
-)
-from .montecarlo import (
-    HistogramResult,
-    build_histogram,
-    difference_spectra,
-    l1_distance,
-    mean_entropy_mc,
-    operator_norm_mc,
-    trace_distance_mc,
-)
+from .errors import *  # noqa: F403 -- the error types, importable from the package too
+from . import asym_law, finite_law, moments, montecarlo, sampling
+from .asym_law import *  # noqa: F403 -- each module's __all__ is its public list
+from .finite_law import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .sampling import *  # noqa: F403
+
+__all__ = [n for mod in (sampling, finite_law, asym_law, moments, montecarlo) for n in mod.__all__]
 
 __version__ = "0.1.0"

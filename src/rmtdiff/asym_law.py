@@ -21,11 +21,10 @@ is [e[2k], e[2k+1]] (``find_support_numeric``), and the density reads
 exactly 0 outside them.  The origin atom is max(1 - 2/c, 0) for every eta
 because rank Z = min(N, 2M).
 Both densities lose about c u relative accuracy (u the unit roundoff) at
-large c, and their quadrature mass drifts from 1 at small c, so they raise
-``DomainError`` above c = 1e7 and below c = 3e-10, and the weighted density
-likewise outside eta in [1e-8, 1e8]; so does every route through them
-(``aed_grid``, ``find_support_numeric``, ``moments.continuous_mass``,
-``moment_via_quadrature``).
+large c, and their quadrature mass drifts from 1 at small c, so they and
+every route through them (``cauchy_transform``, ``aed_grid``,
+``find_support_numeric``, ``moments.continuous_mass``, ``moment_via_quadrature``)
+raise ``DomainError`` outside c in [3e-10, 1e7] and eta in [1e-8, 1e8].
 
 Conventions: the weighted density is expressed in units of the normalized
 difference rho1 - eta*rho2.  Rescaling back to p*rho1 - q*rho2 multiplies
@@ -41,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import POSITIVE, count as _count, number, points, real  # an argument is named count
 from .errors import DomainError, PoleError
-from .sampling import _check_count
 
 __all__ = [
     "support_points",
@@ -82,26 +81,10 @@ _C_MIN = 3e-10
 _ETA_MAX = 1e8
 
 
-def _check_domain(c: float, eta: float = 1.0, x=0.0) -> None:
-    """Raise DomainError unless c, eta are finite and positive and x (scalar or array) is finite."""
-    if not 0.0 < c < math.inf:
-        raise DomainError(f"c must be finite and positive, got {c!r}")
-    if not 0.0 < eta < math.inf:
-        raise DomainError(f"eta must be finite and positive, got {eta!r}")
-    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)):
-        raise DomainError("x must be finite")
-
-
-def _check_density_c(c: float, eta: float = 1.0) -> None:
-    """Raise DomainError for c outside [``_C_MIN``, ``_C_MAX``] or eta outside
+def _density_range(c, eta=1.0) -> tuple[float, float]:
+    """(c, eta) as floats; DomainError outside [``_C_MIN``, ``_C_MAX``] and
     [1/``_ETA_MAX``, ``_ETA_MAX``], where the densities lose more than 1e-9."""
-    if c > _C_MAX:
-        raise DomainError(f"c = {c!r} exceeds {_C_MAX:g}, past which the density loses accuracy")
-    if c < _C_MIN:
-        raise DomainError(f"c = {c!r} is below {_C_MIN:g}, under which the density loses accuracy")
-    if not 1.0 / _ETA_MAX <= eta <= _ETA_MAX:
-        raise DomainError(f"eta = {eta!r} lies outside [{1.0 / _ETA_MAX:g}, {_ETA_MAX:g}], "
-                          "past which the density loses accuracy")
+    return real("c", c, _C_MIN, _C_MAX), real("eta", eta, 1.0 / _ETA_MAX, _ETA_MAX)
 
 
 def support_points(c: float) -> tuple[float | None, float]:
@@ -113,7 +96,7 @@ def support_points(c: float) -> tuple[float | None, float]:
     below that).  s - 1 is taken as 4c/(s + 1) and s - 3 as 4(c - 2)/(s + 3),
     which cancel nothing as c -> 0 or c -> 2.
     """
-    _check_domain(c)
+    c = real("c", c, POSITIVE)
     s = math.sqrt(4.0 * c + 1.0)
     x_plus = 0.25 * (s + 3.0) ** 1.5 * (4.0 * c / (s + 1.0)) ** 0.5
     if c >= 2.0:
@@ -150,11 +133,9 @@ def _symmetric_constants(c: float) -> tuple[float, float, float, float, float]:
     c = 2), u = 2 - c, origin is its value at x = 0 (finite below the
     transition, the integrable |x|^(-1/3) divergence at it, in the gap above)
     and below x_flat the relative x^2 term (c + 1/2) x^2 / (c u^3) is under
-    2^-54, so the density rounds to origin there.  c outside [``_C_MIN``,
-    ``_C_MAX``] raises ``DomainError``.
+    2^-54, so the density rounds to origin there.  Past ``_density_range`` c raises.
     """
-    _check_domain(c)
-    _check_density_c(c)
+    c = _density_range(c)[0]
     x_minus, x_plus = support_points(c)
     u = 2.0 - c
     origin = 0.0 if u < 0.0 else math.inf if u == 0.0 else 1.0 / (math.pi * math.sqrt(c * u))
@@ -190,11 +171,11 @@ def aed_symmetric(x, c: float):
     in the last bit at a few per cent of points, which would break the
     scalar's bit identity with the array.
     """
+    if type(c) is not float:  # ahead of the cache: True and 1 + 0j hash as 1.0
+        c = real("c", c)
     lo, hi, u, origin, x_flat = _symmetric_constants(c)
     if isinstance(x, _REAL_SCALARS):
-        ax = abs(float(x))
-        if not math.isfinite(ax):
-            raise DomainError("x must be finite")
+        ax = abs(real("x", x))
         if ax <= x_flat:
             return origin
         if ax <= lo or ax >= hi:
@@ -211,8 +192,7 @@ def aed_symmetric(x, c: float):
             ell = np.log1p(t * (t + math.sqrt(t * t + 2.0)))
             pre = math.sqrt(u * u + 3.0 * ax * ax) / (_SQRT3 * math.pi * c * ax)
         return float(pre * np.sinh(ell / 3.0))
-    ax = np.abs(np.asarray(x, dtype=float))
-    _check_domain(c, 1.0, ax)
+    ax = np.abs(points("x", x))
     with np.errstate(all="ignore"):
         if u == 0.0:  # eta = 3 sqrt(3)/|x|: arccosh eta = log(eta) + log1p(sqrt(1 - 1/eta^2))
             r = ax / (3.0 * _SQRT3)  # neither x^2 nor 1/|x| appears, so none over- or underflows
@@ -235,7 +215,7 @@ def atom_weight(c: float, eta: float = 1.0) -> float:
     N x N matrices of rank at most M, so its rank is min(N, 2M) almost surely
     whatever the weights.
     """
-    _check_domain(c, eta)
+    c, _ = real("c", c, POSITIVE), real("eta", eta, POSITIVE)
     return max(1.0 - 2.0 / c, 0.0)
 
 
@@ -344,9 +324,10 @@ def cauchy_transform(z: complex, c: float, eta: float = 1.0) -> complex:
 
     G is the root of the cubic with the smallest imaginary part: the physical
     branch has Im G < 0 in the upper half-plane and tends to 1/z at infinity.
+    c and eta have the densities' range.
     """
-    z = complex(z)
-    _check_domain(c, eta, abs(z))
+    z = number("z", z)
+    c, eta = _density_range(c, eta)
     if z.imag <= 0.0:
         raise DomainError("query point must lie in the upper half-plane")
     roots = _solve_cubics(np.array([z]), c, eta)[0]
@@ -388,11 +369,10 @@ def aed_curve(xs, c: float, eta: float = 1.0):
     shape; a scalar gives a float.  c outside [``_C_MIN``, ``_C_MAX``] =
     [3e-10, 1e7], or eta outside [1e-8, 1e8], raises ``DomainError``.
     """
-    xs = np.asarray(xs, dtype=float)
-    _check_domain(c, eta, xs)
-    _check_density_c(c, eta)
+    c, eta = _density_range(c, eta)
+    xs = points("xs", xs)
     flat = np.abs(xs.ravel()) if eta == 1.0 else xs.ravel()
-    outside = np.searchsorted(_support_geometry(float(c), float(eta)), flat) % 2 == 0
+    outside = np.searchsorted(_support_geometry(c, eta), flat) % 2 == 0
     out = np.where(outside, 0.0, _real_density(flat, c, eta)).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -403,7 +383,7 @@ def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
     Support [(1-sqrt(c))^2, (1+sqrt(c))^2]; the atom max(1 - 1/c, 0) carries
     the rank deficiency when c > 1.
     """
-    _check_domain(c, x=x)
+    c, x = real("c", c, POSITIVE), real("x", x)
     atom = max(1.0 - 1.0 / c, 0.0)
     lo = (1.0 - math.sqrt(c)) ** 2
     hi = (1.0 + math.sqrt(c)) ** 2
@@ -414,13 +394,14 @@ def marchenko_pastur(x: float, c: float) -> tuple[float, float]:
 
 def r_transform_sum(g: complex, c: float, eta: float = 1.0) -> complex:
     """Sum of the two component R-transforms: 1/(1-cg) - eta/(1+eta c g)."""
-    g = complex(g)
-    _check_domain(c, eta)
-    if not cmath.isfinite(g):
-        raise DomainError(f"g must be finite, got {g}")
+    g = number("g", g)
+    c, eta = real("c", c, POSITIVE), real("eta", eta, POSITIVE)
     if 1.0 - c * g == 0.0 or 1.0 + eta * c * g == 0.0:
         raise PoleError("R-transform pole at cg = 1 or eta c g = -1")
-    return 1.0 / (1.0 - c * g) - eta / (1.0 + eta * c * g)
+    val = 1.0 / (1.0 - c * g) - eta / (1.0 + eta * c * g)
+    if not cmath.isfinite(val):
+        raise DomainError(f"r_transform_sum({g!r}, {c!r}, {eta!r}) lies beyond the float range")
+    return val
 
 
 def _discriminant(c: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -447,9 +428,7 @@ def find_support_numeric(c: float, eta: float) -> list[tuple[float, float]]:
     the ones ``aed_curve`` masks with.  c outside [``_C_MIN``, ``_C_MAX``] =
     [3e-10, 1e7], or eta outside [1e-8, 1e8], raises ``DomainError``.
     """
-    _check_domain(c, eta)
-    _check_density_c(c, eta)
-    edges = _support_geometry(float(c), float(eta)).tolist()
+    edges = _support_geometry(*_density_range(c, eta)).tolist()
     return list(zip(edges[::2], edges[1::2]))
 
 
@@ -501,9 +480,7 @@ def _support_grid(intervals, lo, hi, count, origin_scales):
 
 def _support_intervals(c: float, eta: float) -> list[tuple[float, float]]:
     """Ascending support intervals: the mirror pair of ``support_points`` (meeting at
-    the origin below c = 2) for equal weights, else ``find_support_numeric``.  c or eta
-    outside the range of ``_check_density_c`` raises ``DomainError``."""
-    _check_density_c(c, eta)
+    the origin below c = 2) for equal weights, else ``find_support_numeric``."""
     if eta == 1.0:
         x_minus, x_plus = support_points(c)
         return [(-x_plus, -(x_minus or 0.0)), (x_minus or 0.0, x_plus)]
@@ -532,8 +509,8 @@ def aed_grid(c: float, eta: float = 1.0, *, count: int = 6001) -> AedResult:
     At the ends of the eta range, 1e-8 and 1e8, the same c grid gives 4.8e-6
     (at c = 1); at c = 2 it stays within 5e-6 from eta = 1e-8 to 1e8.
     """
-    _check_domain(c, eta)
-    _check_count("count", count)
+    c, eta = _density_range(c, eta)
+    count = _count("count", count)
     intervals = _support_intervals(c, eta)
     lo, hi = intervals[0][0], intervals[-1][1]
     scales = [max(-lo, hi)]

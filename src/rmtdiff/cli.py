@@ -27,7 +27,7 @@ import numpy as np
 
 from .acceptance import run_verify
 from .asym_law import aed_grid
-from .errors import RmtDiffError
+from .errors import RmtDiffError, UsageError
 from .figures import FIGURE_IDS, run_fig
 from .harness import default_meta, theory_overlay, write_hist, write_xy_csv
 from .moments import (
@@ -143,7 +143,7 @@ def _check_counts(args, *names) -> None:
     for name in names:
         value = getattr(args, name, None)
         if value is not None and value < 1:
-            raise ValueError(f"--{name} must be >= 1, got {value}")
+            raise UsageError(f"--{name} must be >= 1, got {value}")
 
 
 def _params(args) -> EnsembleParams:
@@ -177,7 +177,7 @@ def _cmd_hist(args) -> int:
     if args.grid is not None:
         lo, hi, count = args.grid
         if args.bins not in (None, count):
-            raise ValueError(f"--bins {args.bins} differs from the --grid count {count}")
+            raise UsageError(f"--bins {args.bins} differs from the --grid count {count}")
         bins, value_range = count, (lo, hi)
     title = f"n={args.n} m={args.m} ({args.samples} samples)" if args.format == "svg" else None
     params = _params(args)
@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except RmtDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,6 +41,10 @@ class QuadratureFailure(RmtDiffError):
     """Adaptive quadrature could not reach the requested accuracy."""
 
 
+class UsageError(RmtDiffError, ValueError):
+    """A request the caller must change, such as a bin count below 2; the CLI exits 2."""
+
+
 class Unsupported(RmtDiffError, ValueError):
     """Requested variant is outside the implemented scope."""
 

@@ -12,7 +12,8 @@ import os
 
 import numpy as np
 
-from .errors import Unsupported
+from ._checks import count
+from .errors import Unsupported, UsageError
 from .finite_law import joint_eigen_density, region_gamma
 from .harness import write_hist, write_xy_csv
 from .moments import trace_distance_asymptotic
@@ -128,8 +129,7 @@ def run_fig(
         raise Unsupported(
             f"unknown figure id {fig_id!r}; choose from {', '.join(FIGURE_IDS)}"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = count("workers", workers, 1, UsageError)
     os.makedirs(out_dir, exist_ok=True)
     if fig_id == "fig1":
         return _emit_fig1(out_dir, fast, svg)

@@ -38,6 +38,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ._checks import count, instance, points as _points, real  # an argument is named points
 from .errors import (
     BoundaryPoint,
     DimensionOrder,
@@ -46,7 +47,6 @@ from .errors import (
     SizeLimit,
     Unsupported,
 )
-from .sampling import _check_count
 from .specfun import laguerre_coefficients
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "build_psi_poly",
     "joint_eigen_density",
     "n2_exact_density",
-    "w_poly",
     "derivative_principle_selftest",
     "single_eigenvalue_marginal",
     "region_gamma",
@@ -70,14 +69,6 @@ _FLOAT_TOL = 1e-9  # largest rounding bound at which the float path is kept
 Poly = dict
 
 
-def _finite_floats(lambdas) -> list[float]:
-    """The entries of ``lambdas`` as Python floats; DomainError for NaN or inf."""
-    xs = np.asarray(lambdas, dtype=float).ravel().tolist()
-    if not all(map(math.isfinite, xs)):
-        raise DomainError(f"eigenvalues must be finite, got {xs}")
-    return xs
-
-
 def _gamma(xs: list[float]) -> float:
     """``region_gamma`` of finite Python floats."""
     return 1.0 - 0.5 * sum(map(abs, xs))
@@ -87,7 +78,7 @@ def region_gamma(lambdas) -> float:
     """gamma = 1 - (1/2) sum |z_i|; positive exactly on the interior of the support region.
 
     Raises DomainError for a NaN or infinite entry."""
-    return _gamma(_finite_floats(lambdas))
+    return _gamma(_points("eigenvalues", lambdas, flat=True))
 
 
 def _sign_factor(signs, exponents) -> int:
@@ -178,8 +169,11 @@ class OrthantPiecewisePoly:
     def evaluate(self, point) -> float:
         """Evaluate the smooth prefactor psi at a hyperplane point, exactly rounded.
 
-        Raises DomainError for a NaN or infinite coordinate."""
-        return _exact_eval(*self._exact[1:], [abs(v) for v in _finite_floats(point)])
+        Raises DomainError for a NaN or infinite coordinate, or unless there are n_vars."""
+        xs = _points("eigenvalues", point, flat=True)
+        if len(xs) != self.n_vars:
+            raise DomainError(f"expected {self.n_vars} coordinates, got {len(xs)}")
+        return _exact_eval(*self._exact[1:], list(map(abs, xs)))
 
     @property
     def term_count(self) -> int:
@@ -225,8 +219,7 @@ def build_psi_poly(n: int, m: int) -> OrthantPiecewisePoly:
     SizeLimit, before any work, when the monomial count comb(D + N, N)
     exceeds ``_MAX_PSI_TERMS``.
     """
-    _check_count("n", n)
-    _check_count("m", m)
+    n, m = count("n", n), count("m", m)
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     D = n * (2 * m - 1) - 1
@@ -300,14 +293,12 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
     DomainError.  ``exact=False`` is exact too except at N = 2, M <= 7 and
     N = 3, M = 3 (float error bound <= 1e-9).
     """
-    _check_count("n", n)
-    _check_count("m", m)
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (n,):
-        raise DomainError(f"expected {n} eigenvalues, got shape {lam.shape}")
+    n, m, exact = count("n", n), count("m", m), instance("exact", exact, bool)
+    xs = _points("eigenvalues", lambdas, flat=True)
+    if np.shape(lambdas) != (n,):
+        raise DomainError(f"expected {n} eigenvalues, got shape {np.shape(lambdas)}")
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
-    xs = _finite_floats(lam)
     if abs(sum(xs)) > 1e-12:
         raise DomainError("eigenvalues must sum to zero (within 1e-12)")
     if min(map(abs, xs)) <= BOUNDARY_TOL:
@@ -323,9 +314,9 @@ def joint_eigen_density(lambdas, n: int, m: int, *, exact: bool = True) -> float
         val = _exact_eval(ints[signs], den * norm, xs, vandermonde=True)
     else:
         vand = math.prod(xs[j] - xs[i] for i, j in combinations(range(n), 2))
-        val = vand * _float_eval(floats[signs], lam) / norm
+        val = vand * _float_eval(floats[signs], np.array(xs)) / norm
     if val < -1e-9:
-        msg = f"joint density evaluated to {val:.3e} < 0 at {lam}"
+        msg = f"joint density evaluated to {val:.3e} < 0 at {xs}"
         warnings.warn(msg, NegativeDensityWarning, stacklevel=2)
     return val
 
@@ -337,8 +328,7 @@ def w_poly(m: int) -> list[Fraction]:
     marginal density is expressed; Python big integers keep it exact for
     any M.
     """
-    _check_count("m", m)
-    mm = m - 1
+    mm = count("m", m) - 1
     return [
         Fraction(
             math.comb(mm, k) * math.factorial(2 * mm - k) ** 2,
@@ -369,8 +359,7 @@ def n2_exact_density(lam: float, m: int) -> float:
     evaluated in log space (stable for any M; the factorial ratios never
     overflow).  Even in lambda; vanishes at 0 by eigenvalue repulsion.
     """
-    _check_count("m", m)
-    t = abs(float(lam))
+    m, t = count("m", m), abs(real("lam", lam))
     if not t < 1.0:
         raise DomainError(f"|lambda| must be < 1, got {lam!r}")
     if t == 0.0:
@@ -435,13 +424,10 @@ def single_eigenvalue_marginal(n: int, m: int, points) -> np.ndarray:
     at 0 is the polynomial's constant term.  Both give 0.0 for |lambda| >= 1
     and raise DomainError for a non-finite point.  Larger n is out of scope.
     """
-    _check_count("n", n)
-    _check_count("m", m)
+    n, m = count("n", n), count("m", m)
     if n not in (2, 3):
         raise Unsupported("marginal density implemented for n in {2, 3} only")
-    ts = np.abs(np.asarray(points, dtype=float))
-    if not np.all(np.isfinite(ts)):
-        raise DomainError("points must be finite")
+    ts = np.abs(_points("points", points))
     out = np.zeros(ts.shape)
     inside = (ts > 0.0) & (ts < 1.0)
     if n == 2:

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__ as _version
-from .asym_law import _check_density_c, _law_density, _support_intervals, atom_weight
+from ._checks import count, interval
+from .asym_law import _density_range, _law_density, _support_intervals, atom_weight
+from .errors import UsageError
 from .finite_law import single_eigenvalue_marginal
-from .montecarlo import (
-    HistogramResult,
-    _check_bins,
-    bin_theory_mass,
-    build_histogram,
-    difference_spectra,
-)
+from .montecarlo import HistogramResult, bin_theory_mass, build_histogram, difference_spectra
 from .sampling import EnsembleParams
 from .svgplot import render_xy
 
@@ -72,7 +68,7 @@ def theory_overlay(params: EnsembleParams) -> TheoryOverlay:
     if eta == 1.0 and n in (2, 3) and n <= params.m_large:
         density = _exact_marginal(n, params.m_large, p)
         return TheoryOverlay(density, atom_weight=0.0, atom_threshold=None, label=f"exact n={n}")
-    _check_density_c(c, eta)
+    c, eta = _density_range(c, eta)
     atom = atom_weight(c, eta)
     threshold = None
     if atom > 0.0:
@@ -103,9 +99,10 @@ def run_hist(
     every draw is the constant p - q), and a theory overlay out of range
     raise ``ValueError`` before any draw.
     """
-    _check_bins(bins, value_range)
+    bins = count("bins", bins, 2, UsageError)
+    value_range = interval("value_range", value_range)
     if params.n_small < 2:
-        raise ValueError("a histogram needs N >= 2: for N = 1 every draw is the constant p - q")
+        raise UsageError("a histogram needs N >= 2: for N = 1 every draw is the constant p - q")
     overlay = theory_overlay(params)
     pooled = difference_spectra(params, samples, workers=workers, rescaled=True).ravel()
     hist = build_histogram(

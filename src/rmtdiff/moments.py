@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from functools import lru_cache, wraps
 
 import numpy as np
 
-from .asym_law import _check_domain, _law_density, _support_intervals, support_points
+from ._checks import POSITIVE, count, number, real
+from .asym_law import _density_range, _law_density, _support_intervals, support_points
 from .errors import DomainError, QuadratureFailure
-from .sampling import _check_count
 from .specfun import _gammas, _hyp2f1
 
 __all__ = [
@@ -88,12 +87,10 @@ def absolute_moment(z, c: float):
     Returns a float for real order, complex otherwise; DomainError for a
     non-numeric z and past the float range.
     """
-    if not isinstance(z, numbers.Number):  # complex() would parse a string
-        raise DomainError(f"absolute moment requires a numeric order z, got {z!r}")
-    zc = complex(z)
-    if not (zc.real > 0.0 and cmath.isfinite(zc)):
-        raise DomainError(f"absolute moment requires a finite z with Re(z) > 0, got {z!r}")
-    _check_domain(c)
+    zc = number("numeric order z", z)
+    if not zc.real > 0.0:
+        raise DomainError(f"absolute moment requires Re(z) > 0, got {z!r}")
+    c = real("c", c, POSITIVE)
     pre, *args = _branch(zc, c)
     val = pre * _hyp2f1(*args)
     return val.real if zc.imag == 0.0 and not isinstance(z, complex) else val
@@ -116,8 +113,7 @@ def even_moment(l: int, c: float) -> float:
     (2l+1-j)(l-j) / (j(j+1)) * 2/c), so none overflows before the one
     final scaling, which raises DomainError past the float range.  O(l).
     """
-    _check_count("l", l)
-    _check_domain(c)
+    l, c = count("l", l), real("c", c, POSITIVE)
     fc, ec = math.frexp(c)  # c = fc 2^ec exactly
     log_fc = math.log2(fc)
     a, ea = 0.5, 1  # C(2l+1, j) C(l-1, j-1) / (2l+1) = a 2^ea, 1 at j = 1
@@ -159,7 +155,7 @@ def trace_distance_asymptotic(c: float) -> float:
     s (4 sqrt(1 - s^2) + 8 asin(s)/s - 2 h(s)) / (4 pi), h from ``_asin_excess``,
     which keeps full relative precision down to the smallest c.
     """
-    _check_domain(c)
+    c = real("c", c, POSITIVE)
     if c > 2.0:
         return 1.0 - 0.5 / c
     s = math.sqrt(0.5 * c)
@@ -169,7 +165,7 @@ def trace_distance_asymptotic(c: float) -> float:
 
 def operator_norm_asymptotic(c: float, n: int) -> float:
     """Limiting operator norm of the difference: x_plus(c) / n."""
-    _check_count("n", n)
+    n = count("n", n)
     _, x_plus = support_points(c)
     return x_plus / n
 
@@ -215,7 +211,7 @@ def distance_to_mixed_asymptotic(c: float) -> float:
 
         sqrt(c) int t sqrt((t + 2 - sqrt c)(2 + sqrt c - t)) / (2 pi (1 + sqrt(c) t)) dt.
     """
-    _check_domain(c)
+    c = real("c", c, POSITIVE)
     if c >= 4.0:
         return 1.0 - 1.0 / c
     r = math.sqrt(c)
@@ -234,6 +230,7 @@ def _against_density(f, c: float, eta: float) -> tuple[float, float]:
     intervals are split at 0, where |x|^z has its kink.  For equal weights
     only the pieces at x >= 0 are integrated and doubled, so f must be even.
     """
+    c, eta = _density_range(c, eta)
     pieces = []
     for lo, hi in _support_intervals(c, eta):
         pieces += [(lo, 0.0), (0.0, hi)] if lo < 0.0 < hi else [(lo, hi)]
@@ -250,7 +247,6 @@ def _against_density(f, c: float, eta: float) -> tuple[float, float]:
 
 def continuous_mass(c: float, eta: float = 1.0) -> float:
     """Total mass of the continuous part (1, or 2/c past the atom transition)."""
-    _check_domain(c, eta)
     return _against_density(np.ones_like, c, eta)[0]
 
 
@@ -263,9 +259,7 @@ def moment_via_quadrature(z: float, c: float, eta: float = 1.0) -> float:
     estimate (the gap between the last two Gauss-Legendre orders) exceeds
     1e-7 of the result, and DomainError past the float range.
     """
-    if not (isinstance(z, numbers.Real) and 0.0 < z < math.inf):
-        raise DomainError(f"z must be real, finite and positive, got {z!r}")
-    _check_domain(c, eta)
+    z = real("z", z, POSITIVE)
     val, err = _against_density(lambda x: np.abs(x) ** z, c, eta)
     if err > 1e-7 * max(1.0, abs(val)):
         raise QuadratureFailure(

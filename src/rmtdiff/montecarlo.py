@@ -55,10 +55,10 @@ diagonal, bottom-block chi^2, bottom-block normals.
 from __future__ import annotations
 
 import ctypes
-import numbers
 import os
 import queue
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
@@ -66,8 +66,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
-from .sampling import EnsembleParams, _check_count, _reduced_density_batch, von_neumann_entropy
+from ._checks import count, instance, interval, points, real
+from .errors import DomainError, UsageError
+from .sampling import EnsembleParams, _reduced_density_batch, von_neumann_entropy
 
 __all__ = [
     "difference_spectra",
@@ -290,8 +291,9 @@ def difference_spectra(
     Stream w = (seed, w) draws ``n_samples // workers`` samples, one more for
     w < ``n_samples % workers``; streams left with no draws are skipped.
     """
-    _check_count("n_samples", n_samples)
-    _check_count("workers", workers)
+    instance("params", params, EnsembleParams)
+    n_samples, workers = count("n_samples", n_samples), count("workers", workers)
+    instance("rescaled", rescaled, bool)
     base, extra = divmod(n_samples, workers)
     streams = range(min(workers, n_samples))
     out = _spectra(params, [(params.rng(w), base + (w < extra)) for w in streams])
@@ -325,15 +327,6 @@ class HistogramResult:
         return np.diff(self.bin_edges)
 
 
-def _check_bins(bins: int, value_range: tuple[float, float] | None) -> None:
-    """Raise ValueError unless ``bins`` is an integer >= 2, and DomainError unless
-    ``value_range`` is None or finite with lo < hi."""
-    if not isinstance(bins, numbers.Integral) or bins < 2:
-        raise ValueError(f"bins must be an integer >= 2, got {bins!r}")
-    if value_range is not None and not -np.inf < value_range[0] < value_range[1] < np.inf:
-        raise DomainError(f"value_range must be finite with lo < hi, got {value_range!r}")
-
-
 def build_histogram(
     values: np.ndarray,
     bins: int,
@@ -343,14 +336,16 @@ def build_histogram(
 ) -> HistogramResult:
     """Histogram pooled values; optionally split off |x| < atom_threshold as atom mass.
 
-    Raises ``ValueError`` unless ``bins`` is an integer >= 2, and ``DomainError`` if a
+    Raises ``UsageError`` unless ``bins`` is an integer >= 2, and ``DomainError`` if a
     value is NaN or infinite, if there are none, if every value falls in the atom
-    and no ``value_range`` is given, or if ``value_range`` is not finite with lo < hi.
+    and no ``value_range`` is given, if ``value_range`` is not finite with lo < hi,
+    or if ``atom_threshold`` is not a finite real >= 0.
     """
-    _check_bins(bins, value_range)
-    values = np.asarray(values, dtype=float).ravel()
-    if not np.isfinite(values).all():
-        raise DomainError("histogram values must be finite")
+    bins = count("bins", bins, 2, UsageError)
+    value_range = interval("value_range", value_range)
+    if atom_threshold is not None:
+        atom_threshold = real("atom_threshold", atom_threshold, 0.0)
+    values = points("histogram values", values).ravel()
     if values.size == 0:
         raise DomainError("a histogram needs at least one value")
     total = values.size
@@ -364,7 +359,10 @@ def build_histogram(
         if continuous.size == 0:
             raise DomainError("every value falls in the atom: give value_range")
         value_range = (float(continuous.min()), float(continuous.max()))
-    counts, edges = np.histogram(continuous, bins=bins, range=value_range)
+    try:
+        counts, edges = np.histogram(continuous, bins=bins, range=value_range)
+    except ValueError as exc:  # a range too narrow for bins of finite width, such as [1e300, 1e300]
+        raise DomainError(str(exc)) from None
     widths = np.diff(edges)
     density = counts / (total * widths)
     return HistogramResult(
@@ -385,7 +383,10 @@ def bin_theory_mass(theory_density, edges: np.ndarray) -> np.ndarray:
 
     ``theory_density`` is called once, on the (bins, 5) array of all nodes.
     """
-    edges = np.asarray(edges, dtype=float)
+    instance("theory_density", theory_density, Callable)
+    edges = points("edges", edges)
+    if edges.ndim != 1 or edges.size < 2:
+        raise DomainError(f"edges must be a list of at least two reals, got shape {edges.shape}")
     half = 0.5 * (edges[1:] - edges[:-1])
     xs = half[:, None] * _GL5_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]
     return half * (np.asarray(theory_density(xs), dtype=float) @ _GL5_WEIGHTS)
@@ -393,6 +394,7 @@ def bin_theory_mass(theory_density, edges: np.ndarray) -> np.ndarray:
 
 def l1_distance(hist: HistogramResult, theory_density) -> float:
     """L1 distance between bin masses of the histogram and of an array-valued density."""
+    instance("hist", hist, HistogramResult)
     emp = hist.normalized_density * hist.widths
     th = bin_theory_mass(theory_density, hist.bin_edges)
     return float(np.sum(np.abs(emp - th)))
@@ -417,7 +419,8 @@ def mean_entropy_mc(params: EnsembleParams, n_samples: int) -> float:
     thread, with OpenBLAS held at one thread, not blocked or split across
     cores: the sizes it serves (AC-13's are 2 x 2) keep its slices small.
     """
-    _check_count("n_samples", n_samples)
+    instance("params", params, EnsembleParams)
+    n_samples = count("n_samples", n_samples)
     rng = params.rng()
     n, m = params.n_small, params.m_large
     total = 0.0

@@ -14,18 +14,16 @@ run is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import POSITIVE, count, instance, matrix, points, real
 from .errors import DimensionOrder, DomainError, NoConvergence, NonHermitian, ZeroMatrix
 
 __all__ = [
     "EnsembleParams",
     "SpectrumSample",
-    "make_rng",
     "sample_ginibre",
     "reduced_density_from_ginibre",
     "sample_pure_state_reduced",
@@ -59,20 +57,13 @@ def _mix64(v: int) -> int:
 
 def worker_seed(master_seed: int, worker: int) -> int:
     """Derive the sub-stream key for one worker from the master seed; NumPy integers act as ints."""
-    return _mix64((operator.index(master_seed) & _MASK64) ^ _mix64(operator.index(worker) + 1))
+    seed, worker = count("seed", master_seed, None), count("worker", worker, 0)
+    return _mix64((seed & _MASK64) ^ _mix64(worker + 1))
 
 
 def make_rng(seed: int, worker: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, worker); distinct workers never overlap."""
     return np.random.Generator(np.random.Philox(key=worker_seed(seed, worker)))
-
-
-def _check_count(name: str, value) -> None:
-    """Raise DomainError unless ``value`` is an integer >= 1 (Python or numpy)."""
-    if type(value) is int and value >= 1:  # per-point callers: skip the slow ABC check
-        return
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,17 +82,13 @@ class EnsembleParams:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("n_small", self.n_small)
-        _check_count("m_large", self.m_large)
-        if not isinstance(self.seed, numbers.Integral):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))  # frozen: a NumPy integer becomes its int
-        if not (0.0 < self.weight_p < math.inf and 0.0 < self.weight_q < math.inf):
-            raise DomainError(
-                f"weights must be finite and positive, got {self.weight_p!r}, {self.weight_q!r}"
-            )
-        if math.isinf(self.dim_ratio) or math.isinf(self.weight_ratio):
-            raise DomainError("derived ratios must be finite")
+        count("n_small", self.n_small)
+        count("m_large", self.m_large)
+        object.__setattr__(self, "seed", count("seed", self.seed, None))  # frozen; NumPy -> int
+        real("weights", self.weight_p, POSITIVE)
+        real("weights", self.weight_q, POSITIVE)
+        if not 0.0 < self.weight_ratio < math.inf or math.isinf(self.dim_ratio):
+            raise DomainError(f"derived ratios must be finite and positive, got {self!r}")
 
     @property
     def dim_ratio(self) -> float:
@@ -126,15 +113,16 @@ class SpectrumSample:
 
 def sample_ginibre(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrix; each entry has unit-variance real and imaginary parts."""
-    _check_count("n_rows", n_rows)
-    _check_count("n_cols", n_cols)
+    n_rows, n_cols = count("n_rows", n_rows), count("n_cols", n_cols)
+    instance("rng", rng, np.random.Generator)
     re = rng.standard_normal((n_rows, n_cols))
     im = rng.standard_normal((n_rows, n_cols))
     return re + 1j * im
 
 
 def reduced_density_from_ginibre(g: np.ndarray) -> np.ndarray:
-    """G G^H normalized to unit trace: a fixed-trace Wishart density matrix."""
+    """G G^H of a finite matrix g, normalized to unit trace: a fixed-trace Wishart density."""
+    g = matrix("g", g)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite g gives a non-finite trace
         s = g @ g.conj().T
         tr = float(s.trace().real)
@@ -169,6 +157,8 @@ def sample_pure_state_reduced(
     uses.  Distributionally identical to ``reduced_density_from_ginibre``
     but computed along an independent code path for cross-validation.
     """
+    instance("params", params, EnsembleParams)
+    instance("rng", rng, np.random.Generator)
     return _reduced_density_batch(params.n_small, params.m_large, 1, rng)[0]
 
 
@@ -179,9 +169,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> SpectrumSample:
     NonHermitian when the max entrywise deviation from h^H exceeds 1e-10, and
     NoConvergence when LAPACK does not converge.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {h.shape}")
+    h = matrix("h", h, square=True)
     with np.errstate(invalid="ignore", over="ignore"):
         dev = abs(h - h.conj().T).max() if h.size else 0.0
     # a non-finite entry makes its own deviation non-finite
@@ -198,8 +186,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> SpectrumSample:
 
 def page_entropy_mean(n: int, m: int) -> float:
     """Mean entanglement entropy of a random pure state: sum_{k=m+1}^{mn} 1/k - (n-1)/(2m)."""
-    _check_count("n", n)
-    _check_count("m", m)
+    n, m = count("n", n), count("m", m)
     if n > m:
         raise DimensionOrder(f"requires n <= m, got n={n} > m={m}")
     harmonic = sum(1.0 / k for k in range(m + 1, m * n + 1))
@@ -212,9 +199,7 @@ def von_neumann_entropy(eigenvalues: np.ndarray) -> float:
     A stack of spectra (any shape) gives the sum of their entropies.  A NaN
     or infinite eigenvalue raises DomainError.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if not math.isfinite(lam.sum()):
-        raise DomainError("eigenvalues must be finite")
+    lam = points("eigenvalues", eigenvalues)
     lam = lam[lam > 1e-300]
     return float(-np.sum(lam * np.log(lam)))
 
@@ -222,7 +207,7 @@ def von_neumann_entropy(eigenvalues: np.ndarray) -> float:
 def is_density_matrix(rho: np.ndarray) -> bool:
     """Check the density-matrix invariants: finite, Hermitian, unit trace, PSD."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.dtype.kind not in "iufc":
         return False
     with np.errstate(invalid="ignore", over="ignore"):
         dev = abs(rho - rho.conj().T).max()

@@ -12,8 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from ._checks import count
 from .errors import NoConvergence
-from .sampling import _check_count
 
 __all__ = ["laguerre_coefficients"]
 
@@ -125,8 +125,7 @@ def _hyp2f1(a, b, c, x) -> complex:
 
 def laguerre_coefficients(m_large: int) -> list[int]:
     """Integer coefficients (2(M-1)-k)! / (k! (M-1-k)!) for k = 0..M-1."""
-    _check_count("m_large", m_large)
-    mm = m_large - 1
+    mm = count("m_large", m_large) - 1
     return [
         math.factorial(2 * mm - k) // (math.factorial(k) * math.factorial(mm - k))
         for k in range(m_large)

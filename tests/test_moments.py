@@ -336,9 +336,11 @@ def _distance_to_mixed_mpmath(c: float):
 
 class TestDistancesSmallC:
     # (c+1) sqrt((2-c)c) cancels against 2 asin(sqrt(c/2)) (relative error 1.0 at c = 1e-20),
-    # and a panel over [1, x_+] in x errs 1.2e-7 there and collapses below c ~ 1e-32
+    # and a panel over [1, x_+] in x errs 1.2e-7 there and collapses below c ~ 1e-32; the
+    # geometric grid has no point between 1.3e-7 and 2, where the series of _asin_excess
+    # serves (s = sqrt(c/2) < 0.1), so four more c sit there
     def test_trace_distance_against_mpmath(self):
-        for c in np.geomspace(1e-300, 2.0, 41):
+        for c in [*np.geomspace(1e-300, 2.0, 41), 1e-4, 1e-3, 0.01, 0.019]:
             want = _trace_distance_mpmath(float(c))
             assert abs(trace_distance_asymptotic(float(c)) - want) <= 1e-14 * want
         assert trace_distance_asymptotic(2.0) == 0.75
