@@ -7,7 +7,9 @@ powers of gamma = 1 - (1/2) sum |z_i| factorise per monomial: |z|^a has
 coefficient P (-1/2)^|a| / (D - |a|)! prod_i u(a_i) with
 u(t) = sum_k w_k (-2)^k / (t - k)! (see ``build_psi_poly``).  Applying the
 Vandermonde differential operator prod_{i<j}(d_i - d_j) and multiplying by
-the Vandermonde determinant yields the joint eigenvalue density.
+the Vandermonde determinant yields the joint eigenvalue density.  The
+operator is applied once per sign class of orthants; the other orthants'
+pieces follow by permuting exponents and by reflection.
 
 Measure convention: the hyperplane delta is consumed by eliminating the last
 coordinate, i.e. every returned density is with respect to
@@ -17,8 +19,12 @@ this convention all densities integrate to one, which is what the tests pin.
 Evaluation is exact by default: integer arithmetic over a common
 denominator, rounded once to the nearest float (the differential operator
 amplifies cancellation catastrophically in floating point for the
-binomially large coefficients involved); the N = 3 marginal is integrated
-in those integers too.  A float path serves bulk grids such as fig1, only
+binomially large coefficients involved).  Each coordinate is x / 2^s
+exactly, so the sum is one nested Horner pass in the 53-bit integers x, each
+coefficient shifted to the common power-of-two denominator; the N = 3
+marginal is integrated in those integers too.  The N = 2 marginal is a sum
+of positive terms, evaluated by Horner in floats to 3e-13 relative
+(``n2_exact_density``).  A float path serves bulk grids such as fig1, only
 where its rounding bound is at most ``_FLOAT_TOL``: N = 2 up to M = 7 and
 N = 3 at M = 3 (cancellation would make it err 9.0e-9 at M = 4 and 2.0e-6
 at M = 5).  There each orthant's piece is one dense array of correctly
@@ -30,11 +36,13 @@ matrix-vector product per variable; against the exact path it errs at most
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,36 +94,55 @@ def _sign_factor(signs, exponents) -> int:
 
 
 def _int_table(poly: Poly):
-    """Nest an integer table by exponent, first variable outermost; with its top exponent."""
+    """Nest an integer table by exponent, first variable outermost, every level's
+    exponents in descending order (as Horner takes them); with its top total degree."""
     trie: dict = {}
-    for e, c in poly.items():
+    for e, c in sorted(poly.items(), reverse=True):
         node = trie
         for k in e[:-1]:
             node = node.setdefault(k, {})
         node[e[-1]] = c
-    return trie, max((max(e) for e in poly), default=0)
+    return trie, max(map(sum, poly))
 
 
-def _nested_sum(node: dict, rows) -> int:
-    if len(rows) == 1:
-        return sum(c * rows[0][k] for k, c in node.items())
-    return sum(rows[0][k] * _nested_sum(child, rows[1:]) for k, child in node.items())
+def _horner(node: dict, nums, shifts, budget: int) -> int:
+    """Nested Horner over a trie in the numerators x_i, first variable outermost:
+    each coefficient c_e enters shifted left by budget - sum_i shifts_i e_i, and
+    the rest is multiplying by x_i (by x_i^g across a gap of g exponents)."""
+    x, shift = nums[0], shifts[0]
+    acc, prev = 0, next(iter(node))
+    if len(nums) == 1:
+        for k, c in node.items():  # descending exponents
+            if prev - k == 1:  # the usual gap: spare the pow call
+                acc = acc * x + (c << budget - shift * k)
+            else:
+                acc = acc * x ** (prev - k) + (c << budget - shift * k)
+            prev = k
+    else:
+        nums, shifts = nums[1:], shifts[1:]
+        for k, child in node.items():
+            v = _horner(child, nums, shifts, budget - shift * k)
+            acc = (acc * x if prev - k == 1 else acc * x ** (prev - k)) + v
+            prev = k
+    return acc * x**prev
 
 
 def _exact_eval(table, den: int, point, *, vandermonde: bool = False) -> float:
     """sum_e c_e prod_i point_i^e_i / den for an ``_int_table``, times
     prod_{i<j}(point_j - point_i) if asked, as the float nearest the exact
-    rational: every float is N / 2^s exactly, so the sum is formed in Python
-    ints over one power-of-two denominator and rounded once."""
-    trie, top = table
+    rational.  Every float is x / 2^s exactly, so with S the largest s and D
+    the top total degree every term is an integer over 2^(S D): the sum is
+    formed by nested Horner in the 53-bit numerators x, each coefficient
+    shifted by S D - sum_i s_i e_i, and rounded once."""
+    trie, degree = table
     ratios = [float(v).as_integer_ratio() for v in point]
-    s = max(q.bit_length() for _, q in ratios) - 1
-    xs = [p << (s - q.bit_length() + 1) for p, q in ratios]
-    # x^k 2^(s (top - k)): every term shares the denominator 2^(s top n)
-    pows = [[x**k << s * (top - k) for k in range(top + 1)] for x in xs]
-    acc = _nested_sum(trie, pows)
-    den <<= s * top * len(xs)
+    nums = [p for p, _ in ratios]
+    shifts = [q.bit_length() - 1 for _, q in ratios]
+    s = max(shifts)
+    acc = _horner(trie, nums, shifts, s * degree)
+    den <<= s * degree
     if vandermonde:
+        xs = [p << (s - e) for p, e in zip(nums, shifts)]
         for i, j in combinations(range(len(xs)), 2):
             acc *= xs[j] - xs[i]
             den <<= s
@@ -257,6 +284,34 @@ def _apply_difference_operator(poly: Poly, n: int) -> Poly:
     return cur
 
 
+def _orthant_pieces(nums: Poly, n: int) -> dict:
+    """The Vandermonde-differentiated psi piece of each orthant with both signs,
+    differentiated once per sign class (one class per count j <= N/2 of minus
+    signs).  psi is symmetric, so where s'_i = s_pi(i) the piece of s' is that of
+    s with exponents permuted alike, times sgn(pi); and the piece of -s is that of
+    s with each coefficient times (-1)^(|e| + N(N-1)/2)."""
+    half = n * (n - 1) // 2
+    mixed = [s for s in product((1, -1), repeat=n) if len(set(s)) == 2]
+    pieces: dict = {}
+    for signs in sorted(mixed, key=lambda s: s.count(-1)):  # the class's representative first
+        j = signs.count(-1)
+        if 2 * j > n:  # the mirror of an orthant with fewer minus signs
+            pieces[signs] = {e: -c if (sum(e) + half) % 2 else c
+                             for e, c in pieces[tuple(-v for v in signs)].items()}
+            continue
+        rep = (1,) * (n - j) + (-1,) * j
+        if signs == rep:
+            pieces[rep] = _apply_difference_operator(
+                {e: c * _sign_factor(rep, e) for e, c in nums.items()}, n)
+            continue
+        plus, minus = iter(range(n - j)), iter(range(n - j, n))
+        perm = [next(plus) if v > 0 else next(minus) for v in signs]
+        sgn = (-1) ** sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        take = itemgetter(*perm)
+        pieces[signs] = {take(e): sgn * c for e, c in pieces[rep].items()}
+    return pieces
+
+
 @lru_cache(maxsize=16)
 def _law_tables(n: int, m: int):
     """Per orthant, the Vandermonde-differentiated psi piece as integer numerators
@@ -266,11 +321,7 @@ def _law_tables(n: int, m: int):
     zero-sum hyperplane off the walls."""
     nums, _, den = build_psi_poly(n, m)._exact
     norm = math.prod(math.factorial(p) for p in range(1, n + 1))
-    pieces = {
-        signs: _apply_difference_operator(
-            {e: c * _sign_factor(signs, e) for e, c in nums.items()}, n)
-        for signs in product((1, -1), repeat=n) if len(set(signs)) == 2
-    }
+    pieces = _orthant_pieces(nums, n)
     ints = {signs: _int_table(q) for signs, q in pieces.items()}
     bound = max(sum(map(abs, q.values())) for q in pieces.values()) / den * 2.0**-53 / norm
     floats = {}
@@ -338,44 +389,71 @@ def w_poly(m: int) -> list[Fraction]:
     ]
 
 
+def _ln(q: Fraction) -> float:
+    """ln q for a positive rational of any size, to a few ulps of |ln q|."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    return math.log(float(q / Fraction(2) ** e)) + e * math.log(2.0)
+
+
 @lru_cache(maxsize=64)
-def _w_log_coefficients(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    ws = w_poly(m)
-    logs = tuple(math.log(w.numerator) - math.log(w.denominator) for w in ws)
-    dlogs = tuple(math.log(k) + logs[k] for k in range(1, m))
-    return logs, dlogs
-
-
-def _logsumexp(values) -> float:
-    peak = max(values)
-    return peak + math.log(sum(math.exp(v - peak) for v in values))
+def _n2_terms(m: int):
+    """The positive terms of ``n2_exact_density``, k = 1..M-1, with a_k = c_k (2M-1-k)
+    and b_k = c_k (2M-2-k): ln(K a_max), the pairs (a_k, b_k) / a_max and True for
+    Horner; or, where a scaled b_k leaves the normal float range, ln K, the pairs
+    (ln b_k, a_k / b_k) and False."""
+    w = w_poly(m)
+    ks = range(1, m)
+    b = [k * w[k] for k in ks]  # c_k (2M - 2 - k) = k w_k
+    a = [bk * (2 * m - 1 - k) / (2 * m - 2 - k) for k, bk in zip(ks, b)]
+    K = Fraction(math.factorial(2 * m - 1) ** 2, math.factorial(m - 1) ** 4)
+    top = max(a)
+    if min(b) / top >= sys.float_info.min:
+        return _ln(K * top), tuple((float(ak / top), float(bk / top)) for ak, bk in zip(a, b)), True
+    return _ln(K), tuple((_ln(bk), float(ak / bk)) for ak, bk in zip(a, b)), False
 
 
 def n2_exact_density(lam: float, m: int) -> float:
     """Closed-form marginal eigenvalue density for the two-dimensional case.
 
-    rho(lambda) = -lambda d/dlambda [ K (1-|lambda|)^{4M-3} W(|lambda|/(1-|lambda|)^2) ]
-    with K = Gamma(2M)^2 / Gamma(M)^4, differentiated analytically and
-    evaluated in log space (stable for any M; the factorial ratios never
-    overflow).  Even in lambda; vanishes at 0 by eigenvalue repulsion.
+    rho(t) = -t d/dt [K (1-t)^(4M-3) W(alpha)] with t = |lambda|,
+    alpha = t/(1-t)^2, K = Gamma(2M)^2/Gamma(M)^4 and W = ``w_poly``.
+    Differentiating term by term and using the coefficient identity
+    (k+1) w_{k+1} = 2(M-1-k)(4M-3-2k) w_k/(2M-2-k) gives a sum of positive terms,
+
+        rho(t) = K t^2 (1-t)^(4M-6) sum_{k=1}^{M-1} c_k alpha^(k-1) [(2M-1-k) + (2M-2-k) t],
+
+    c_k = k w_k/(2M-2-k), with no cancellation as t -> 0 or t -> 1 (M = 1 is
+    rho = t).  The sum is one Horner pass in alpha (in 1/alpha where alpha > 1)
+    over per-M coefficients scaled by their largest, the magnitude carried in
+    logs, so the value is relatively accurate wherever it is a normal float
+    (within 3e-13 of the exact rational up to M = 700).  For M whose scaled
+    coefficients leave the normal float range (M >= 445) the same terms are
+    summed as exponentials of their logs.  Even in lambda; vanishes at 0 by
+    eigenvalue repulsion.
     """
     m, t = count("m", m), abs(real("lam", lam))
     if not t < 1.0:
         raise DomainError(f"|lambda| must be < 1, got {lam!r}")
-    if t == 0.0:
-        return 0.0
-    logs, dlogs = _w_log_coefficients(m)
-    ln_alpha = math.log(t) - 2.0 * math.log1p(-t)
-    lnW = _logsumexp([logs[k] + k * ln_alpha for k in range(m)])
-    if m > 1:
-        lnW1 = _logsumexp([dlogs[k - 1] + (k - 1) * ln_alpha for k in range(1, m)])
-        ratio = math.exp(lnW1 - lnW)
-    else:
-        ratio = 0.0
-    lnK = 2.0 * math.lgamma(2 * m) - 4.0 * math.lgamma(m)
-    ln_f = lnK + (4 * m - 3) * math.log1p(-t) + lnW
-    dln_f = -(4 * m - 3) / (1.0 - t) + ratio * (1.0 + t) / (1.0 - t) ** 3
-    return -t * math.exp(ln_f) * dln_f
+    if t == 0.0 or m == 1:
+        return t
+    ln_mag, coef, horner = _n2_terms(m)
+    ln_t, ln_s = math.log(t), math.log1p(-t)
+    ln_alpha = ln_t - 2.0 * ln_s
+    if not horner:
+        terms = [lb + math.log(r + t) + k * ln_alpha for k, (lb, r) in enumerate(coef)]
+        peak = max(terms)
+        ln_mag += peak + math.log(math.fsum(math.exp(v - peak) for v in terms))
+        return math.exp(ln_mag + 2.0 * ln_t + (4 * m - 6) * ln_s)
+    acc = 0.0
+    if ln_alpha <= 0.0:
+        x = math.exp(ln_alpha)
+        for ak, bk in reversed(coef):
+            acc = acc * x + (ak + bk * t)
+        return math.exp(ln_mag + 2.0 * ln_t + (4 * m - 6) * ln_s) * acc
+    x = math.exp(-ln_alpha)  # alpha^(M-2) taken out: t^M (1-t)^(2M-2) in front
+    for ak, bk in coef:
+        acc = acc * x + (ak + bk * t)
+    return math.exp(ln_mag + m * ln_t + (2 * m - 2) * ln_s) * acc
 
 
 @lru_cache(maxsize=16)

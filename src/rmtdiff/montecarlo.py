@@ -55,6 +55,7 @@ diagonal, bottom-block chi^2, bottom-block normals.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import queue
 import threading
@@ -339,7 +340,8 @@ def build_histogram(
     Raises ``UsageError`` unless ``bins`` is an integer >= 2, and ``DomainError`` if a
     value is NaN or infinite, if there are none, if every value falls in the atom
     and no ``value_range`` is given, if ``value_range`` is not finite with lo < hi,
-    or if ``atom_threshold`` is not a finite real >= 0.
+    if the range is wider than the float range, or if ``atom_threshold`` is not a
+    finite real >= 0.
     """
     bins = count("bins", bins, 2, UsageError)
     value_range = interval("value_range", value_range)
@@ -359,6 +361,8 @@ def build_histogram(
         if continuous.size == 0:
             raise DomainError("every value falls in the atom: give value_range")
         value_range = (float(continuous.min()), float(continuous.max()))
+    if not math.isfinite(value_range[1] - value_range[0]):
+        raise DomainError(f"histogram range {value_range} is wider than the float range")
     try:
         counts, edges = np.histogram(continuous, bins=bins, range=value_range)
     except ValueError as exc:  # a range too narrow for bins of finite width, such as [1e300, 1e300]
@@ -382,13 +386,18 @@ def bin_theory_mass(theory_density, edges: np.ndarray) -> np.ndarray:
     """Per-bin mass of a density, by 5-point Gauss-Legendre.
 
     ``theory_density`` is called once, on the (bins, 5) array of all nodes.
+    Raises DomainError for non-finite edges, or edges whose nodes leave the
+    float range.
     """
     instance("theory_density", theory_density, Callable)
     edges = points("edges", edges)
     if edges.ndim != 1 or edges.size < 2:
         raise DomainError(f"edges must be a list of at least two reals, got shape {edges.shape}")
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = half[:, None] * _GL5_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * (edges[1:] - edges[:-1])
+        xs = half[:, None] * _GL5_NODES + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    if not np.isfinite(xs).all():
+        raise DomainError("the quadrature nodes of these edges lie beyond the float range")
     return half * (np.asarray(theory_density(xs), dtype=float) @ _GL5_WEIGHTS)
 
 

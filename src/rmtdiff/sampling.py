@@ -87,7 +87,11 @@ class EnsembleParams:
         object.__setattr__(self, "seed", count("seed", self.seed, None))  # frozen; NumPy -> int
         real("weights", self.weight_p, POSITIVE)
         real("weights", self.weight_q, POSITIVE)
-        if not 0.0 < self.weight_ratio < math.inf or math.isinf(self.dim_ratio):
+        try:
+            ratios = (self.weight_ratio, self.dim_ratio)
+        except OverflowError:  # an int dimension past the float range
+            ratios = (math.inf,)
+        if not all(0.0 < r < math.inf for r in ratios):
             raise DomainError(f"derived ratios must be finite and positive, got {self!r}")
 
     @property
@@ -197,11 +201,17 @@ def von_neumann_entropy(eigenvalues: np.ndarray) -> float:
     """Entropy -sum(l log l) in nats; zero and tiny-negative eigenvalues contribute 0.
 
     A stack of spectra (any shape) gives the sum of their entropies.  A NaN
-    or infinite eigenvalue raises DomainError.
+    or infinite eigenvalue, or an entropy past the float range, raises
+    DomainError.
     """
     lam = points("eigenvalues", eigenvalues)
     lam = lam[lam > 1e-300]
-    return float(-np.sum(lam * np.log(lam)))
+    with np.errstate(over="ignore"):
+        s = float(-np.sum(lam * np.log(lam)))
+    if not math.isfinite(s):
+        raise DomainError(
+            f"the entropy lies beyond the float range (largest eigenvalue {lam.max():g})")
+    return s
 
 
 def is_density_matrix(rho: np.ndarray) -> bool:

@@ -317,3 +317,20 @@ def test_any_float(name, arg):
         assert got in (None, "raised"), f"{name}({arg}={v!r}): {got}"
 
     check()
+
+
+# Finite input of extreme magnitude, past what the sweep's single values reach: each
+# must raise DomainError, not a RuntimeWarning or OverflowError.
+EXTREME = {
+    "EnsembleParams(10**400, 3)": lambda: sampling.EnsembleParams(10**400, 3),
+    "von_neumann_entropy([1e308, 1e308])": lambda: sampling.von_neumann_entropy([1e308, 1e308]),
+    "build_histogram([1e308, -1e308], 4)": lambda: montecarlo.build_histogram([1e308, -1e308], 4),
+    "bin_theory_mass(f, [-1e308, 1e308])": lambda: montecarlo.bin_theory_mass(
+        _density, [-1e308, 1e308]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EXTREME))
+def test_extreme_magnitude_raises(call):
+    with pytest.raises(DomainError):
+        EXTREME[call]()

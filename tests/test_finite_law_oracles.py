@@ -5,7 +5,11 @@
 * a plain ``Fraction`` evaluator must give bit-identical floats to the
   integer path of ``psi.evaluate`` and ``joint_eigen_density``;
 * scipy ``quad`` over the joint density, float and exact, must reproduce
-  the closed-form N = 3 marginal.
+  the closed-form N = 3 marginal;
+* the orthant tables built by symmetry must equal the directly
+  differentiated ones;
+* the N = 2 closed form, differentiated term by term in exact rationals,
+  must agree with ``n2_exact_density`` to 1e-12 relative.
 """
 
 import itertools
@@ -25,11 +29,17 @@ from scipy.integrate import IntegrationWarning, quad
 from rmtdiff.errors import BoundaryPoint, NegativeDensityWarning, SizeLimit
 from rmtdiff.finite_law import (
     _apply_difference_operator,
+    _dense_table,
+    _int_table,
+    _law_tables,
     _marginal_3_table,
+    _sign_factor,
     build_psi_poly,
     joint_eigen_density,
+    n2_exact_density,
     region_gamma,
     single_eigenvalue_marginal,
+    w_poly,
 )
 
 
@@ -88,7 +98,7 @@ def _interior(n: int):
     )
 
 
-@pytest.mark.parametrize("n,m", [(2, 5), (3, 3), (3, 4)])
+@pytest.mark.parametrize("n,m", [(2, 5), (2, 10), (3, 3), (3, 4)])
 def test_integer_path_is_bit_identical(n, m):
     psi, pieces, diffs = _fraction_pieces(n, m)
     norm = math.prod(math.factorial(p) for p in range(1, n + 1))
@@ -104,6 +114,75 @@ def test_integer_path_is_bit_identical(n, m):
         assert joint_eigen_density(lam, n, m, exact=True) == want
 
     check()
+
+
+def test_marginal_is_bit_identical():
+    (coef, _), den = _marginal_3_table(3)
+    ts = np.random.default_rng(31).uniform(-1.0, 1.0, 50)
+    got = single_eigenvalue_marginal(3, 3, ts)
+    for t, g in zip(ts, got):
+        x = Fraction(float(abs(t)))
+        assert g == float(sum(c * x**k for k, c in coef.items()) / den)
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (2, 10), (3, 3), (3, 4), (3, 5), (4, 4)])
+def test_law_tables_match_direct_construction(n, m):
+    nums, _, den = build_psi_poly(n, m)._exact
+    direct = {
+        signs: _apply_difference_operator(
+            {e: c * _sign_factor(signs, e) for e, c in nums.items()}, n)
+        for signs in itertools.product((1, -1), repeat=n) if len(set(signs)) == 2
+    }
+    ints, floats, _, _ = _law_tables(n, m)
+    assert ints == {signs: _int_table(q) for signs, q in direct.items()}
+    for signs, table in floats.items():
+        assert np.array_equal(table, _dense_table(direct[signs], den))
+
+
+def _n2_oracle(t: float, m: int) -> tuple[int, int]:
+    """-t d/dt [K (1-t)^(4M-3) W(t/(1-t)^2)] at the float t = p/q, differentiated term by
+    term from ``w_poly`` in exact rationals; as numerator and denominator (not reduced).
+
+    Term k is w_k t^k (1-t)^(e-1) (e t - k (1-t)) with e = 4M-3-2k; over q^(4M-3) it is
+    r^(2M-2) w_k (e p - k r) (pq)^k (r^2)^(M-1-k), r = q - p, summed by Horner in pq."""
+    w = w_poly(m)
+    lcm = math.lcm(*(wk.denominator for wk in w))
+    p, q = t.as_integer_ratio()
+    r = q - p
+    acc, rpow = 0, 1
+    for k in range(m - 1, -1, -1):
+        wk = w[k].numerator * (lcm // w[k].denominator)
+        acc = acc * p * q + wk * ((4 * m - 3 - 2 * k) * p - k * r) * rpow
+        rpow *= r * r
+    num = acc * r ** (2 * m - 2) * math.factorial(2 * m - 1) ** 2
+    return num, q ** (4 * m - 3) * lcm * math.factorial(m - 1) ** 4
+
+
+_N2_TS = sorted({1e-100, 1e-12, *np.geomspace(1e-300, 0.5, 25).tolist(),
+                 *(1.0 - np.geomspace(1e-9, 0.5, 12)).tolist()})
+
+
+def _check_n2(t: float, m: int) -> None:
+    """Never negative, and within 1e-12 relative wherever the true value is a normal float."""
+    got = n2_exact_density(t, m)
+    assert got >= 0.0, (t, got)
+    num, den = _n2_oracle(t, m)
+    if num << 1022 >= den:
+        gp, gq = got.as_integer_ratio()
+        assert abs(gp * den - num * gq) * 10**12 <= num * gq, (t, got, num / den)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 40, 150])
+def test_n2_density_against_exact_rationals(m):
+    # a sum of positive terms has no cancellation as t -> 0 or t -> 1
+    for t in _N2_TS:
+        _check_n2(t, m)
+
+
+def test_n2_density_large_m_route():
+    # M >= 445 sums the positive terms as exponentials of their logs
+    for t in (1e-20, 1e-3, 0.3, 0.5, 0.9, 1 - 1e-4):
+        _check_n2(t, 460)
 
 
 def _quad_marginal(l1: float, m: int, exact: bool = False) -> float:
